@@ -132,10 +132,6 @@ class Extension:
         self.L = L
         self.projector = projector  # None means full, 0-dim means zero subspace
         self.z0 = float(spec.z0)
-        if spec.reference == "dirichlet":
-            self.reference_map = backend.dtn(self.z0)
-        else:
-            self.reference_map = backend.ntd(self.z0)
 
     @property
     def reference(self) -> str:

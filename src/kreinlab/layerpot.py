@@ -82,6 +82,24 @@ def _pairwise(grid: BoundaryGrid):
     return d, r, log4sin
 
 
+def _symmetric_bessel(fn, order: int, k: complex, r: np.ndarray, diagonal: complex = 0.0):
+    """``fn(order, k r)`` for the symmetric distance matrix ``r``.
+
+    ``r`` from :func:`_pairwise` is symmetric bit for bit, because
+    ``p_i - p_j = -(p_j - p_i)`` exactly, so ``fn`` is evaluated on the strict
+    upper triangle only and mirrored.  The diagonal (``r = 0``) is set to
+    ``diagonal``.
+    """
+    n = len(r)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    vals = fn(order, k * r[upper])
+    out = np.empty((n, n), dtype=complex)
+    out[upper] = vals
+    out.T[upper] = vals  # visits (j, i) in the order r[upper] visits (i, j)
+    np.fill_diagonal(out, diagonal)
+    return out
+
+
 def _check_wavenumber(grid: BoundaryGrid, k: complex):
     scale = float(np.max(np.abs(k)) * (np.max(np.abs(grid.points)) * 2.0 + 1.0))
     if scale > MAX_ARG:
@@ -104,9 +122,10 @@ def assemble_single_layer_trace(grid: BoundaryGrid, z) -> BoundaryOperator:
     else:
         k = sqrt_upper(z)
         _check_wavenumber(grid, k)
-        m1 = -(1.0 / (4.0 * np.pi)) * _sp.jv(0, k * r) * sp[None, :]
+        # J_0(0) = 1; the Hankel diagonal is overwritten below
+        m1 = -(1.0 / (4.0 * np.pi)) * _symmetric_bessel(_sp.jv, 0, k, r, 1.0) * sp[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            m2 = 0.25j * _sp.hankel1(0, k * r) * sp[None, :] - m1 * log4sin
+            m2 = 0.25j * _symmetric_bessel(_sp.hankel1, 0, k, r) * sp[None, :] - m1 * log4sin
         diag = (0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp
         np.fill_diagonal(m2, diag)
     return BoundaryOperator(R * m1 + trap * m2, "V", z, grid.token)
@@ -133,8 +152,9 @@ def assemble_adjoint_double_layer(grid: BoundaryGrid, z) -> BoundaryOperator:
     k = sqrt_upper(z)
     _check_wavenumber(grid, k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k1 = (k / (4.0 * np.pi)) * _sp.jv(1, k * r) * dn / r * sp[None, :]
-        k2 = -(0.25j * k) * _sp.hankel1(1, k * r) * dn / r * sp[None, :] - k1 * log4sin
+        k1 = (k / (4.0 * np.pi)) * _symmetric_bessel(_sp.jv, 1, k, r) * dn / r * sp[None, :]
+        k2 = (-(0.25j * k) * _symmetric_bessel(_sp.hankel1, 1, k, r) * dn / r * sp[None, :]
+              - k1 * log4sin)
     np.fill_diagonal(k1, 0.0)
     np.fill_diagonal(k2, diag)
     R = log_quadrature_weights(n)

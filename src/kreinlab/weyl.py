@@ -9,7 +9,11 @@ from single-layer calculus as
 
 Near the Dirichlet spectrum (or on curves of logarithmic capacity one at
 z = 0) the single-layer trace degenerates; operations then fail loudly with
-a conditioning diagnostic instead of continuing silently.
+a conditioning diagnostic instead of continuing silently.  The diagnostic is
+the exact 1-norm condition number ``||A||_1 ||A^{-1}||_1``, taken from the
+inverse that ``dtn`` and ``ntd`` form anyway; an exactly singular matrix has
+condition ``inf``.  Only the condition of ``V_z`` is cached per ``z``, never
+its inverse.
 """
 
 from __future__ import annotations
@@ -30,6 +34,21 @@ from .layerpot import (
 from .specfun import as_complex
 
 COND_LIMIT = 1e12
+
+
+def inverse_and_condition(A: np.ndarray):
+    """``(A^{-1}, ||A||_1 ||A^{-1}||_1)``; ``(None, inf)`` for an exactly singular A."""
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    return inv, float(np.linalg.norm(A, 1) * np.linalg.norm(inv, 1))
+
+
+def check_condition(cond: float, what: str, hint: str):
+    """Raise :class:`NearSingular` unless ``cond`` is at most ``COND_LIMIT``."""
+    if not cond <= COND_LIMIT:
+        raise NearSingular(f"{what} has condition {cond:.3e}; {hint}")
 
 
 @dataclass(frozen=True)
@@ -159,30 +178,44 @@ class BemBackend:
             self._cache[key] = neumann_trace_of_single_layer(self.grid, z).matrix
         return self._cache[key]
 
+    def _single_layer_inverse(self, z: complex):
+        inv, cond = inverse_and_condition(self.single_layer(z))
+        self._cache[("cond V", z)] = cond
+        return inv
+
+    def single_layer_condition(self, z) -> float:
+        """Exact 1-norm condition number of ``V_z``, cached per ``z``."""
+        z = as_complex(z)
+        key = ("cond V", z)
+        if key not in self._cache:
+            self._single_layer_inverse(z)
+        return self._cache[key]
+
+    def _check_single_layer(self, z: complex):
+        check_condition(self.single_layer_condition(z), f"single-layer trace at z = {z}",
+                        "near the Dirichlet spectrum or a capacity degeneracy")
+
     def single_layer_solve(self, z, rhs) -> np.ndarray:
-        V = self.single_layer(z)
-        cond = np.linalg.cond(V)
-        if cond > COND_LIMIT:
-            raise NearSingular(
-                f"single-layer trace at z = {z} has condition {cond:.3e}; "
-                "near the Dirichlet spectrum or a capacity degeneracy"
-            )
-        return np.linalg.solve(V, rhs)
+        z = as_complex(z)
+        self._check_single_layer(z)
+        return np.linalg.solve(self.single_layer(z), rhs)
 
     def dtn(self, z) -> np.ndarray:
         z = as_complex(z)
         key = ("dtn", z)
         if key not in self._cache:
-            inv = self.single_layer_solve(z, np.eye(self.grid.n))
-            self._cache[key] = -self.neumann_trace(z) @ inv
+            T = self.neumann_trace(z)
+            inv = self._single_layer_inverse(z)
+            self._check_single_layer(z)
+            self._cache[key] = -T @ inv
         return self._cache[key]
 
     def ntd(self, z) -> np.ndarray:
-        M = self.dtn(z)
-        cond = np.linalg.cond(M)
-        if cond > COND_LIMIT:
-            raise NearSingular(f"Dirichlet-to-Neumann map at z = {z} is near-singular")
-        return -np.linalg.inv(M)
+        z = as_complex(z)
+        inv, cond = inverse_and_condition(self.dtn(z))
+        check_condition(cond, f"Dirichlet-to-Neumann map at z = {z}",
+                        "z is near the Neumann spectrum")
+        return -inv
 
     def harmonic_extension(self, w, g) -> LayerField:
         return LayerField(self, w, self.single_layer_solve(w, np.asarray(g, dtype=complex)))
@@ -210,12 +243,8 @@ def solve_neumann(grid, z, g) -> LayerField:
     if zp.neumann_distance is not None and zp.neumann_distance == 0.0:
         raise NearSingular("z certified to lie on the Neumann spectrum")
     T = backend.neumann_trace(zp.z)
-    cond = np.linalg.cond(T)
-    if cond > COND_LIMIT:
-        raise NearSingular(
-            f"interior Neumann trace at z = {zp.z} has condition {cond:.3e}; "
-            "z is (numerically) a Neumann eigenvalue"
-        )
+    check_condition(inverse_and_condition(T)[1], f"interior Neumann trace at z = {zp.z}",
+                    "z is (numerically) a Neumann eigenvalue")
     return LayerField(backend, zp.z, np.linalg.solve(T, np.asarray(g, dtype=complex)))
 
 

@@ -27,6 +27,24 @@ def test_complex_csv_roundtrip(tmp_path):
     assert np.max(np.abs(again - mat)) == 0.0  # 17 significant digits round-trip
 
 
+def _per_cell_csv(matrix, header):
+    """Reference writer: one f-string per real and imaginary part."""
+    lines = [f"# {header}; cells are \"re,im\"; row-major\n"]
+    for row in np.atleast_2d(np.asarray(matrix, dtype=complex)):
+        lines.append(",".join(f'"{v.real:.17g},{v.imag:.17g}"' for v in row) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 2)])
+def test_csv_writer_bytes_match_per_cell_format(tmp_path, shape):
+    special = [-0.0, 5e-324, 1e17, 3 - 1e-17j, -5e-324j, 1 / 3 + 2j / 7, -1e17 - 0.0j]
+    cells = np.resize(np.array(special, dtype=complex), shape[0] * shape[1]).reshape(shape)
+    for mat in (cells, cells.T.copy().T):  # C- and Fortran-ordered input
+        path = tmp_path / "m.csv"
+        write_complex_matrix_csv(str(path), mat, "header")
+        assert path.read_text() == _per_cell_csv(mat, "header")
+
+
 def test_dtn_interval_matches_oracle(runner, tmp_path):
     out = tmp_path / "dtn.csv"
     res = _run(runner, ["dtn", "--domain", "interval", "--z", "-1,0", "--out", str(out)])

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from kreinlab.errors import TargetTooClose
 from kreinlab.geometry import CurveSpec, make_grid
 from kreinlab.layerpot import (
     JUMP_SIGN,
+    _pairwise,
     assemble_adjoint_double_layer,
     assemble_single_layer_trace,
     evaluate_potential,
@@ -14,6 +16,7 @@ from kreinlab.layerpot import (
     log_quadrature_weights,
     neumann_trace_of_single_layer,
 )
+from kreinlab.specfun import EULER_GAMMA, sqrt_upper
 
 
 def test_log_quadrature_rule_exact_on_modes():
@@ -188,3 +191,38 @@ def test_target_too_close_warning():
     with pytest.warns(TargetTooClose):
         out = evaluate_potential(grid, np.ones(grid.n), -1.0, near)
     assert np.all(np.isfinite(out))
+
+
+def _full_matrix_reference(grid, z):
+    """V_z and K#_z with every Bessel/Hankel kernel evaluated on the full
+    n x n distance matrix, diagonal included."""
+    n = grid.n
+    trap = 2.0 * np.pi / n
+    R = log_quadrature_weights(n)
+    d, r, log4sin = _pairwise(grid)
+    sp = grid.speed
+    k = sqrt_upper(z)
+    dn = np.sum(d * grid.normals[:, None, :], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m1 = -(1.0 / (4.0 * np.pi)) * special.jv(0, k * r) * sp[None, :]
+        m2 = 0.25j * special.hankel1(0, k * r) * sp[None, :] - m1 * log4sin
+        k1 = (k / (4.0 * np.pi)) * special.jv(1, k * r) * dn / r * sp[None, :]
+        k2 = -(0.25j * k) * special.hankel1(1, k * r) * dn / r * sp[None, :] - k1 * log4sin
+    np.fill_diagonal(
+        m2, (0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp)
+    np.fill_diagonal(k1, 0.0)
+    np.fill_diagonal(k2, -grid.curvature * sp / (4.0 * np.pi))
+    return R * m1 + trap * m2, R * k1 + trap * k2
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("z", [2 + 1j, -1.5])
+def test_triangle_kernels_bit_identical_to_full_matrix(n, z):
+    # kernels evaluated on the upper triangle and mirrored equal the full
+    # evaluation exactly, diagonals included
+    grid = make_grid(CurveSpec.kite(), n)
+    V_ref, K_ref = _full_matrix_reference(grid, z)
+    V = assemble_single_layer_trace(grid, z).matrix
+    K = assemble_adjoint_double_layer(grid, z).matrix
+    assert np.array_equal(V, V_ref)
+    assert np.array_equal(K, K_ref)

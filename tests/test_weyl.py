@@ -8,7 +8,16 @@ from kreinlab.geometry import CurveSpec, make_grid
 from kreinlab.kreinformulas import hermitian_part
 from kreinlab.oracles import disk_mode_dtn
 from kreinlab.traces import gamma_D
-from kreinlab.weyl import BemBackend, SpectralParameter, dtn, ntd, solve_dirichlet, solve_neumann
+from kreinlab.weyl import (
+    BemBackend,
+    SpectralParameter,
+    check_condition,
+    dtn,
+    inverse_and_condition,
+    ntd,
+    solve_dirichlet,
+    solve_neumann,
+)
 
 # frozen oracle constants
 INV_J0_1 = 1.3068518339335652  # 1/J_0(1)
@@ -86,6 +95,26 @@ def test_capacity_degeneracy_unit_circle(circle_backend):
     # logarithmic capacity one: the static single-layer trace is singular
     with pytest.raises(NearSingular):
         solve_dirichlet(circle_backend, 0.0 + 0j, np.ones(circle_backend.grid.n))
+
+
+def test_exactly_singular_matrix_is_near_singular():
+    A = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+    inv, cond = inverse_and_condition(A)
+    assert inv is None and cond == np.inf
+    with pytest.raises(NearSingular, match="inf"):
+        check_condition(cond, "test matrix", "exactly singular")
+
+
+def test_single_layer_condition_is_exact_one_norm(kite_backend):
+    z = 2 + 1j
+    V = kite_backend.single_layer(z)
+    want = np.linalg.norm(V, 1) * np.linalg.norm(np.linalg.inv(V), 1)
+    got = kite_backend.single_layer_condition(z)
+    assert got == want
+    # the 1- and 2-norm condition numbers agree to within a factor n
+    n = kite_backend.grid.n
+    cond2 = np.linalg.cond(V)
+    assert cond2 / n <= got <= n * cond2
 
 
 def test_certified_spectral_parameter_rejected(circle_backend):
