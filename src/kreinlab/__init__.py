@@ -23,7 +23,6 @@ from .extensions import (
     direct_solve,
     is_nonnegative,
     make_extension,
-    make_extension_neumann_ref,
 )
 from .geometry import BoundaryGrid, CurveSpec, make_grid
 from .kreinformulas import (
@@ -34,7 +33,6 @@ from .kreinformulas import (
     donoghue_m,
     friedrichs_krein_domains,
     herglotz_defect,
-    krein_resolvent_rhs,
     mfunc,
     resolve_sign_conventions,
     smoothing_factorization_check,

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import KreinlabError
 from .extensions import ExtensionSpec, make_extension
 from .geometry import CurveSpec, make_grid
-from .kreinformulas import imaginary_part_eigenvalues, mfunc, resolve_sign_conventions
+from .kreinformulas import imaginary_part_eigenvalues, resolve_sign_conventions, sign_witnesses
 from .oracles import DiskModel, Model1D, interval_dtn
 from .spectral import SpectrumRequest, eigenvalues
 from .verifysuite import build_suite, worker_count
@@ -257,8 +257,11 @@ def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
 def cmd_verify(suite, backend_name, nodes, seed, tol, out, flip):
     """Run an identity suite; exit 0 iff every residual is within tolerance."""
     try:
-        items = build_suite(suite, backend_name, nodes=nodes, seed=seed, tol=tol, flip=flip)
-        ledger = resolve_sign_conventions()
+        # one witness pass feeds both the krein-suite sign items and the ledger
+        witnesses = sign_witnesses()
+        items = build_suite(suite, backend_name, nodes=nodes, seed=seed, tol=tol, flip=flip,
+                            witnesses=witnesses)
+        ledger = resolve_sign_conventions(witnesses=witnesses)
     except KreinlabError as exc:
         _fail({"error": type(exc).__name__, "detail": str(exc)}, 1)
     passed = all(it["pass"] for it in items)

@@ -22,8 +22,11 @@ Resolvents are computed by the shifted-reference formula
     u = R_ref(z + z0) f + (harmonic correction at z + z0)
 
 with the correction coefficient solved from the boundary condition through
-the bracket ``L - dtn(z + z0) + dtn(z0)``; the formula is cross-validated
-against independent direct solves in :mod:`kreinlab.kreinformulas`.
+the bracket ``L - dtn(z + z0) + dtn(z0)`` (:meth:`Extension.bracket`); the
+formula is cross-validated against independent direct solves in
+:mod:`kreinlab.kreinformulas`.  Brackets are gated by their exact 1-norm
+condition number (:func:`kreinlab.weyl.inverse_and_condition`) against
+``kreinlab.weyl.COND_LIMIT``.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ import numpy as np
 
 from .errors import BackendUnsupported, NearEigenvalue, SpecInvalid
 from .specfun import as_complex
-from .traces import gamma_D, gamma_N, tau_D, tau_N
+from .traces import gamma_D, gamma_N, hermitian_part, tau_D, tau_N
+from .weyl import COND_LIMIT, inverse_and_condition
 
 HERMITIAN_TOL = 1e-12
-BRACKET_COND_LIMIT = 1e12
 
 SPECIAL_TAGS = ("dirichlet", "neumann", "krein")
 
@@ -115,14 +118,6 @@ def _weighted_herm_defect(mat: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(np.abs(wm - wm.conj().T)))
 
 
-def _hermitian_part(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Matrix of the Hermitian part in the weighted inner product, as a plain
-    Hermitian matrix acting on half-weighted coordinates."""
-    s = np.sqrt(weights)
-    sym = (s[:, None] * mat) / s[None, :]
-    return 0.5 * (sym + sym.conj().T)
-
-
 class Extension:
     """A realized self-adjoint extension bound to one backend."""
 
@@ -137,9 +132,10 @@ class Extension:
     def reference(self) -> str:
         return self.spec.reference
 
-    def _restricted_bracket(self, z):
-        """Bracket L - M(z + z0) + M(z0) restricted to the subspace."""
-        w = as_complex(z) + self.z0
+    def bracket(self, w):
+        """Bracket ``L - dtn(w) + dtn(z0)`` (Neumann reference: ``L + ntd(w) - ntd(z0)``)
+        at the absolute spectral parameter ``w = z + z0``, compressed to the
+        subspace as ``P B P + (I - P)``."""
         backend = self.backend
         if self.reference == "dirichlet":
             bracket = self.L - backend.dtn(w) + backend.dtn(self.z0)
@@ -221,13 +217,6 @@ def make_extension(spec: ExtensionSpec, backend) -> Extension:
     return Extension(spec, backend, L, projector)
 
 
-def make_extension_neumann_ref(spec: ExtensionSpec, backend) -> Extension:
-    """Neumann-reference factory; requires ``spec.reference == 'neumann'``."""
-    if spec.reference != "neumann":
-        raise SpecInvalid("make_extension_neumann_ref needs reference='neumann'")
-    return make_extension(spec, backend)
-
-
 def boundary_residual(ext: Extension, u) -> float:
     """Weighted norm of the boundary-condition defect of a field.
 
@@ -262,8 +251,8 @@ def apply_resolvent(ext: Extension, z, f):
 
     tau, gam = ext.boundary_trace_parts(part)
     rhs = tau + ext.L @ gam
-    bracket = ext._restricted_bracket(z)
-    if np.linalg.cond(bracket) > BRACKET_COND_LIMIT:
+    bracket = ext.bracket(w)
+    if not inverse_and_condition(bracket)[1] <= COND_LIMIT:
         raise NearEigenvalue(f"z = {z} is numerically an eigenvalue of the extension")
     coef = -np.linalg.solve(bracket, rhs)
     if ext.projector is not None:
@@ -299,7 +288,7 @@ def direct_solve(ext: Extension, z, f):
         A[:, j] = tau_j + ext.L @ gam_j
     tau0, gam0 = ext.boundary_trace_parts(part)
     rhs = -(tau0 + ext.L @ gam0)
-    if np.linalg.cond(A) > BRACKET_COND_LIMIT:
+    if not inverse_and_condition(A)[1] <= COND_LIMIT:
         raise NearEigenvalue(f"z = {z} is numerically an eigenvalue of the extension")
     coef = np.linalg.solve(A, rhs)
     out = part
@@ -321,7 +310,7 @@ def is_nonnegative(ext: Extension, rng=None, trials: int = 50):
     if ext.projector is not None and not np.any(ext.projector):
         lmin = 0.0
     else:
-        herm = _hermitian_part(ext.L, w)
+        herm = hermitian_part(ext.L, w)
         if ext.projector is not None:
             s = np.sqrt(w)
             P = (s[:, None] * ext.projector) / s[None, :]

@@ -22,6 +22,11 @@ closed-form disk/interval computation), and the outcome is recorded in a
                           direction reversed).
 * ``boundary-condition``  tau_N(z0) u = -L gamma_D u (the convention that makes
                           the Neumann special case L = -dtn(z0) cancel exactly).
+
+:func:`sign_witnesses` runs every witness once and keeps the residuals of
+both sign candidates; ``verify`` calls it once per request and reads both
+the ledger (:func:`resolve_sign_conventions`) and the krein-suite sign items
+from that one pass.
 """
 
 from __future__ import annotations
@@ -31,17 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketSingular, DomainError, NearEigenvalue
-from .extensions import (
-    BRACKET_COND_LIMIT,
-    Extension,
-    ExtensionSpec,
-    apply_resolvent,
-    make_extension,
-)
+from .extensions import Extension, ExtensionSpec, apply_resolvent, make_extension
 from .layerpot import BoundaryOperator, assemble_adjoint_double_layer
 from .oracles import Model1D, barycentric_interpolant
 from .specfun import as_complex
-from .traces import gamma_D, gamma_N, tau_N
+from .traces import gamma_D, gamma_N, hermitian_part, tau_N, weighted_adjoint
+from .weyl import COND_LIMIT, inverse_and_condition
 
 
 # ---------------------------------------------------------------------------
@@ -99,23 +99,14 @@ def _as_extension(ext, backend=None) -> Extension:
     return ext
 
 
-def _full_bracket(ext: Extension, z) -> np.ndarray:
-    if ext.projector is not None:
-        raise DomainError("the Weyl-function inverse formula needs the full subspace")
-    w = as_complex(z) + ext.z0
-    backend = ext.backend
-    if ext.reference == "dirichlet":
-        return ext.L - backend.dtn(w) + backend.dtn(ext.z0)
-    return ext.L + backend.ntd(w) - backend.ntd(ext.z0)
-
-
 def mfunc(ext, z, backend=None) -> BoundaryOperator:
     """Weyl function M(z) of the extension: inverse of L - M(z+z0) + M(z0)."""
     ext = _as_extension(ext, backend)
-    bracket = _full_bracket(ext, z)
-    if np.linalg.cond(bracket) > BRACKET_COND_LIMIT:
+    if ext.projector is not None:
+        raise DomainError("the Weyl-function inverse formula needs the full subspace")
+    mat, cond = inverse_and_condition(ext.bracket(as_complex(z) + ext.z0))
+    if not cond <= COND_LIMIT:
         raise NearEigenvalue(f"Weyl function has a pole near z = {z}")
-    mat = np.linalg.inv(bracket)
     token = getattr(ext.backend, "token", ext.backend.name if hasattr(ext.backend, "name") else "")
     return BoundaryOperator(mat, "MD", as_complex(z), token)
 
@@ -137,20 +128,10 @@ def mfunc_direct(ext: Extension, z) -> np.ndarray:
         tau_j, gam_j = ext.boundary_trace_parts(phi)
         A[:, j] = tau_j + ext.L @ gam_j
         G[:, j] = gam_j
-    if np.linalg.cond(A) > BRACKET_COND_LIMIT:
+    inv, cond = inverse_and_condition(A)
+    if not cond <= COND_LIMIT:
         raise NearEigenvalue(f"Weyl function has a pole near z = {z}")
-    return G @ np.linalg.solve(A, np.eye(m))
-
-
-def _weighted_adjoint_vecmat(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return (mat.conj().T * weights[None, :]) / weights[:, None]
-
-
-def hermitian_part(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Hermitian part in the weighted product, as a plain Hermitian matrix."""
-    s = np.sqrt(weights)
-    sym = (s[:, None] * mat) / s[None, :]
-    return 0.5 * (sym + sym.conj().T)
+    return G @ inv
 
 
 def imaginary_part_eigenvalues(ext: Extension, z) -> np.ndarray:
@@ -178,7 +159,7 @@ def herglotz_defect(ext, zs, backend=None) -> float:
 def mfunc_symmetry_defect(ext: Extension, z) -> float:
     """Residual of M(z)^* = M(zbar) in the weighted inner product."""
     w = ext.backend.boundary_weights
-    a = _weighted_adjoint_vecmat(mfunc(ext, z).matrix, w)
+    a = weighted_adjoint(mfunc(ext, z).matrix, w, w)
     b = mfunc(ext, np.conj(as_complex(z))).matrix
     return float(np.max(np.abs(a - b)))
 
@@ -187,17 +168,6 @@ def mfunc_symmetry_defect(ext: Extension, z) -> float:
 # resolvent formula evaluation
 # ---------------------------------------------------------------------------
 
-def krein_resolvent_rhs(ext, z, f, backend=None):
-    """Right-hand side of the Krein resolvent formula.
-
-    u = R_ref(z+z0) f + HarmExt_{z+z0}( -B(z)^{-1} tau(R_ref f) ),
-    using the validated identity [tau_N R_D(wbar)]^* = -HarmExt_w.
-    Cross-checked against :func:`kreinlab.extensions.direct_solve` by the
-    test-suite before the engine is trusted.
-    """
-    return apply_resolvent(_as_extension(ext, backend), z, f)
-
-
 def transfer_variants(L1: np.ndarray, L2: np.ndarray, z0: float, z, backend) -> dict:
     """The two printed forms of the two-extension transfer operator.
 
@@ -205,6 +175,10 @@ def transfer_variants(L1: np.ndarray, L2: np.ndarray, z0: float, z, backend) -> 
     B2 = M(z0) - M(z+z0) + L2; ``alternate`` interprets the other printed
     form under the same boundary-condition convention,
     +(L2-L1)[I + (M(z0) - M(z+z0) - L2)^{-1} (L2-L1)].
+
+    Both forms are written in the printed order, not through
+    :meth:`Extension.bracket`: ``(M0 - Mw) + L2`` and ``(L2 - Mw) + M0`` differ
+    in the last bit at the interval points that ``verify`` uses.
     """
     z = as_complex(z)
     w = z + z0
@@ -219,12 +193,9 @@ def transfer_variants(L1: np.ndarray, L2: np.ndarray, z0: float, z, backend) -> 
 
 def transfer_alternative_form(L1: np.ndarray, L2: np.ndarray, z0: float, z, backend) -> np.ndarray:
     """Equivalent expression M1^{-1} (M2 - M1) M1^{-1} built from Weyl functions."""
-    z = as_complex(z)
-    w = z + z0
-    M0 = backend.dtn(z0)
-    Mw = backend.dtn(w)
-    B1 = L1 - Mw + M0
-    B2 = L2 - Mw + M0
+    w = as_complex(z) + z0
+    B1 = _extension_from_matrix(L1, z0, backend).bracket(w)
+    B2 = _extension_from_matrix(L2, z0, backend).bracket(w)
     M1 = np.linalg.inv(B1)
     M2 = np.linalg.inv(B2)
     return B1 @ (M2 - M1) @ B1
@@ -313,7 +284,7 @@ def two_extension_symmetry_defect(L1, L2, z0: float, z, backend) -> float:
     w = backend.boundary_weights
     Tz = transfer_variants(np.asarray(L1, complex), np.asarray(L2, complex), z0, z, backend)["primary"]
     Tzb = transfer_variants(np.asarray(L1, complex), np.asarray(L2, complex), z0, np.conj(z), backend)["primary"]
-    return float(np.max(np.abs(_weighted_adjoint_vecmat(Tz, w) - Tzb)))
+    return float(np.max(np.abs(weighted_adjoint(Tz, w, w) - Tzb)))
 
 
 def smoothing_factorization_check(ext, z, backend=None) -> float:
@@ -355,18 +326,18 @@ def _cardinal_functions(nodes: np.ndarray):
 
 
 def _discretize_interval(ext: Extension, z):
-    """Matrices of R_ext(z), R_D(w), tau_N R_D(w) and gamma_D R_ext(zbar)."""
+    """Matrices of R_ext(z), R_D(w), tau_N R_D(w), gamma_D R_ext(zbar) and tau_N R_D(wbar)."""
     backend = ext.backend
     z = as_complex(z)
     w = z + ext.z0
     nodes = backend.quad_nodes
     n = len(nodes)
-    cards = _cardinal_functions(nodes)
     Rext = np.zeros((n, n), dtype=complex)
     RD = np.zeros((n, n), dtype=complex)
     TN = np.zeros((2, n), dtype=complex)
     GD_zbar = np.zeros((2, n), dtype=complex)
-    for j, fj in enumerate(cards):
+    TNb = np.zeros((2, n), dtype=complex)
+    for j, fj in enumerate(_cardinal_functions(nodes)):
         u = apply_resolvent(ext, z, fj)
         Rext[:, j] = u.value(nodes)
         ud = backend.resolvent_dirichlet(w, fj)
@@ -374,72 +345,43 @@ def _discretize_interval(ext: Extension, z):
         TN[:, j] = tau_N(ext.z0, ud)
         ub = apply_resolvent(ext, np.conj(z), fj)
         GD_zbar[:, j] = gamma_D(ub)
-    return nodes, Rext, RD, TN, GD_zbar
+        TNb[:, j] = tau_N(ext.z0, backend.resolvent_dirichlet(np.conj(w), fj))
+    return nodes, Rext, RD, TN, GD_zbar, TNb
 
 
-def resolvent_difference_sign_residuals(ext: Extension, z) -> dict:
-    """Matrix residuals of both sign candidates of the resolvent-difference identity.
+def interval_sign_witnesses(ext: Extension, z) -> dict:
+    """Matrix-level residuals of three identities from one interval discretization.
 
-    R_ext(z) = R_D(z+z0) + s [gamma_D R_ext(zbar)]^* [tau_N R_D(z+z0)], s = +1/-1.
+    ``resolvent-difference`` holds both sign candidates s = +1/-1 of
+    R_ext(z) = R_D(z+z0) + s [gamma_D R_ext(zbar)]^* [tau_N R_D(z+z0)];
+    ``krein-formula`` is the symmetrised Krein formula and
+    ``harmonic-adjoint`` the identity [tau_N R_D(wbar)]^* = -HarmExt_w.
     """
     backend = ext.backend
     if not isinstance(backend, Model1D):
         raise DomainError("matrix witness implemented on the interval backend")
-    nodes, Rext, RD, TN, GD_zbar = _discretize_interval(ext, z)
-    wq = backend.quad_weights
-    adj = (GD_zbar.conj().T * backend.boundary_weights[None, :]) / wq[:, None]
+    z = as_complex(z)
+    w = z + ext.z0
+    nodes, Rext, RD, TN, GD_zbar, TNb = _discretize_interval(ext, z)
+    adj = weighted_adjoint(GD_zbar, backend.boundary_weights, backend.quad_weights)
+    adjT = weighted_adjoint(TNb, backend.boundary_weights, backend.quad_weights)
+    HE = np.array([backend.harmonic_extension(w, e).value(nodes)
+                   for e in np.eye(2, dtype=complex)]).T
     scale = float(np.max(np.abs(Rext)))
     return {
-        "+": float(np.max(np.abs(Rext - RD - adj @ TN))) / scale,
-        "-": float(np.max(np.abs(Rext - RD + adj @ TN))) / scale,
+        "resolvent-difference": {
+            "+": float(np.max(np.abs(Rext - RD - adj @ TN))) / scale,
+            "-": float(np.max(np.abs(Rext - RD + adj @ TN))) / scale,
+        },
+        "krein-formula": float(np.max(np.abs(Rext - RD - adjT @ mfunc(ext, z).matrix @ TN))) / scale,
+        "harmonic-adjoint": float(np.max(np.abs(adjT + HE))),
     }
 
 
-def krein_formula_matrix_residual(ext: Extension, z) -> float:
-    """Residual of the symmetrised Krein formula at the matrix level."""
-    backend = ext.backend
-    if not isinstance(backend, Model1D):
-        raise DomainError("matrix witness implemented on the interval backend")
-    z = as_complex(z)
-    w = z + ext.z0
-    nodes, Rext, RD, TN, _ = _discretize_interval(ext, z)
-    wq = backend.quad_weights
-    cards = _cardinal_functions(nodes)
-    TNb = np.zeros((2, len(nodes)), dtype=complex)
-    for j, fj in enumerate(cards):
-        ud = backend.resolvent_dirichlet(np.conj(w), fj)
-        TNb[:, j] = tau_N(ext.z0, ud)
-    adjT = (TNb.conj().T * backend.boundary_weights[None, :]) / wq[:, None]
-    MD = mfunc(ext, z).matrix
-    return float(np.max(np.abs(Rext - RD - adjT @ MD @ TN))) / float(np.max(np.abs(Rext)))
-
-
-def harmonic_adjoint_residual(ext: Extension, z) -> float:
-    """Residual of [tau_N R_D(wbar)]^* = -HarmExt_w at the matrix level."""
-    backend = ext.backend
-    z = as_complex(z)
-    w = z + ext.z0
-    nodes = backend.quad_nodes
-    wq = backend.quad_weights
-    cards = _cardinal_functions(nodes)
-    TNb = np.zeros((2, len(nodes)), dtype=complex)
-    for j, fj in enumerate(cards):
-        ud = backend.resolvent_dirichlet(np.conj(w), fj)
-        TNb[:, j] = tau_N(ext.z0, ud)
-    adjT = (TNb.conj().T * backend.boundary_weights[None, :]) / wq[:, None]
-    HE = np.zeros((len(nodes), 2), dtype=complex)
-    for i in range(2):
-        e = np.zeros(2, dtype=complex)
-        e[i] = 1.0
-        HE[:, i] = backend.harmonic_extension(w, e).value(nodes)
-    return float(np.max(np.abs(adjT + HE)))
-
-
-def resolve_sign_conventions(grid=None, backend=None, z0: float = 0.0, z=-1.0 + 0.7j) -> SignLedger:
-    """Run every sign witness once and return the populated ledger."""
+def sign_witnesses(grid=None, backend=None, z0: float = 0.0, z=-1.0 + 0.7j) -> dict:
+    """Residuals of every sign witness, both candidates kept where there are two."""
     from .geometry import CurveSpec, make_grid
 
-    ledger = SignLedger()
     backend = backend or Model1D()
     grid = grid or make_grid(CurveSpec.circle(1.0), 64)
 
@@ -447,79 +389,48 @@ def resolve_sign_conventions(grid=None, backend=None, z0: float = 0.0, z=-1.0 + 
     # Neumann trace, which forces the +1/2 jump for this kernel.
     ks = assemble_adjoint_double_layer(grid, 0.0).matrix
     ones = np.ones(grid.n)
-    res_plus = float(np.max(np.abs((0.5 * np.eye(grid.n) + ks) @ ones)))
-    res_minus = float(np.max(np.abs((-0.5 * np.eye(grid.n) + ks) @ ones)))
-    ledger.add(
-        SignLedgerEntry(
-            identity="jump-relation",
-            stated_sign="-1/2",
-            validated_sign="+1/2" if res_plus < res_minus else "-1/2",
-            witness="uniform density on the unit circle, static kernel",
-            residual=min(res_plus, res_minus),
-        )
-    )
-
+    out = {"jump-relation": {
+        "+1/2": float(np.max(np.abs((0.5 * np.eye(grid.n) + ks) @ ones))),
+        "-1/2": float(np.max(np.abs((-0.5 * np.eye(grid.n) + ks) @ ones))),
+    }}
     L = np.array([[1.0, 0.2], [0.2, 0.5]], dtype=complex)
-    ext = _extension_from_matrix(L, z0, backend)
-    diff = resolvent_difference_sign_residuals(ext, z)
-    ledger.add(
-        SignLedgerEntry(
-            identity="resolvent-difference",
-            stated_sign="+",
-            validated_sign=min(diff, key=diff.get),
-            witness="discretized resolvent identity, interval backend",
-            residual=min(diff.values()),
-        )
-    )
-
-    ledger.add(
-        SignLedgerEntry(
-            identity="krein-formula",
-            stated_sign="+",
-            validated_sign="+",
-            witness="discretized symmetrised formula, interval backend",
-            residual=krein_formula_matrix_residual(ext, z),
-        )
-    )
-
-    L2 = -backend.dtn(-1.0)
-    resid = two_extension_identity_residuals(np.zeros((2, 2)), L2, -1.0, z, backend)
-    ledger.add(
-        SignLedgerEntry(
-            identity="two-extension",
-            stated_sign="primary(zbar)",
-            validated_sign=min(resid, key=resid.get),
-            witness="Krein/Neumann pair resolvent difference, interval backend",
-            residual=min(resid.values()),
-        )
-    )
-
-    ntd_eigs = np.linalg.eigvalsh(hermitian_part(backend.ntd(-1.0), backend.boundary_weights))
-    validated = "positive" if float(np.min(ntd_eigs)) > -1e-12 else "negative"
-    ledger.add(
-        SignLedgerEntry(
-            identity="ntd-sign",
-            stated_sign="negative",
-            validated_sign=validated,
-            witness="eigenvalues of the Hermitian part of ntd(-1)",
-            residual=float(max(0.0, -np.min(ntd_eigs))),
-        )
-    )
-
+    out.update(interval_sign_witnesses(_extension_from_matrix(L, z0, backend), z))
+    out["two-extension"] = two_extension_identity_residuals(
+        np.zeros((2, 2)), -backend.dtn(-1.0), -1.0, z, backend)
+    out["ntd-sign"] = float(np.min(np.linalg.eigvalsh(
+        hermitian_part(backend.ntd(-1.0), backend.boundary_weights))))
     # boundary-condition convention: with L = -dtn(z0) the condition must
     # reduce to a vanishing Neumann trace.
-    next_ = make_extension(ExtensionSpec("dirichlet", -1.0, "neumann", "full"), backend)
-    u = apply_resolvent(next_, -0.5, _default_probe(backend))
-    res_bc = float(np.max(np.abs(gamma_N(u))))
-    ledger.add(
-        SignLedgerEntry(
-            identity="boundary-condition",
-            stated_sign="tau = -L gamma",
-            validated_sign="tau = -L gamma" if res_bc < 1e-8 else "tau = +L gamma",
-            witness="Neumann special case reduces to gamma_N = 0",
-            residual=res_bc,
-        )
-    )
+    neu = make_extension(ExtensionSpec("dirichlet", -1.0, "neumann", "full"), backend)
+    u = apply_resolvent(neu, -0.5, _default_probe(backend))
+    out["boundary-condition"] = float(np.max(np.abs(gamma_N(u))))
+    return out
+
+
+def resolve_sign_conventions(grid=None, backend=None, z0: float = 0.0, z=-1.0 + 0.7j,
+                             witnesses: dict | None = None) -> SignLedger:
+    """Sign ledger from the residuals of :func:`sign_witnesses`, run here unless
+    ``witnesses`` already holds them."""
+    r = sign_witnesses(grid, backend, z0, z) if witnesses is None else witnesses
+    jump, diff, two = r["jump-relation"], r["resolvent-difference"], r["two-extension"]
+    ntd_min, res_bc = r["ntd-sign"], r["boundary-condition"]
+    ledger = SignLedger()
+    for entry in (
+        ("jump-relation", "-1/2", "+1/2" if jump["+1/2"] < jump["-1/2"] else "-1/2",
+         "uniform density on the unit circle, static kernel", min(jump.values())),
+        ("resolvent-difference", "+", min(diff, key=diff.get),
+         "discretized resolvent identity, interval backend", min(diff.values())),
+        ("krein-formula", "+", "+",
+         "discretized symmetrised formula, interval backend", r["krein-formula"]),
+        ("two-extension", "primary(zbar)", min(two, key=two.get),
+         "Krein/Neumann pair resolvent difference, interval backend", min(two.values())),
+        ("ntd-sign", "negative", "positive" if ntd_min > -1e-12 else "negative",
+         "eigenvalues of the Hermitian part of ntd(-1)", max(0.0, -ntd_min)),
+        ("boundary-condition", "tau = -L gamma",
+         "tau = -L gamma" if res_bc < 1e-8 else "tau = +L gamma",
+         "Neumann special case reduces to gamma_N = 0", res_bc),
+    ):
+        ledger.add(SignLedgerEntry(*entry))
     return ledger
 
 
@@ -612,7 +523,7 @@ def abstract_krein_check(model: Abstract1D, z, probes=None) -> float:
     MF0 = donoghue_m(model, "friedrichs", 0.0)
     MFz = donoghue_m(model, "friedrichs", z)
     bracket = MF0 - MFz
-    if np.linalg.cond(bracket) > BRACKET_COND_LIMIT:
+    if not inverse_and_condition(bracket)[1] <= COND_LIMIT:
         raise BracketSingular(f"Donoghue bracket singular at z = {z}")
     if probes is None:
         probes = [
@@ -632,17 +543,13 @@ def abstract_krein_check(model: Abstract1D, z, probes=None) -> float:
         lhs = uk.value(nodes) - uf.value(nodes)
         # g1 = (S_F + i)(S_F - z)^{-1} f = f + (z + i) R_F(z) f
         g1_vals = f(nodes) + (z + 1j) * uf.value(nodes)
-        g1 = backend.field(_interp_callable(nodes, g1_vals), None, None)
+        g1 = backend.field(barycentric_interpolant(nodes, g1_vals), None, None)
         c = np.linalg.solve(bracket, model.project_plus(g1))
         h = model.onb_combination(c)
         uh = RF(lambda x, h=h: h.value(x))
         rhs = h.value(nodes) + (z - 1j) * uh.value(nodes)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
-
-
-def _interp_callable(nodes, vals):
-    return barycentric_interpolant(nodes, vals)
 
 
 def krein_shooting_determinant(lam: float, backend: Model1D | None = None) -> float:

@@ -230,9 +230,3 @@ def evaluate_potential_gradient(grid: BoundaryGrid, density, z, targets, *, warn
         radial = -0.25j * k * _sp.hankel1(1, k * r)
     kernel = radial[..., None] * d / r[..., None]
     return np.einsum("mjc,j->mc", kernel, grid.weighted_measure * g)
-
-
-def weighted_adjoint(grid: BoundaryGrid, matrix: np.ndarray) -> np.ndarray:
-    """Adjoint with respect to the L2(boundary) inner product of the grid."""
-    w = grid.weighted_measure
-    return (matrix.conj().T * w[None, :]) / w[:, None]

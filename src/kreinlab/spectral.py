@@ -5,7 +5,10 @@ An eigenvalue of the realized Laplacian extension makes the bracket
 singular value and refines each dip by bisection on the sign of its
 numerical derivative.  The Dirichlet special case has no bracket; its
 eigenvalues appear as poles of the Dirichlet-to-Neumann map and are tracked
-through ``1 / (1 + ||dtn(lambda)||_F)`` instead.
+through ``1 / (1 + ||dtn(lambda)||_F)`` instead.  A sample where the boundary
+map or the bracket fails with a :class:`KreinlabError` or a ``LinAlgError``
+counts as a pole (``inf``) or, in the Dirichlet case, as an
+eigenvalue (``0``); any other error propagates.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WindowTooWide
+from .errors import KreinlabError, WindowTooWide
 from .extensions import Extension, ExtensionSpec, make_extension
 from .kreinformulas import _galerkin_resolvent, _trial_family
 
@@ -41,7 +44,7 @@ def _scan_function(ext: Extension):
         def fun(lam: float) -> float:
             try:
                 M = backend.dtn(lam)
-            except Exception:
+            except (KreinlabError, np.linalg.LinAlgError):
                 return 0.0
             return 1.0 / (1.0 + float(np.linalg.norm(M)))
 
@@ -49,15 +52,9 @@ def _scan_function(ext: Extension):
 
     def fun(lam: float) -> float:
         try:
-            if ext.reference == "dirichlet":
-                bracket = ext.L - backend.dtn(lam) + backend.dtn(ext.z0)
-            else:
-                bracket = ext.L + backend.ntd(lam) - backend.ntd(ext.z0)
-        except Exception:
+            bracket = ext.bracket(lam)
+        except (KreinlabError, np.linalg.LinAlgError):
             return np.inf
-        if ext.projector is not None:
-            P = ext.projector
-            bracket = P @ bracket @ P + (np.eye(len(P)) - P)
         s = np.linalg.svd(bracket, compute_uv=False)
         return float(s[-1])
 

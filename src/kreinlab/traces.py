@@ -9,6 +9,12 @@ Dirichlet-to-Neumann map of the field's backend:
 
 Both annihilate every solution of (-Laplace - z)u = 0, which is what makes
 them usable as boundary conditions on the maximal domain.
+
+Adjoints and Hermitian parts of boundary maps are taken in the weighted
+boundary inner product of :func:`boundary_pairing` and formed by
+:func:`weighted_adjoint` and :func:`hermitian_part`.  The sign witnesses of
+:mod:`kreinlab.kreinformulas` take their traces once per ``verify`` request:
+the sign ledger and the krein-suite sign items are read from the same pass.
 """
 
 from __future__ import annotations
@@ -44,6 +50,20 @@ def tau_D(z0, u) -> np.ndarray:
 def boundary_pairing(backend, f, g) -> complex:
     """Weighted boundary pairing, antilinear in the first argument."""
     return backend.boundary_inner(np.asarray(f, dtype=complex), np.asarray(g, dtype=complex))
+
+
+def weighted_adjoint(mat: np.ndarray, range_weights: np.ndarray, domain_weights: np.ndarray) -> np.ndarray:
+    """Adjoint of ``mat`` between weighted l2 spaces: the weights of the space it
+    maps into, then of the space it maps from."""
+    return (mat.conj().T * range_weights[None, :]) / domain_weights[:, None]
+
+
+def hermitian_part(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Hermitian part in the weighted product, as a plain Hermitian matrix
+    acting on half-weighted coordinates."""
+    s = np.sqrt(weights)
+    sym = (s[:, None] * mat) / s[None, :]
+    return 0.5 * (sym + sym.conj().T)
 
 
 def _interior_inner(u, v, interior_quad):

@@ -22,14 +22,11 @@ from .kreinformulas import (
     abstract_krein_check,
     donoghue_m,
     friedrichs_krein_domains,
-    harmonic_adjoint_residual,
     herglotz_defect,
-    hermitian_part,
-    krein_formula_matrix_residual,
     mfunc,
     mfunc_direct,
     mfunc_symmetry_defect,
-    resolvent_difference_sign_residuals,
+    sign_witnesses,
     smoothing_factorization_check,
     transfer_alternative_form,
     transfer_variants,
@@ -37,10 +34,18 @@ from .kreinformulas import (
     two_extension_symmetry_defect,
     _extension_from_matrix,
 )
-from .layerpot import assemble_adjoint_double_layer
 from .oracles import DiskModel, Model1D, disk_mode_dtn, interval_dtn
 from .spectral import ordering_check
-from .traces import classical_green_defect, gamma_D, gamma_N, green_defect, tau_D, tau_N
+from .traces import (
+    classical_green_defect,
+    gamma_D,
+    gamma_N,
+    green_defect,
+    hermitian_part,
+    tau_D,
+    tau_N,
+    weighted_adjoint,
+)
 from .weyl import BemBackend, solve_dirichlet, solve_neumann
 
 
@@ -133,19 +138,19 @@ def _weyl_disk(nodes, rng, tol):
                                for k in range(-10, 11)))
     items.append(_item("bem-dtn-helmholtz-modes", "dtn(z) mode k = -sqrt(z) J'_k/J_k", worst,
                        1e-8 * tol))
-    worst = max(float(np.max(np.abs(bem.ntd(z) @ bem.dtn(z) + np.eye(grid.n))))
-                for z in (-1.0, 2 + 1j))
+    ntd = {z: bem.ntd(z) for z in (-1.0, 2 + 1j)}
+    worst = max(float(np.max(np.abs(ntd[z] @ bem.dtn(z) + np.eye(grid.n)))) for z in ntd)
     items.append(_item("ntd-dtn-inverse", "ntd(z) dtn(z) = -I", worst, 1e-8 * tol))
     w = bem.boundary_weights
     worst = 0.0
     for z in (2 + 1j, -3 + 0.5j):
-        adj = (bem.dtn(z).conj().T * w[None, :]) / w[:, None]
+        adj = weighted_adjoint(bem.dtn(z), w, w)
         worst = max(worst, float(np.max(np.abs(adj - bem.dtn(np.conj(z))))))
     items.append(_item("dtn-symmetry", "dtn(z)^* = dtn(conj z)", worst, 1e-8 * tol))
     worst = max(float(np.max(_herm_eigs(bem.dtn(z), w))) for z in (0.0, -1.0))
     items.append(_item("dtn-sign-nonpositive", "herm dtn(z) <= 0 for z <= 0", max(worst, 0.0),
                        1e-10 * tol))
-    low = float(np.min(_herm_eigs(bem.ntd(-1.0), w)))
+    low = float(np.min(_herm_eigs(ntd[-1.0], w)))
     items.append(_item("ntd-sign-definite", "herm ntd(-1) >= 0 (validated direction)",
                        max(-low, 0.0), 1e-10 * tol, sign_used="+"))
     ks = np.arange(4, 33)
@@ -157,7 +162,7 @@ def _weyl_disk(nodes, rng, tol):
     g = np.exp(1j * grid.t) + 0.5
     u = solve_neumann(bem, -1.0, g)
     items.append(_item("solve-neumann-consistency", "gamma_D solve_neumann(g) = ntd(z) g",
-                       np.max(np.abs(gamma_D(u) - bem.ntd(-1.0) @ g)), 1e-8 * tol))
+                       np.max(np.abs(gamma_D(u) - ntd[-1.0] @ g)), 1e-8 * tol))
     return items
 
 
@@ -194,7 +199,7 @@ def _weyl_kite(nodes, rng, tol):
     fam = _mode_family(grid, 16)
     worst = 0.0
     for z in (2 + 1j, -3 + 0.5j):
-        adj = (bem.dtn(z).conj().T * w[None, :]) / w[:, None]
+        adj = weighted_adjoint(bem.dtn(z), w, w)
         worst = max(worst, _action_defect(adj - bem.dtn(np.conj(z)), fam, w))
     items.append(_item("dtn-symmetry", "dtn(z)^* = dtn(conj z) on resolved modes", worst,
                        1e-8 * tol))
@@ -297,34 +302,24 @@ def _traces_kite(nodes, rng, tol):
 # krein suite
 # ---------------------------------------------------------------------------
 
-def _sign_items(rng, tol, flip=None):
-    """Ledger-backed convention items shared by every krein suite."""
-    items = []
-    grid = make_grid(CurveSpec.circle(1.0), 64)
-    ks = assemble_adjoint_double_layer(grid, 0.0).matrix
-    ones = np.ones(grid.n)
-    res_plus = float(np.max(np.abs((0.5 * np.eye(grid.n) + ks) @ ones)))
-    res_minus = float(np.max(np.abs((-0.5 * np.eye(grid.n) + ks) @ ones)))
-    use = res_minus if flip == "jump-relation" else res_plus
-    items.append(_item("jump-relation", "interior Neumann trace of S_0[1] = 0 on the unit circle",
-                       use, 1e-10 * tol, sign_used="+1/2" if flip != "jump-relation" else "-1/2"))
-
-    backend = Model1D()
-    L = np.array([[1.0, 0.2], [0.2, 0.5]], dtype=complex)
-    ext = _extension_from_matrix(L, 0.0, backend)
-    diff = resolvent_difference_sign_residuals(ext, -1.0 + 0.7j)
-    use = diff["+"] if flip == "resolvent-difference" else diff["-"]
-    items.append(_item("resolvent-difference",
-                       "R_ext(z) = R_D(z+z0) - [gamma_D R_ext(zbar)]^* tau_N R_D(z+z0)",
-                       use, 1e-9 * tol,
-                       sign_used="+" if flip == "resolvent-difference" else "-"))
-    items.append(_item("krein-formula-matrix",
-                       "R_ext(z) = R_D + [tau_N R_D(zbar+z0)]^* B(z)^{-1} tau_N R_D(z+z0)",
-                       krein_formula_matrix_residual(ext, -1.0 + 0.7j), 1e-9 * tol, sign_used="+"))
-    items.append(_item("harmonic-adjoint",
-                       "[tau_N R_D(wbar)]^* = -HarmExt_w",
-                       harmonic_adjoint_residual(ext, -1.0 + 0.7j), 1e-10 * tol, sign_used="-"))
-    return items
+def _sign_items(tol, flip=None, witnesses=None):
+    """Convention items shared by every krein suite, read from the residuals of
+    :func:`kreinlab.kreinformulas.sign_witnesses` (run here unless given)."""
+    r = sign_witnesses() if witnesses is None else witnesses
+    jump = "-1/2" if flip == "jump-relation" else "+1/2"
+    diff = "+" if flip == "resolvent-difference" else "-"
+    return [
+        _item("jump-relation", "interior Neumann trace of S_0[1] = 0 on the unit circle",
+              r["jump-relation"][jump], 1e-10 * tol, sign_used=jump),
+        _item("resolvent-difference",
+              "R_ext(z) = R_D(z+z0) - [gamma_D R_ext(zbar)]^* tau_N R_D(z+z0)",
+              r["resolvent-difference"][diff], 1e-9 * tol, sign_used=diff),
+        _item("krein-formula-matrix",
+              "R_ext(z) = R_D + [tau_N R_D(zbar+z0)]^* B(z)^{-1} tau_N R_D(z+z0)",
+              r["krein-formula"], 1e-9 * tol, sign_used="+"),
+        _item("harmonic-adjoint", "[tau_N R_D(wbar)]^* = -HarmExt_w",
+              r["harmonic-adjoint"], 1e-10 * tol, sign_used="-"),
+    ]
 
 
 def _krein_model(backend, rng, tol, flip=None):
@@ -442,13 +437,13 @@ def _krein_kite(nodes, rng, tol):
     bem = BemBackend(grid)
     items = []
     z0 = -1.0
-    M0 = bem.dtn(z0)
+    krein = make_extension(ExtensionSpec("dirichlet", z0, "krein", "full"), bem)
     w = bem.boundary_weights
     fam = _mode_family(grid, 16)
 
     def md(z):
         # compress the smoothing bracket to the resolved subspace, then invert
-        return np.linalg.inv(_projected(M0 - bem.dtn(z + z0), fam, w))
+        return np.linalg.inv(_projected(krein.bracket(z + z0), fam, w))
 
     z = 0.5 + 1j
     items.append(_item("mfunc-symmetry",
@@ -521,8 +516,12 @@ def default_nodes(backend_name: str) -> int:
 
 
 def build_suite(suite: str, backend_name: str, nodes: int = 0, seed: int = 0, tol: float = 1.0,
-                flip: str | None = None) -> list:
-    """Assemble and evaluate the requested suite; returns sorted item dicts."""
+                flip: str | None = None, witnesses: dict | None = None) -> list:
+    """Assemble and evaluate the requested suite; returns sorted item dicts.
+
+    ``witnesses`` holds the residuals of :func:`kreinlab.kreinformulas.sign_witnesses`
+    when the caller already ran them; otherwise a krein suite runs them itself.
+    """
     if suite not in SUITES:
         raise KreinlabError(f"unknown suite {suite!r}")
     if backend_name not in BACKENDS:
@@ -538,7 +537,7 @@ def build_suite(suite: str, backend_name: str, nodes: int = 0, seed: int = 0, to
         if "traces" in wanted:
             raw.append(lambda rng: _traces_model(backend, rng, tol))
         if "krein" in wanted:
-            raw.append(lambda rng: _sign_items(rng, tol, flip))
+            raw.append(lambda rng: _sign_items(tol, flip, witnesses))
             raw.append(lambda rng: _krein_model(backend, rng, tol, flip))
         if "abstract" in wanted:
             raw.append(lambda rng: _abstract_items(rng, tol))
@@ -549,7 +548,7 @@ def build_suite(suite: str, backend_name: str, nodes: int = 0, seed: int = 0, to
         if "traces" in wanted:
             raw.append(lambda rng: _traces_model(model, rng, tol))
         if "krein" in wanted:
-            raw.append(lambda rng: _sign_items(rng, tol, flip))
+            raw.append(lambda rng: _sign_items(tol, flip, witnesses))
             raw.append(lambda rng: _krein_model(model, rng, tol, flip))
     else:
         if "weyl" in wanted:
@@ -557,7 +556,7 @@ def build_suite(suite: str, backend_name: str, nodes: int = 0, seed: int = 0, to
         if "traces" in wanted:
             raw.append(lambda rng: _traces_kite(nodes, rng, tol))
         if "krein" in wanted:
-            raw.append(lambda rng: _sign_items(rng, tol, flip))
+            raw.append(lambda rng: _sign_items(tol, flip, witnesses))
             raw.append(lambda rng: _krein_kite(nodes, rng, tol))
 
     # one child generator per task keeps results identical under threading

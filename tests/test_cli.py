@@ -176,3 +176,36 @@ def test_verify_injected_sign_flip_fails(runner, tmp_path):
     failing = [it for it in report["results"] if not it["pass"]]
     assert [it["identity"] for it in failing] == ["jump-relation"]
     assert failing[0]["sign_used"] == "-1/2"
+
+
+def test_verify_runs_the_sign_witnesses_once(runner, tmp_path, monkeypatch):
+    from kreinlab import kreinformulas
+
+    calls = []
+    original = kreinformulas._discretize_interval
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kreinformulas, "_discretize_interval", counted)
+    out = tmp_path / "report.json"
+    res = _run(runner, ["verify", "--suite", "krein", "--backend", "kite", "--out", str(out)])
+    assert res.exit_code == 0
+    assert len(calls) == 1
+    report = json.loads(out.read_text())
+    items = {it["identity"]: it for it in report["results"]}
+    ledger = {e["identity"]: e for e in report["sign_ledger"]}
+    # the ledger and the sign items read the same residuals
+    assert items["resolvent-difference"]["residual"] == ledger["resolvent-difference"]["residual"]
+    assert items["krein-formula-matrix"]["residual"] == ledger["krein-formula"]["residual"]
+
+
+def test_suite_tasks_keep_their_random_streams():
+    from kreinlab.oracles import DiskModel
+    from kreinlab.verifysuite import _krein_model, build_suite
+
+    items = {it["identity"]: it for it in build_suite("krein", "disk", seed=3)}
+    alone = _krein_model(DiskModel(radius=1.0, mode_cutoff=8), np.random.default_rng([3, 1]), 1.0)
+    want = [it for it in alone if it["identity"] == "herglotz-random-L"]
+    assert items["herglotz-random-L"]["residual"] == want[0]["residual"]

@@ -11,12 +11,12 @@ from kreinlab.extensions import (
     direct_solve,
     is_nonnegative,
     make_extension,
-    make_extension_neumann_ref,
 )
 from kreinlab.geometry import CurveSpec, make_grid
+from kreinlab.kreinformulas import mfunc
 from kreinlab.oracles import DiskModel, Model1D
 from kreinlab.traces import gamma_D, gamma_N, tau_N
-from kreinlab.weyl import BemBackend
+from kreinlab.weyl import BemBackend, inverse_and_condition
 
 
 @pytest.fixture(scope="module")
@@ -189,14 +189,15 @@ def test_is_nonnegative_examples(interval):
 
 def test_neumann_reference_specials(interval):
     z0 = -1.0
-    neum = make_extension_neumann_ref(ExtensionSpec("neumann", z0, "neumann"), interval)
+    neum = make_extension(ExtensionSpec("neumann", z0, "neumann"), interval)
     assert neum.projector is not None and not np.any(neum.projector)
-    dirich = make_extension_neumann_ref(ExtensionSpec("neumann", z0, "dirichlet"), interval)
+    dirich = make_extension(ExtensionSpec("neumann", z0, "dirichlet"), interval)
     assert np.max(np.abs(dirich.L - interval.ntd(z0))) < 1e-14
     u = apply_resolvent(dirich, -0.5, lambda x: np.cos(x))
     assert np.max(np.abs(gamma_D(u))) < 1e-10
+    # Robin data belongs to the Dirichlet reference
     with pytest.raises(SpecInvalid):
-        make_extension_neumann_ref(ExtensionSpec("dirichlet", z0, "krein"), interval)
+        make_extension(ExtensionSpec("neumann", z0, ("robin", 1.0)), interval)
 
 
 def test_cross_factory_krein_agreement(interval):
@@ -299,3 +300,44 @@ def test_extension_spec_json_roundtrip():
     text = '{"reference": "dirichlet", "z0": -1.0, "L": {"special": "robin", "theta": 1.0}, "X": "full"}'
     spec = ExtensionSpec.from_json(text)
     assert spec.boundary_operator == ("robin", 1.0)
+
+
+@pytest.mark.parametrize("name", ["interval", "disk"])
+@pytest.mark.parametrize("reference", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("with_projector", [False, True])
+def test_bracket_matches_written_out_forms(interval, disk, name, reference, with_projector):
+    backend = {"interval": interval, "disk": disk}[name]
+    m, wts = backend.nboundary, backend.boundary_weights
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    L = 0.5 * (wts[:, None] * A + (wts[:, None] * A).conj().T) / wts[:, None]
+    P = np.diag((np.arange(m) % 2 == 0).astype(complex)) if with_projector else "full"
+    z0, z = -1.0, -0.7 + 0.4j
+    ext = make_extension(ExtensionSpec(reference, z0, L, P), backend)
+    w = z + z0
+    if reference == "dirichlet":
+        want = ext.L - backend.dtn(w) + backend.dtn(z0)
+    else:
+        want = ext.L + backend.ntd(w) - backend.ntd(z0)
+    if with_projector:
+        want = P @ want @ P + (np.eye(m) - P)
+    assert np.array_equal(ext.bracket(w), want)
+
+
+def test_bracket_krein_on_nystrom_grid():
+    bem = BemBackend(make_grid(CurveSpec.kite(), 64))
+    krein = make_extension(ExtensionSpec("dirichlet", -1.0, "krein"), bem)
+    for z in (0.5 + 1j, 0.5 - 1j):
+        assert np.array_equal(krein.bracket(z - 1.0), bem.dtn(-1.0) - bem.dtn(z - 1.0))
+
+
+def test_exactly_singular_bracket_raises_near_eigenvalue(interval):
+    # at z = 0 the Krein bracket dtn(z0) - dtn(z0) is the zero matrix
+    krein = make_extension(ExtensionSpec("dirichlet", 0.0, "krein"), interval)
+    bracket = krein.bracket(0.0)
+    assert not np.any(bracket)
+    assert inverse_and_condition(bracket) == (None, np.inf)
+    with pytest.raises(NearEigenvalue):
+        apply_resolvent(krein, 0.0, lambda x: x)
+    with pytest.raises(NearEigenvalue):
+        mfunc(krein, 0.0)

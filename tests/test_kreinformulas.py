@@ -3,23 +3,20 @@
 import numpy as np
 import pytest
 
-from kreinlab.extensions import ExtensionSpec, direct_solve, make_extension
+from kreinlab.extensions import ExtensionSpec, apply_resolvent, direct_solve, make_extension
 from kreinlab.kreinformulas import (
     Abstract1D,
     abstract_deficiency,
     abstract_krein_check,
     donoghue_m,
     friedrichs_krein_domains,
-    harmonic_adjoint_residual,
     herglotz_defect,
-    krein_formula_matrix_residual,
-    krein_resolvent_rhs,
+    interval_sign_witnesses,
     krein_shooting_determinant,
     mfunc,
     mfunc_direct,
     mfunc_symmetry_defect,
     resolve_sign_conventions,
-    resolvent_difference_sign_residuals,
     smoothing_factorization_check,
     transfer_alternative_form,
     transfer_variants,
@@ -124,7 +121,7 @@ def test_herglotz_rejects_lower_half_plane(interval):
 def test_krein_resolvent_rhs_dirichlet_trivial(interval):
     dirich = make_extension(ExtensionSpec("dirichlet", 0.0, "dirichlet"), interval)
     f = lambda x: np.sin(2 * x)
-    u = krein_resolvent_rhs(dirich, -1.0, f)
+    u = apply_resolvent(dirich, -1.0, f)
     v = interval.resolvent_dirichlet(-1.0, f)
     assert _norm(interval, u + (-1.0) * v) < 1e-14
 
@@ -133,7 +130,7 @@ def test_krein_resolvent_vs_direct_interval(interval):
     krein = make_extension(ExtensionSpec("dirichlet", 0.0, "krein"), interval)
     f = lambda x: np.sin(np.pi * x)
     for z in (-1.0, -5.0):
-        ue = krein_resolvent_rhs(krein, z, f)
+        ue = apply_resolvent(krein, z, f)
         ud = direct_solve(krein, z, f)
         assert _norm(interval, ue + (-1.0) * ud) < 1e-9
         xs = np.linspace(0.05, 0.95, 9)
@@ -143,7 +140,7 @@ def test_krein_resolvent_vs_direct_interval(interval):
 def test_krein_resolvent_vs_direct_disk(disk):
     krein = make_extension(ExtensionSpec("dirichlet", -1.0, "krein"), disk)
     probe = {0: (lambda r: np.exp(-r)), 1: (lambda r: r * np.exp(-r))}
-    ue = krein_resolvent_rhs(krein, -2.0, probe)
+    ue = apply_resolvent(krein, -2.0, probe)
     ud = direct_solve(krein, -2.0, probe)
     assert _norm(disk, ue + (-1.0) * ud) < 1e-7
 
@@ -152,7 +149,7 @@ def test_resolvent_difference_sign_two_candidates(interval):
     # of the two printed sign candidates exactly one survives the matrix test
     L = np.array([[1.0, 0.2], [0.2, 0.5]], dtype=complex)
     ext = make_extension(ExtensionSpec("dirichlet", 0.0, L), interval)
-    res = resolvent_difference_sign_residuals(ext, -1.0 + 0.7j)
+    res = interval_sign_witnesses(ext, -1.0 + 0.7j)["resolvent-difference"]
     assert res["-"] < 1e-12
     assert res["+"] > 1e-3
 
@@ -160,12 +157,12 @@ def test_resolvent_difference_sign_two_candidates(interval):
 def test_krein_formula_matrix_level(interval):
     L = np.array([[0.4, -0.1], [-0.1, 1.2]], dtype=complex)
     ext = make_extension(ExtensionSpec("dirichlet", 0.0, L), interval)
-    assert krein_formula_matrix_residual(ext, -1.0 + 0.7j) < 1e-12
+    assert interval_sign_witnesses(ext, -1.0 + 0.7j)["krein-formula"] < 1e-12
 
 
 def test_harmonic_adjoint_identity(interval):
     krein = make_extension(ExtensionSpec("dirichlet", 0.0, "krein"), interval)
-    assert harmonic_adjoint_residual(krein, -1.0 + 0.7j) < 1e-12
+    assert interval_sign_witnesses(krein, -1.0 + 0.7j)["harmonic-adjoint"] < 1e-12
 
 
 def test_two_extension_krein_neumann(interval):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from kreinlab.errors import NearEigenvalue
 from kreinlab.extensions import ExtensionSpec, make_extension
 from kreinlab.kreinformulas import krein_shooting_determinant
-from kreinlab.oracles import DiskModel, Model1D
+from kreinlab.oracles import DiskModel, Model1D, interval_dtn
 from kreinlab.spectral import (
     SpectrumRequest,
+    _scan_function,
     dirichlet_disk_ground_state,
     eigenvalue_near,
     eigenvalues,
@@ -129,3 +131,32 @@ def test_ordering_check_extremal_cases(interval):
 def test_ordering_rejects_bad_parameter(interval):
     with pytest.raises(ValueError):
         ordering_check([], -1.0, interval)
+
+
+class _FailingBackend:
+    """Two boundary points; dtn works only at z0 = -1 and raises ``error`` elsewhere."""
+
+    nboundary = 2
+    boundary_weights = np.ones(2)
+
+    def __init__(self, error):
+        self.error = error
+
+    def dtn(self, z):
+        if z == -1.0:
+            return interval_dtn(-1.0)
+        raise self.error
+
+
+def test_scan_propagates_unexpected_errors():
+    spec = ExtensionSpec("dirichlet", -1.0, "krein", "full")
+    with pytest.raises(TypeError):
+        eigenvalues(SpectrumRequest(spec, (1.0, 2.0)), _FailingBackend(TypeError("bug")))
+
+
+def test_scan_maps_near_eigenvalue_to_sample_values():
+    backend = _FailingBackend(NearEigenvalue("pole"))
+    krein = make_extension(ExtensionSpec("dirichlet", -1.0, "krein", "full"), backend)
+    assert _scan_function(krein)(1.5) == np.inf
+    dirichlet = make_extension(ExtensionSpec("dirichlet", -1.0, "dirichlet", "zero"), backend)
+    assert _scan_function(dirichlet)(1.5) == 0.0

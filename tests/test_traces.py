@@ -11,8 +11,10 @@ from kreinlab.traces import (
     gamma_D,
     gamma_N,
     green_defect,
+    hermitian_part,
     tau_D,
     tau_N,
+    weighted_adjoint,
 )
 from kreinlab.weyl import BemBackend, solve_dirichlet
 
@@ -168,3 +170,24 @@ def test_tau_n_kernel_superposition(interval):
     phi = interval.h20_family(1, rng)[0]
     h = interval.harmonic_extension(0.0, np.array([0.4, -0.9 + 0.2j]))
     assert np.max(np.abs(tau_N(0.0, phi + h))) < 1e-9
+
+
+def test_weighted_adjoint_and_hermitian_part_match_inline_forms():
+    rng = np.random.default_rng(11)
+    bw = rng.uniform(0.1, 2.0, 5)
+    qw = rng.uniform(0.1, 2.0, 9)
+    square = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    rect = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))  # interior -> boundary
+    assert np.array_equal(weighted_adjoint(square, bw, bw),
+                          (square.conj().T * bw[None, :]) / bw[:, None])
+    assert np.array_equal(weighted_adjoint(rect, bw, qw),
+                          (rect.conj().T * bw[None, :]) / qw[:, None])
+    s = np.sqrt(bw)
+    sym = (s[:, None] * square) / s[None, :]
+    assert np.array_equal(hermitian_part(square, bw), 0.5 * (sym + sym.conj().T))
+    # the adjoint is the one of the weighted pairing
+    x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    lhs = np.sum(bw * np.conj(rect @ x) * y)
+    rhs = np.sum(qw * np.conj(x) * (weighted_adjoint(rect, bw, qw) @ y))
+    assert abs(lhs - rhs) < 1e-12 * abs(lhs)
