@@ -5,6 +5,7 @@ from .errors import (
     BackendUnsupported,
     BadNodeCount,
     BracketSingular,
+    CountFailed,
     DomainError,
     KreinlabError,
     NearEigenvalue,

@@ -193,12 +193,19 @@ def cmd_solve(domain, z_text, bc, data, nodes, out):
 @click.option("--spec", "spec_path", required=True, help="extension JSON path")
 @click.option("--backend", "backend_name", type=click.Choice(["interval", "disk"]),
               default="interval", show_default=True)
-@click.option("--window", required=True, help="scan window a,b")
-@click.option("--count", default=None, type=int)
-@click.option("--tol", default=1e-8, show_default=True, type=float)
+@click.option("--window", required=True, help="window a,b")
+@click.option("--count", default=None, type=int,
+              help="keep the first COUNT eigenvalues, counted with multiplicity")
+@click.option("--tol", default=1e-8, show_default=True, type=float,
+              help="width to which the count is bisected around each eigenvalue")
 @click.option("--out", default="eigs.csv", show_default=True)
 def cmd_spectrum(spec_path, backend_name, window, count, tol, out):
-    """Scan the boundary determinant for eigenvalues of an extension."""
+    """Eigenvalues of an extension in a window by certified counting.
+
+    The eigenvalue count below lambda is bisected on; each eigenvalue is
+    listed as often as its multiplicity.  A count that cannot be trusted
+    exits 1 with a CountFailed error.
+    """
     spec = _load_extension_spec(spec_path)
     a, b = (float(v) for v in window.split(","))
     backend = Model1D() if backend_name == "interval" else DiskModel(radius=1.0, mode_cutoff=8)

@@ -38,7 +38,22 @@ class BackendUnsupported(KreinlabError):
 
 
 class WindowTooWide(KreinlabError):
-    """Eigenvalue scan could not bracket roots unambiguously."""
+    """No eigenvalue where one was asked for."""
+
+
+class CountFailed(KreinlabError):
+    """The eigenvalue count cannot be trusted at ``lam``.
+
+    Raised when the count decreases between two samples, or when the boundary
+    map fails at a sample that already lies off every reference eigenvalue.
+    ``counts`` holds the counts at the samples to the left and to the right
+    (``None`` for one not yet taken).
+    """
+
+    def __init__(self, reason: str, lam: float, counts: tuple):
+        super().__init__(f"{reason} at lambda = {lam!r} (counts {counts[0]}, {counts[1]})")
+        self.lam = lam
+        self.counts = counts
 
 
 class BracketSingular(KreinlabError):

@@ -19,9 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError, NearEigenvalue
 from .specfun import (
+    _check_arg,
+    _check_order,
     as_complex,
     bessel_j,
     bessel_j_prime,
@@ -61,19 +64,33 @@ def interval_dtn(z) -> np.ndarray:
     return (k / s) * np.array([[-c, 1.0], [1.0, -c]], dtype=complex)
 
 
-def disk_mode_dtn(k: int, z, radius: float = 1.0) -> complex:
-    """Mode-k Dirichlet-to-Neumann value on a disk: -sqrt(z) J'_k / J_k at sqrt(z) R."""
-    k = abs(int(k))
+def disk_mode_dtn(k, z, radius: float = 1.0):
+    """Mode-k Dirichlet-to-Neumann value on a disk: -sqrt(z) J'_k / J_k at sqrt(z) R.
+
+    ``k`` is one mode (a complex is returned) or an array of modes (an array
+    is returned); J_{|k|-1}, J_{|k|} and J_{|k|+1} take one ``jv`` call each.
+    The final quotient is taken in Python complex arithmetic, whose rounding
+    the one-mode form has always had (numpy's complex division can differ in
+    the last bit).
+    """
+    ks = np.abs(np.atleast_1d(np.asarray(k, dtype=int)))
     z = as_complex(z)
     if radius <= 0:
         raise DomainError("disk radius must be positive")
     if z == 0:
-        return complex(-k / radius)
-    kap = sqrt_upper(z)
-    jk = bessel_j(k, kap * radius)
-    if abs(jk) < 1e-290:
-        raise NearEigenvalue(f"z = {z} is numerically a Dirichlet eigenvalue of mode {k}")
-    return complex(-kap * bessel_j_prime(k, kap * radius) / jk)
+        values = -ks / radius + 0j
+    else:
+        _check_order(int(ks.max()))
+        kap = sqrt_upper(z)
+        x = _check_arg(kap * radius)
+        jk = special.jv(ks, x)
+        tiny = np.abs(jk) < 1e-290
+        if np.any(tiny):
+            mode = ks[tiny][0]
+            raise NearEigenvalue(f"z = {z} is numerically a Dirichlet eigenvalue of mode {mode}")
+        jp = 0.5 * (special.jv(ks - 1, x) - special.jv(ks + 1, x))
+        values = np.array([-kap * p / j for p, j in zip(jp.tolist(), jk.tolist())])
+    return complex(values[0]) if np.ndim(k) == 0 else values
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +257,13 @@ class Model1D:
 
     def ntd(self, z) -> np.ndarray:
         return -np.linalg.inv(interval_dtn(z))
+
+    def reference_eigenvalues(self, reference: str, top: float) -> np.ndarray:
+        """Eigenvalues below ``top`` of the Dirichlet or Neumann reference
+        operator: (k pi)^2 with k >= 1 or k >= 0, each simple."""
+        first = 1 if reference == "dirichlet" else 0
+        eigs = (np.arange(first, int(np.sqrt(max(top, 0.0)) / np.pi) + 2) * np.pi) ** 2
+        return eigs[eigs < top]
 
     # -- fields --------------------------------------------------------------
     def field(self, fn, dfn=None, lapfn=None) -> IntervalField:
@@ -513,6 +537,7 @@ class DiskModel:
         nodes, weights = np.polynomial.legendre.leggauss(radial_nodes)
         self.quad_nodes = 0.5 * self.radius * (nodes + 1.0)
         self.quad_weights = 0.5 * self.radius * weights
+        self._reference = {}  # reference -> (top, eigenvalues below top)
         if abs(disk_mode_dtn(3, 0.0, self.radius) + 3.0 / self.radius) > 1e-14:
             raise AssertionError("disk DtN self-test failed")
 
@@ -525,10 +550,31 @@ class DiskModel:
 
     # -- boundary operators ---------------------------------------------------
     def dtn(self, z) -> np.ndarray:
-        return np.diag([disk_mode_dtn(k, z, self.radius) for k in self.modes])
+        return np.diag(disk_mode_dtn(self.modes, z, self.radius))
 
     def ntd(self, z) -> np.ndarray:
         return -np.linalg.inv(self.dtn(z))
+
+    def reference_eigenvalues(self, reference: str, top: float) -> np.ndarray:
+        """Eigenvalues below ``top`` of the Dirichlet or Neumann reference
+        operator of the truncated model, sorted and repeated by multiplicity:
+        (j_{k,m} / R)^2 or (j'_{k,m} / R)^2 for |k| <= mode_cutoff, plus 0 for
+        the Neumann constant.  Modes +k and -k make each value with k > 0
+        double.  The last table is kept, so samples below its top reuse it.
+        """
+        table_top, eigs = self._reference.get(reference, (-np.inf, None))
+        if top > table_top:
+            x = np.sqrt(max(top, 0.0)) * self.radius
+            zeros = special.jn_zeros if reference == "dirichlet" else special.jnp_zeros
+            values = [0.0] if reference == "neumann" else []
+            for k in range(self.mode_cutoff + 1):
+                # j_{k,m} > (m - 1/4) pi and j'_{k,m} > j_{k,m-1}: fewer than
+                # x / pi + 2 of either lie below x
+                roots = zeros(k, int(x / np.pi) + 3)
+                values += list(np.repeat((roots[roots < x] / self.radius) ** 2, 1 if k == 0 else 2))
+            table_top, eigs = top, np.sort(values)
+            self._reference[reference] = (table_top, eigs)
+        return eigs[eigs < top]
 
     # -- fields -----------------------------------------------------------------
     def harmonic_profile(self, k: int, w) -> _Profile:

@@ -1,14 +1,32 @@
-"""Eigenvalue computation for extensions via boundary-determinant scanning.
+"""Eigenvalues of extensions by certified counting.
 
-An eigenvalue of the realized Laplacian extension makes the bracket
-``L - dtn(lambda) + dtn(z0)`` singular, so the scan tracks its smallest
-singular value and refines each dip by bisection on the sign of its
-numerical derivative.  The Dirichlet special case has no bracket; its
-eigenvalues appear as poles of the Dirichlet-to-Neumann map and are tracked
-through ``1 / (1 + ||dtn(lambda)||_F)`` instead.  A sample where the boundary
-map or the bracket fails with a :class:`KreinlabError` or a ``LinAlgError``
-counts as a pole (``inf``) or, in the Dirichlet case, as an
-eigenvalue (``0``); any other error propagates.
+The number of eigenvalues of an extension below a real ``lambda``, counted
+with multiplicity, is
+
+    N_ext(lambda) = N_ref(lambda) + nu(lambda),
+
+where ``N_ref`` counts the eigenvalues of the reference operator below
+``lambda`` (closed-form data of the backend, ``reference_eigenvalues``) and
+``nu`` counts the negative eigenvalues of the Hermitian part of the bracket
+``L - dtn(lambda) + dtn(z0)`` (Dirichlet reference) or the positive ones of
+``L + ntd(lambda) - ntd(z0)`` (Neumann reference).  The bracket is
+compressed to ``P B P + (I - P)``, so only ``ran X`` moves the count.  This
+is Friedlander's counting identity (ARMA 116, 1991; Arendt-Mazzeo, CPAA 11,
+2012) for the ``(L, X)`` parametrization.  With the Neumann reference it
+holds up to a constant that depends on the extension: below the spectrum the
+count reads the boundary dimension for the Dirichlet case ``L = ntd(z0)``
+and 0 for the Krein case.  Only the jumps of the count enter the spectrum,
+so the constant does not matter.  The eigenvalues in a window are
+located by bisecting this integer count until each jump is bracketed to
+width ``tol``, and each is returned repeated by its jump, that is, with its
+multiplicity; no eigenvalue in the window can be skipped.
+
+The boundary maps are singular at the reference eigenvalues, so samples stay
+a relative ``STEP_OFF`` away from them, and an eigenvalue inside that gap is
+reported as the reference eigenvalue itself.  A count that decreases between
+two samples, or a boundary map that fails with ``NearEigenvalue`` or
+``LinAlgError`` at a sample, raises :class:`CountFailed`; any other error
+propagates.
 """
 
 from __future__ import annotations
@@ -17,14 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KreinlabError, WindowTooWide
+from .errors import BackendUnsupported, CountFailed, NearEigenvalue, WindowTooWide
 from .extensions import Extension, ExtensionSpec, make_extension
 from .kreinformulas import _galerkin_resolvent, _trial_family
+from .traces import hermitian_part
 
-SCAN_DENSITY = 400.0  # sample points per unit window
-MAX_SCAN_POINTS = 200_000
+STEP_OFF = 1e-7  # relative distance of every sample from the reference eigenvalues
 REFINE_TOL = 1e-10
-DIP_FACTOR = 0.05  # loose: spurious candidates are rejected after refinement
 
 
 @dataclass(frozen=True)
@@ -36,144 +53,85 @@ class SpectrumRequest:
 
 
 def _scan_function(ext: Extension):
-    backend = ext.backend
-    dirichlet_case = ext.projector is not None and not np.any(ext.projector)
+    """Per-sample function ``lam -> N_ext(lam)``: the number of eigenvalues of
+    the extension below ``lam``, with multiplicity (up to a constant for the
+    Neumann reference)."""
+    backend, reference = ext.backend, ext.reference
+    weights = backend.boundary_weights
 
-    if dirichlet_case:
+    def count(lam: float) -> int:
+        signed = np.linalg.eigvalsh(hermitian_part(ext.bracket(lam), weights))
+        nu = np.count_nonzero(signed < 0 if reference == "dirichlet" else signed > 0)
+        return len(backend.reference_eigenvalues(reference, lam)) + int(nu)
 
-        def fun(lam: float) -> float:
-            try:
-                M = backend.dtn(lam)
-            except (KreinlabError, np.linalg.LinAlgError):
-                return 0.0
-            return 1.0 / (1.0 + float(np.linalg.norm(M)))
-
-        return fun
-
-    def fun(lam: float) -> float:
-        try:
-            bracket = ext.bracket(lam)
-        except (KreinlabError, np.linalg.LinAlgError):
-            return np.inf
-        s = np.linalg.svd(bracket, compute_uv=False)
-        return float(s[-1])
-
-    return fun
+    return count
 
 
-def _golden_section(fun, lo: float, hi: float, width: float):
-    phi = 0.5 * (np.sqrt(5.0) - 1.0)
-    c, d = hi - phi * (hi - lo), lo + phi * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    while hi - lo > width:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - phi * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + phi * (hi - lo)
-            fd = fun(d)
-    return lo, hi
+def _gap(mu: float) -> float:
+    return STEP_OFF * max(1.0, abs(mu))
 
 
-def _vee_vertex(fun, lo: float, hi: float):
-    """Vertex of a near-V dip by intersecting lines fitted to the flanks.
-
-    Near an eigenvalue the smallest singular value behaves like |c (x - v)|,
-    but its evaluation noise grows like eps/|x - v| near poles of the
-    boundary map, so samples close to the vertex are unreliable.  Only the
-    outer three samples of each flank enter the fit; the returned fitted
-    value at the vertex is noise-immune and distinguishes genuine zeros
-    from smooth nonzero minima.  Returns ``(vertex, fitted_value)``.
-    """
-    xs = np.linspace(lo, hi, 9)
-    fs = np.array([fun(x) for x in xs])
-    mid = 0.5 * (lo + hi)
-    keepL = np.isfinite(fs[:3])
-    keepR = np.isfinite(fs[-3:])
-    if keepL.sum() < 2 or keepR.sum() < 2:
-        return mid, float(np.nanmin(fs[np.isfinite(fs)])) if np.any(np.isfinite(fs)) else np.inf
-    aL, bL = np.polyfit(xs[:3][keepL], fs[:3][keepL], 1)
-    aR, bR = np.polyfit(xs[-3:][keepR], fs[-3:][keepR], 1)
-    if aR - aL <= 0:
-        finite = np.isfinite(fs)
-        return float(xs[finite][np.argmin(fs[finite])]), float(np.min(fs[finite]))
-    v = (bL - bR) / (aR - aL)
-    value = aL * v + bL
-    return float(np.clip(v, lo, hi)), float(value)
+def _sample_points(a: float, b: float, ref: list) -> list:
+    """Sorted ``(lam, mu)``: the edges ``mu -+ gap`` around each distinct
+    reference eigenvalue ``mu`` in ``[a, b]``, and the window edges (``mu``
+    None).  A window edge inside a gap gives way to the edge of that gap."""
+    points = [(mu + side * _gap(mu), mu) for mu in ref if a <= mu <= b for side in (-1, 1)]
+    for edge, outward in ((a, -1), (b, 1)):
+        near = [mu for mu in ref if abs(edge - mu) <= _gap(mu)]
+        if not near:
+            points.append((edge, None))
+        elif not a <= near[0] <= b:
+            points.append((near[0] - outward * _gap(near[0]), None))
+    return sorted(points, key=lambda p: p[0])
 
 
-def _refine_minimum(fun, a: float, b: float, tol: float):
-    """Golden-section bracketing followed by two V-vertex fits; returns
-    ``(vertex, fitted_vertex_value)``.
-
-    The fit widths stay above ~1e-4 because the smallest singular value
-    carries evaluation noise of order eps * ||bracket||, which grows like
-    1/distance near poles of the boundary map; sampling below that floor
-    degrades the vertex estimate instead of improving it.
-    """
-    scale = max(abs(a), abs(b), 1.0)
-    coarse = max(64.0 * tol, 2e-7 * scale)
-    lo, hi = _golden_section(fun, a, b, coarse)
-    pad = max(8.0 * (hi - lo), 5e-4)
-    v, _ = _vee_vertex(fun, max(a, lo - pad), min(b, hi + pad))
-    width = max(64.0 * tol, 1e-4)
-    v2, value = _vee_vertex(fun, v - width, v + width)
-    return v2, value
+def _sample(count, lam: float, left, right) -> int:
+    try:
+        return count(lam)
+    except (NearEigenvalue, np.linalg.LinAlgError) as exc:
+        raise CountFailed(f"boundary map failed off the reference eigenvalues ({exc})",
+                          lam, (left, right)) from exc
 
 
 def eigenvalues(req: SpectrumRequest, backend) -> list:
-    """Sorted eigenvalues of the realized Laplacian extension in the window.
-
-    The scan starts at ``SCAN_DENSITY`` samples per unit length and halves the
-    step (up to three times) if dips cannot be separated; a window that still
-    defeats bracketing raises :class:`WindowTooWide`.
-    """
+    """Sorted eigenvalues of the realized Laplacian extension in the window,
+    each repeated by its multiplicity; ``count`` keeps the first ``count``."""
     a, b = float(req.window[0]), float(req.window[1])
     if b <= a:
         return []
+    if not hasattr(backend, "reference_eigenvalues"):
+        raise BackendUnsupported("eigenvalue counting needs closed-form reference eigenvalues")
     ext = make_extension(req.spec, backend)
-    fun = _scan_function(ext)
-
-    npts = int(min(MAX_SCAN_POINTS, max(64, SCAN_DENSITY * (b - a))))
-    for _ in range(4):
-        grid = np.linspace(a, b, npts)
-        vals = np.array([fun(x) for x in grid])
-        finite = np.isfinite(vals)
-        scale = float(np.median(vals[finite])) if np.any(finite) else 1.0
-        idx = [
-            i
-            for i in range(1, npts - 1)
-            if np.isfinite(vals[i])
-            and vals[i] <= np.nan_to_num(vals[i - 1], nan=np.inf)
-            and vals[i] <= np.nan_to_num(vals[i + 1], nan=np.inf)
-            and vals[i] < DIP_FACTOR * scale
-        ]
-        # candidate dips must be separated by at least one sample on each side
-        if all(j - i > 1 for i, j in zip(idx, idx[1:])):
-            break
-        npts *= 2
-        if npts > MAX_SCAN_POINTS:
-            raise WindowTooWide("scan could not separate candidate eigenvalues")
+    count = _scan_function(ext)
+    ref = np.unique(backend.reference_eigenvalues(ext.reference, b + 2.0 * _gap(b))).tolist()
+    # a bracket a few ulps wide still has its midpoint strictly inside
+    tol = max(req.tol, 8.0 * np.spacing(max(abs(a), abs(b), 1.0)))
+    limit = np.inf if req.count is None else req.count
     roots = []
-    step = (b - a) / (npts - 1)
-    for i in idx:
-        lo, hi = grid[i] - step, grid[i] + step
-        lam, fitted = _refine_minimum(fun, lo, hi, req.tol)
-        # accept only genuine zeros: the extrapolated vertex value must
-        # collapse relative to the bracket values
-        edge = max(fun(lo), fun(hi))
-        if np.isfinite(edge) and fitted < 5e-2 * max(edge, 1e-300):
-            roots.append(lam)
-    roots = sorted(roots)
-    merged = []
-    for r in roots:
-        if not merged or abs(r - merged[-1]) > max(10 * req.tol, 1e-9 * abs(r)):
-            merged.append(r)
-    if req.count is not None:
-        merged = merged[: req.count]
-    return merged
+    (lo, mu_lo), *rest = _sample_points(a, b, ref)
+    n_lo = _sample(count, lo, None, None)
+    for hi, mu_hi in rest:
+        n_hi = _sample(count, hi, n_lo, None)
+        gap = mu_lo is not None and mu_lo == mu_hi
+        stack = [(lo, hi, n_lo, n_hi)]
+        while stack and len(roots) < limit:
+            x, y, nx, ny = stack.pop()
+            if ny < nx:
+                raise CountFailed("the eigenvalue count decreased", y, (nx, ny))
+            if ny == nx:
+                continue
+            if gap:
+                roots += [mu_lo] * (ny - nx)
+            elif y - x <= tol:
+                roots += [0.5 * (x + y)] * (ny - nx)
+            else:
+                mid = 0.5 * (x + y)
+                n_mid = _sample(count, mid, nx, ny)
+                stack += [(mid, y, n_mid, ny), (x, mid, nx, n_mid)]
+        if len(roots) >= limit:
+            break
+        lo, mu_lo, n_lo = hi, mu_hi, n_hi
+    return roots[: req.count]
 
 
 def ordering_check(ext_list, a: float, backend, trial_count: int = 40) -> dict:

@@ -105,6 +105,19 @@ def test_spectrum_command(runner, tmp_path):
     assert abs(vals[1] - 80.7629142257) < 1e-4
 
 
+def test_spectrum_disk_lists_double_eigenvalues_twice(runner, tmp_path):
+    spec = tmp_path / "krein.json"
+    spec.write_text('{"reference": "dirichlet", "z0": -1.0, "L": {"special": "krein"}, "X": "full"}')
+    out = tmp_path / "eigs.csv"
+    res = _run(runner, ["spectrum", "--spec", str(spec), "--backend", "disk", "--window", "1,60",
+                        "--out", str(out)])
+    assert res.exit_code == 0 and json.loads(res.output)["count"] == 8
+    vals = [float(l) for l in out.read_text().splitlines() if not l.startswith("#")]
+    distinct = sorted(set(vals))
+    assert [vals.count(v) for v in distinct] == [1, 2, 2, 1, 2]
+    assert np.max(np.abs(np.array(distinct) - [13.80, 25.90, 40.38, 48.33, 57.34])) < 0.01
+
+
 def test_spectrum_empty_window(runner, tmp_path):
     spec = tmp_path / "krein.json"
     spec.write_text('{"reference": "dirichlet", "z0": 0.0, "L": {"special": "krein"}, "X": "full"}')
