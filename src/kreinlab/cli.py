@@ -71,11 +71,14 @@ def _load_domain(domain: str, nodes: int):
     """Returns ("interval", Model1D) | ("disk", DiskModel) | ("bem", BemBackend)."""
     if domain == "interval":
         return "interval", Model1D()
-    if domain.startswith("disk"):
+    if domain == "disk" or domain.startswith("disk:"):
         parts = domain.split(":")
-        radius = float(parts[1]) if len(parts) > 1 else 1.0
-        cutoff = int(parts[2]) if len(parts) > 2 else 8
-        return "disk", DiskModel(radius=radius, mode_cutoff=cutoff)
+        try:
+            radius = float(parts[1]) if len(parts) > 1 else 1.0
+            cutoff = int(parts[2]) if len(parts) > 2 else 8
+            return "disk", DiskModel(radius=radius, mode_cutoff=cutoff)
+        except (ValueError, KreinlabError) as exc:
+            _fail({"error": "bad_domain", "value": domain, "detail": str(exc)}, 2)
     if not os.path.exists(domain):
         _fail({"error": "config_not_found", "path": domain}, 2)
     try:
@@ -88,9 +91,10 @@ def _load_domain(domain: str, nodes: int):
 def _load_extension_spec(path: str) -> ExtensionSpec:
     if not os.path.exists(path):
         _fail({"error": "config_not_found", "path": path}, 2)
+    # JSON syntax errors are ValueErrors; OSError covers a missing matrix CSV
     try:
         return ExtensionSpec.from_json(open(path).read())
-    except (json.JSONDecodeError, KeyError, KreinlabError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, KreinlabError) as exc:
         _fail({"error": "bad_extension_spec", "detail": str(exc)}, 2)
 
 
@@ -141,7 +145,10 @@ def _boundary_data(data: str, n: int, t: np.ndarray | None):
     if data == "ones":
         return np.ones(n, dtype=complex)
     if data.startswith("mode:"):
-        k = int(data.split(":")[1])
+        try:
+            k = int(data.split(":")[1])
+        except ValueError:
+            _fail({"error": "bad_boundary_data", "detail": f"mode index of {data!r} is not an int"}, 2)
         if t is None:
             if not 0 <= k < n:
                 _fail({"error": "bad_boundary_data", "detail": f"mode index {k} out of range"}, 2)
@@ -207,7 +214,12 @@ def cmd_spectrum(spec_path, backend_name, window, count, tol, out):
     exits 1 with a CountFailed error.
     """
     spec = _load_extension_spec(spec_path)
-    a, b = (float(v) for v in window.split(","))
+    try:
+        a, b = (float(v) for v in window.split(","))
+    except ValueError:
+        _fail({"error": "bad_window", "value": window}, 2)
+    if not np.isfinite([a, b]).all():
+        _fail({"error": "bad_window", "value": window, "detail": "bounds must be finite"}, 2)
     backend = Model1D() if backend_name == "interval" else DiskModel(radius=1.0, mode_cutoff=8)
     try:
         roots = eigenvalues(SpectrumRequest(spec, (a, b), count, tol), backend)
@@ -235,6 +247,11 @@ def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
         start = complex(start_s.replace("i", "j"))
         end = complex(end_s.replace("i", "j"))
         step = float(step_s)
+    except ValueError:
+        _fail({"error": "bad_path", "value": path_text}, 2)
+    if not step > 0:
+        _fail({"error": "bad_path", "value": path_text, "detail": "step must be positive"}, 2)
+    try:
         ext = make_extension(spec, backend)
         length = abs(end - start)
         npts = max(2, int(round(length / step)) + 1)

@@ -507,7 +507,7 @@ def donoghue_m(model: Abstract1D, tag: str, z) -> np.ndarray:
     if z == 1j:  # the (1 + z^2) factor vanishes identically
         return M
     for bcol, nb in enumerate(model.onb_plus):
-        u = resolvent(lambda x, nb=nb: nb.value(x))
+        u = resolvent(nb)
         for arow, na in enumerate(model.onb_plus):
             M[arow, bcol] += (1.0 + z * z) * backend.inner(na, u)
     return M
@@ -546,7 +546,7 @@ def abstract_krein_check(model: Abstract1D, z, probes=None) -> float:
         g1 = backend.field(barycentric_interpolant(nodes, g1_vals), None, None)
         c = np.linalg.solve(bracket, model.project_plus(g1))
         h = model.onb_combination(c)
-        uh = RF(lambda x, h=h: h.value(x))
+        uh = RF(h)
         rhs = h.value(nodes) + (z - 1j) * uh.value(nodes)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
@@ -644,13 +644,13 @@ def _form_pairing(backend: Model1D, u, v) -> complex:
 
 def _domain_split_residual(backend: Model1D, u) -> float:
     """Residual of u = u_min + S_F^{-1} h + g with h, g in span{1, x}."""
-    uB = backend.resolvent_dirichlet(0.0, lambda x: -u.laplacian(x))
+    src = backend.field(lambda x: -u.laplacian(x), None, None)
+    uB = backend.resolvent_dirichlet(0.0, src)
     nodes = backend.quad_nodes
     g_vals = u.value(nodes) - uB.value(nodes)  # harmonic part: must be affine
     coef = np.polynomial.polynomial.polyfit(nodes, g_vals, 1)
     g_resid = float(np.max(np.abs(g_vals - (coef[0] + coef[1] * nodes))))
     # split the source of u_B into a kernel part h and its complement
-    src = backend.field(lambda x: -u.laplacian(x), None, None)
     one = backend.constant(1.0)
     xf = backend.polynomial([0.0, 1.0])
     G = np.array([[backend.inner(a, b) for b in (one, xf)] for a in (one, xf)])
@@ -660,7 +660,7 @@ def _domain_split_residual(backend: Model1D, u) -> float:
     u0 = backend.resolvent_dirichlet(0.0, lambda x: src.value(x) - h.value(x))
     # u0 must be in H^2_0: both traces vanish
     t_res = float(np.max(np.abs(np.concatenate([gamma_D(u0), gamma_N(u0)]))))
-    uh = backend.resolvent_dirichlet(0.0, lambda x: h.value(x))
+    uh = backend.resolvent_dirichlet(0.0, h)
     recon = u0 + uh
     rec_res = float(np.max(np.abs(recon.value(nodes) + g_vals - u.value(nodes))))
     return max(g_resid, t_res, rec_res)
@@ -704,7 +704,7 @@ def _galerkin_resolvent(ext: Extension, a: float, trial) -> np.ndarray:
     n = len(trial)
     backend = ext.backend
     G = np.zeros((n, n), dtype=complex)
-    images = [apply_resolvent(ext, -a - ext.z0, lambda x, f=f: f.value(x)) for f in trial]
+    images = [apply_resolvent(ext, -a - ext.z0, f) for f in trial]
     for i in range(n):
         for j in range(n):
             G[i, j] = backend.inner(trial[i], images[j])

@@ -50,9 +50,6 @@ class BoundaryOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=complex)
-
 
 def log_quadrature_weights(n_nodes: int) -> np.ndarray:
     """Weights R_ij for integrating f(s) ln(4 sin^2((t_i - s)/2)) ds.

@@ -140,63 +140,110 @@ def wedge_singular_function(mode: WedgeMode, r, theta):
 
 
 # ---------------------------------------------------------------------------
+# profiles and Green solutions shared by both model backends
+# ---------------------------------------------------------------------------
+
+class Profile:
+    """Callables for a value, its x (interval) or r (disk) derivative and its
+    Laplacian part; a source made by ``helmholtz_apply`` has only a value.
+    Sums, scalar multiples and the Helmholtz action are built termwise."""
+
+    __slots__ = ("val", "dval", "lap")
+
+    def __init__(self, val, dval=None, lap=None):
+        self.val = val
+        self.dval = dval
+        self.lap = lap
+
+    def __add__(self, other):
+        return Profile(
+            lambda x: self.val(x) + other.val(x),
+            lambda x: self.dval(x) + other.dval(x),
+            lambda x: self.lap(x) + other.lap(x),
+        )
+
+    def __mul__(self, c):
+        return Profile(
+            lambda x: c * self.val(x), lambda x: c * self.dval(x), lambda x: c * self.lap(x)
+        )
+
+    def helmholtz_apply(self, z):
+        return Profile(lambda x: -self.lap(x) - z * self.val(x))
+
+
+def _green_profile(left, right, scale, w, source, end: float, radial: bool) -> Profile:
+    """Green solution of one Sturm-Liouville problem on (0, end).
+
+    ``left = (uL, uL')`` solves the homogeneous problem regularly at 0 and
+    ``right = (uR, uR')`` meets the boundary condition at ``end``; ``scale``
+    is the constant -weight (uL uR' - uL' uR), with weight r when ``radial``
+    and 1 otherwise.  Each target x gets its own split Gauss rule on (0, x)
+    and (x, end):
+
+        u(x) = (uR(x) int_0^x uL f weight + uL(x) int_x^end uR f weight) / scale,
+
+    and the profile returned is (u, u', -w u - f).
+    """
+    (uL, duL), (uR, duR) = left, right
+
+    def solve(x, at_left, at_right):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape, dtype=complex)
+        for idx, xi in np.ndenumerate(x):
+            xs1, ws1 = _gauss(0.0, float(xi))
+            xs2, ws2 = _gauss(float(xi), end)
+            lower, upper = ws1 * uL(xs1), ws2 * uR(xs2)
+            if radial:
+                lower, upper = lower * xs1, upper * xs2
+            # the integral over (0, 0) is empty, and the disk's uR is singular at r = 0
+            below = at_right(xi) * np.sum(lower * source(xs1)) if xi != 0 else 0.0
+            out[idx] = (below + at_left(xi) * np.sum(upper * source(xs2))) / scale
+        return out if out.ndim else complex(out)
+
+    val = lambda x: solve(x, uL, uR)
+    dval = lambda x: solve(x, duL, duR)
+    return Profile(val, dval, lambda x: -w * val(x) - source(np.asarray(x, dtype=float)))
+
+
+# ---------------------------------------------------------------------------
 # interval backend
 # ---------------------------------------------------------------------------
 
 class IntervalField:
-    """Closed-form field on (0, 1): callables for u, u' and u''."""
+    """Closed-form field on (0, 1), held as one profile in x."""
 
-    __slots__ = ("backend", "fn", "dfn", "lapfn")
+    __slots__ = ("backend", "profile")
 
-    def __init__(self, backend, fn, dfn, lapfn):
+    def __init__(self, backend, profile: Profile):
         self.backend = backend
-        self.fn = fn
-        self.dfn = dfn
-        self.lapfn = lapfn
+        self.profile = profile
 
     def value(self, x):
-        return self.fn(np.asarray(x, dtype=float))
+        return self.profile.val(np.asarray(x, dtype=float))
 
     def derivative(self, x):
-        return self.dfn(np.asarray(x, dtype=float))
+        return self.profile.dval(np.asarray(x, dtype=float))
 
     def laplacian(self, x):
-        return self.lapfn(np.asarray(x, dtype=float))
+        return self.profile.lap(np.asarray(x, dtype=float))
 
     def gamma_dirichlet(self) -> np.ndarray:
-        return np.array([self.fn(0.0), self.fn(1.0)], dtype=complex)
+        return np.array([self.profile.val(0.0), self.profile.val(1.0)], dtype=complex)
 
     def gamma_neumann(self) -> np.ndarray:
         # outward normals at the endpoints are -1 and +1
-        return np.array([-self.dfn(0.0), self.dfn(1.0)], dtype=complex)
+        return np.array([-self.profile.dval(0.0), self.profile.dval(1.0)], dtype=complex)
 
     def helmholtz_apply(self, z):
-        z = as_complex(z)
-        return IntervalField(
-            self.backend,
-            lambda x: -self.lapfn(x) - z * self.fn(x),
-            None,
-            None,
-        )
+        return IntervalField(self.backend, self.profile.helmholtz_apply(as_complex(z)))
 
     def __add__(self, other):
         if other.backend is not self.backend:
             raise DomainError("cannot combine fields from different backends")
-        return IntervalField(
-            self.backend,
-            lambda x: self.fn(x) + other.fn(x),
-            lambda x: self.dfn(x) + other.dfn(x),
-            lambda x: self.lapfn(x) + other.lapfn(x),
-        )
+        return IntervalField(self.backend, self.profile + other.profile)
 
     def __rmul__(self, c):
-        c = as_complex(c)
-        return IntervalField(
-            self.backend,
-            lambda x: c * self.fn(x),
-            lambda x: c * self.dfn(x),
-            lambda x: c * self.lapfn(x),
-        )
+        return IntervalField(self.backend, self.profile * as_complex(c))
 
 
 def barycentric_interpolant(nodes, values):
@@ -267,12 +314,11 @@ class Model1D:
 
     # -- fields --------------------------------------------------------------
     def field(self, fn, dfn=None, lapfn=None) -> IntervalField:
-        return IntervalField(self, fn, dfn, lapfn)
+        return IntervalField(self, Profile(fn, dfn, lapfn))
 
     def constant(self, c=1.0) -> IntervalField:
         c = as_complex(c)
-        return IntervalField(
-            self,
+        return self.field(
             lambda x: c * np.ones_like(x),
             lambda x: np.zeros_like(x, dtype=complex),
             lambda x: np.zeros_like(x, dtype=complex),
@@ -282,15 +328,14 @@ class Model1D:
         p = np.polynomial.Polynomial(coeffs)
         dp = p.deriv()
         d2p = dp.deriv()
-        return IntervalField(self, lambda x: p(x) + 0j, lambda x: dp(x) + 0j, lambda x: d2p(x) + 0j)
+        return self.field(lambda x: p(x) + 0j, lambda x: dp(x) + 0j, lambda x: d2p(x) + 0j)
 
     def harmonic_extension(self, w, g) -> IntervalField:
         """Solution of (-u'' - w u) = 0 with Dirichlet data g = (u(0), u(1))."""
         w = as_complex(w)
         g0, g1 = (as_complex(v) for v in np.asarray(g).ravel())
         if w == 0:
-            return IntervalField(
-                self,
+            return self.field(
                 lambda x: g0 * (1 - x) + g1 * x,
                 lambda x: (g1 - g0) * np.ones_like(x),
                 lambda x: np.zeros_like(x, dtype=complex),
@@ -301,7 +346,7 @@ class Model1D:
             raise NearEigenvalue(f"w = {w} is a Dirichlet eigenvalue; extension undefined")
         fn = lambda x: (g0 * np.sin(k * (1 - x)) + g1 * np.sin(k * x)) / s
         dfn = lambda x: (-g0 * k * np.cos(k * (1 - x)) + g1 * k * np.cos(k * x)) / s
-        return IntervalField(self, fn, dfn, lambda x: -w * fn(x))
+        return self.field(fn, dfn, lambda x: -w * fn(x))
 
     def homogeneous_basis(self, w):
         """Two explicit solutions of (-u'' - w u) = 0 spanning the kernel."""
@@ -309,14 +354,12 @@ class Model1D:
         if w == 0:
             return [self.polynomial([1.0]), self.polynomial([0.0, 1.0])]
         k = sqrt_upper(w)
-        c = IntervalField(
-            self,
+        c = self.field(
             lambda x: np.cos(k * x),
             lambda x: -k * np.sin(k * x),
             lambda x: -w * np.cos(k * x),
         )
-        s = IntervalField(
-            self,
+        s = self.field(
             lambda x: np.sin(k * x),
             lambda x: k * np.cos(k * x),
             lambda x: -w * np.sin(k * x),
@@ -326,55 +369,30 @@ class Model1D:
     def _resolvent(self, w, f, reference: str) -> IntervalField:
         w = as_complex(w)
         k = sqrt_upper(w)
-        fc = _callable_or_interp(f, self.quad_nodes)
         if reference == "dirichlet":
             if w == 0:
-                uL, duL = (lambda x: x), (lambda x: np.ones_like(x))
-                uR, duR = (lambda x: 1 - x), (lambda x: -np.ones_like(x))
+                left = (lambda x: x), (lambda x: np.ones_like(x))
+                right = (lambda x: 1 - x), (lambda x: -np.ones_like(x))
                 wronsk = -1.0
             else:
-                uL, duL = (lambda x: np.sin(k * x)), (lambda x: k * np.cos(k * x))
-                uR = lambda x: np.sin(k * (1 - x))
-                duR = lambda x: -k * np.cos(k * (1 - x))
+                left = (lambda x: np.sin(k * x)), (lambda x: k * np.cos(k * x))
+                right = (lambda x: np.sin(k * (1 - x))), (lambda x: -k * np.cos(k * (1 - x)))
                 wronsk = -k * np.sin(k)
         elif reference == "neumann":
             if w == 0:
                 raise NearEigenvalue("0 is a Neumann eigenvalue of the interval")
-            uL, duL = (lambda x: np.cos(k * x)), (lambda x: -k * np.sin(k * x))
-            uR = lambda x: np.cos(k * (1 - x))
-            duR = lambda x: k * np.sin(k * (1 - x))
+            left = (lambda x: np.cos(k * x)), (lambda x: -k * np.sin(k * x))
+            right = (lambda x: np.cos(k * (1 - x))), (lambda x: k * np.sin(k * (1 - x)))
             wronsk = k * np.sin(k)
         else:
             raise DomainError(f"unknown reference {reference!r}")
         if abs(wronsk) < 1e-13 * max(1.0, abs(w)):
             raise NearEigenvalue(f"w = {w} is a {reference} eigenvalue of the interval")
-
-        def u(x):
-            x = np.asarray(x, dtype=float)
-            out = np.empty(x.shape, dtype=complex)
-            for idx, xi in np.ndenumerate(x):
-                xs1, ws1 = _gauss(0.0, float(xi))
-                xs2, ws2 = _gauss(float(xi), 1.0)
-                out[idx] = -(
-                    uR(xi) * np.sum(ws1 * uL(xs1) * fc(xs1))
-                    + uL(xi) * np.sum(ws2 * uR(xs2) * fc(xs2))
-                ) / wronsk
-            return out if out.ndim else complex(out)
-
-        def du(x):
-            x = np.asarray(x, dtype=float)
-            out = np.empty(x.shape, dtype=complex)
-            for idx, xi in np.ndenumerate(x):
-                xs1, ws1 = _gauss(0.0, float(xi))
-                xs2, ws2 = _gauss(float(xi), 1.0)
-                out[idx] = -(
-                    duR(xi) * np.sum(ws1 * uL(xs1) * fc(xs1))
-                    + duL(xi) * np.sum(ws2 * uR(xs2) * fc(xs2))
-                ) / wronsk
-            return out if out.ndim else complex(out)
-
-        ufn = u
-        return IntervalField(self, ufn, du, lambda x: -w * ufn(x) - fc(x))
+        if isinstance(f, IntervalField):
+            f = f.profile.val
+        source = _callable_or_interp(f, self.quad_nodes)
+        profile = _green_profile(left, right, -wronsk, w, source, 1.0, radial=False)
+        return IntervalField(self, profile)
 
     def resolvent_dirichlet(self, w, f) -> IntervalField:
         return self._resolvent(w, f, "dirichlet")
@@ -418,29 +436,6 @@ class Model1D:
 # ---------------------------------------------------------------------------
 # disk backend
 # ---------------------------------------------------------------------------
-
-class _Profile:
-    """Radial profile of one Fourier mode: value, d/dr, radial Laplacian part."""
-
-    __slots__ = ("val", "dval", "lap")
-
-    def __init__(self, val, dval, lap):
-        self.val = val
-        self.dval = dval
-        self.lap = lap
-
-
-def _profile_sum(p, q):
-    return _Profile(
-        lambda r: p.val(r) + q.val(r),
-        lambda r: p.dval(r) + q.dval(r),
-        lambda r: p.lap(r) + q.lap(r),
-    )
-
-
-def _profile_scale(c, p):
-    return _Profile(lambda r: c * p.val(r), lambda r: c * p.dval(r), lambda r: c * p.lap(r))
-
 
 class DiskField:
     """Fourier-mode field on a disk: u = sum_k profile_k(r) e^(i k theta)."""
@@ -497,27 +492,19 @@ class DiskField:
 
     def helmholtz_apply(self, z):
         z = as_complex(z)
-        profiles = {
-            k: _Profile(
-                lambda r, p=p: -p.lap(r) - z * p.val(r),
-                None,
-                None,
-            )
-            for k, p in self.profiles.items()
-        }
-        return DiskField(self.backend, profiles)
+        return DiskField(self.backend, {k: p.helmholtz_apply(z) for k, p in self.profiles.items()})
 
     def __add__(self, other):
         if other.backend is not self.backend:
             raise DomainError("cannot combine fields from different backends")
         merged = dict(self.profiles)
         for k, p in other.profiles.items():
-            merged[k] = _profile_sum(merged[k], p) if k in merged else p
+            merged[k] = merged[k] + p if k in merged else p
         return DiskField(self.backend, merged)
 
     def __rmul__(self, c):
         c = as_complex(c)
-        return DiskField(self.backend, {k: _profile_scale(c, p) for k, p in self.profiles.items()})
+        return DiskField(self.backend, {k: p * c for k, p in self.profiles.items()})
 
 
 class DiskModel:
@@ -526,8 +513,10 @@ class DiskModel:
     name = "disk"
 
     def __init__(self, radius: float = 1.0, mode_cutoff: int = 8, radial_nodes: int = 64):
-        if radius <= 0:
+        if not radius > 0:
             raise DomainError("disk radius must be positive")
+        if mode_cutoff < 0:
+            raise DomainError("disk mode cutoff must be nonnegative")
         self.radius = float(radius)
         self.mode_cutoff = int(mode_cutoff)
         self.modes = list(range(-self.mode_cutoff, self.mode_cutoff + 1))
@@ -577,7 +566,7 @@ class DiskModel:
         return eigs[eigs < top]
 
     # -- fields -----------------------------------------------------------------
-    def harmonic_profile(self, k: int, w) -> _Profile:
+    def harmonic_profile(self, k: int, w) -> Profile:
         """Regular radial solution of mode k at parameter w, normalized at r = R."""
         w = as_complex(w)
         k = int(k)
@@ -585,13 +574,13 @@ class DiskModel:
         R = self.radius
         if w == 0:
             if ak == 0:
-                return _Profile(
+                return Profile(
                     lambda r: np.ones_like(np.asarray(r, dtype=float), dtype=complex),
                     lambda r: np.zeros_like(np.asarray(r, dtype=float), dtype=complex),
                     lambda r: np.zeros_like(np.asarray(r, dtype=float), dtype=complex),
                 )
             scale = R ** (-ak)
-            return _Profile(
+            return Profile(
                 lambda r: scale * np.asarray(r, dtype=float) ** ak + 0j,
                 lambda r: scale * ak * np.asarray(r, dtype=float) ** (ak - 1) + 0j,
                 lambda r: np.zeros_like(np.asarray(r, dtype=float), dtype=complex),
@@ -602,7 +591,7 @@ class DiskModel:
             raise NearEigenvalue(f"w = {w} is a Dirichlet eigenvalue of mode {k}")
         val = lambda r: bessel_j(ak, kap * np.asarray(r, dtype=float)) / jR
         dval = lambda r: kap * bessel_j_prime(ak, kap * np.asarray(r, dtype=float)) / jR
-        return _Profile(val, dval, lambda r: -w * val(r))
+        return Profile(val, dval, lambda r: -w * val(r))
 
     def harmonic_extension(self, w, g) -> DiskField:
         g = np.asarray(g, dtype=complex)
@@ -612,7 +601,7 @@ class DiskModel:
         for k in self.modes:
             c = g[self.mode_index(k)]
             if c != 0:
-                profiles[k] = _profile_scale(c, self.harmonic_profile(k, w))
+                profiles[k] = self.harmonic_profile(k, w) * c
         return DiskField(self, profiles)
 
     def homogeneous_basis(self, w):
@@ -620,9 +609,6 @@ class DiskModel:
         for k in self.modes:
             out.append(DiskField(self, {k: self.harmonic_profile(k, w)}))
         return out
-
-    def field_from_modes(self, profiles: dict) -> DiskField:
-        return DiskField(self, profiles)
 
     def mode_poly_field(self, k: int, povers: dict) -> DiskField:
         """Field c r^p e^(i k theta); radial Laplacian computed termwise."""
@@ -642,9 +628,9 @@ class DiskModel:
             # radial part of Laplacian on r^p e^(ik theta): (p^2 - k^2) r^(p-2)
             return sum(c * (p**2 - k**2) * r ** (p - 2) for p, c in items)
 
-        return DiskField(self, {k: _Profile(val, dval, lap)})
+        return DiskField(self, {k: Profile(val, dval, lap)})
 
-    def _radial_resolvent_profile(self, k: int, w, fk, reference: str) -> _Profile:
+    def _radial_resolvent_profile(self, k: int, w, fk, reference: str) -> Profile:
         """Green solution of the mode-k radial problem with data fk(r)."""
         w = as_complex(w)
         ak = abs(int(k))
@@ -666,30 +652,13 @@ class DiskModel:
                 raise NearEigenvalue(f"w = {w} is a Neumann eigenvalue of mode {k}")
             a, b = bessel_y_prime(ak, kap * R), jpR
             scale = (2.0 / np.pi) * jpR
-        uR = lambda r: bessel_j(ak, kap * np.asarray(r, dtype=float)) * a - bessel_y(
-            ak, kap * np.asarray(r, dtype=float)
-        ) * b
+        uR = lambda r: uL(r) * a - bessel_y(ak, kap * np.asarray(r, dtype=float)) * b
         duR = lambda r: kap * (
             bessel_j_prime(ak, kap * np.asarray(r, dtype=float)) * a
             - bessel_y_prime(ak, kap * np.asarray(r, dtype=float)) * b
         )
-        fc = _callable_or_interp(fk, self.quad_nodes)
-
-        def combine(r, left, right):
-            out = np.empty(np.asarray(r, dtype=float).shape, dtype=complex)
-            rr = np.asarray(r, dtype=float)
-            for idx, ri in np.ndenumerate(rr):
-                xs1, ws1 = _gauss(0.0, float(ri))
-                xs2, ws2 = _gauss(float(ri), R)
-                out[idx] = (
-                    right(ri) * np.sum(ws1 * uL(xs1) * xs1 * fc(xs1))
-                    + left(ri) * np.sum(ws2 * uR(xs2) * xs2 * fc(xs2))
-                ) / scale
-            return out if out.ndim else complex(out)
-
-        val = lambda r: combine(r, uL, uR)
-        dval = lambda r: combine(r, duL, duR)
-        return _Profile(val, dval, lambda r: -w * val(r) - fc(np.asarray(r, dtype=float)))
+        source = _callable_or_interp(fk, self.quad_nodes)
+        return _green_profile((uL, duL), (uR, duR), scale, w, source, R, radial=True)
 
     def _resolvent(self, w, f, reference: str) -> DiskField:
         if isinstance(f, DiskField):

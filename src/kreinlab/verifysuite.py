@@ -235,11 +235,11 @@ def _traces_model(backend, rng, tol):
         u = backend.polynomial([0.0, 0.0, 1.0])  # x^2
         zf = -1.0
         lhs = tau_N(zf, u)
-        w = backend.resolvent_dirichlet(zf, lambda x: -u.laplacian(x) - zf * u.value(x))
+        w = backend.resolvent_dirichlet(zf, u.helmholtz_apply(zf))
         items.append(_item("tauN-factorization",
                            "tau_N(z) u = gamma_N R_D(z)(-L - z) u",
                            np.max(np.abs(lhs - gamma_N(w))), 1e-10 * tol))
-        un = backend.resolvent_neumann(zf, lambda x: -u.laplacian(x) - zf * u.value(x))
+        un = backend.resolvent_neumann(zf, u.helmholtz_apply(zf))
         items.append(_item("tauD-factorization",
                            "tau_D(z) u = gamma_D R_N(z)(-L - z) u",
                            np.max(np.abs(tau_D(zf, u) - gamma_D(un))), 1e-10 * tol))

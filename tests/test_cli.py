@@ -128,6 +128,32 @@ def test_spectrum_empty_window(runner, tmp_path):
     assert lines[0].startswith("#") and len(lines) == 1
 
 
+@pytest.mark.parametrize("args, error", [
+    (["spectrum", "--spec", "@spec", "--window", "1"], "bad_window"),
+    (["spectrum", "--spec", "@spec", "--window", "1;60"], "bad_window"),
+    (["spectrum", "--spec", "@spec", "--window", "1,inf"], "bad_window"),
+    (["spectrum", "--spec", "@bad-spec", "--window", "1,60"], "bad_extension_spec"),
+    (["spectrum", "--spec", "@csv-spec", "--window", "1,60"], "bad_extension_spec"),
+    (["mfunc-scan", "--spec", "@spec", "--path", "0.1+0.1i:0:3+0.1i"], "bad_path"),
+    (["mfunc-scan", "--spec", "@spec", "--path", "bad"], "bad_path"),
+    (["dtn", "--domain", "disk:abc"], "bad_domain"),
+    (["dtn", "--domain", "disk:1:x"], "bad_domain"),
+    (["dtn", "--domain", "disk:-1"], "bad_domain"),
+    (["dtn", "--domain", "disk:1:-3"], "bad_domain"),
+    (["dtn", "--domain", "diskfoo"], "config_not_found"),
+    (["solve", "--domain", "interval", "--data", "mode:x"], "bad_boundary_data"),
+])
+def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
+    (tmp_path / "spec.json").write_text(
+        '{"reference": "dirichlet", "z0": 0.0, "L": {"special": "krein"}, "X": "full"}')
+    (tmp_path / "bad-spec.json").write_text('{"reference": "dirichlet", "L": "krein"}')
+    (tmp_path / "csv-spec.json").write_text('{"L": {"matrix_csv": "no-such-file.csv"}}')
+    argv = [str(tmp_path / (a[1:] + ".json")) if a.startswith("@") else a for a in args]
+    res = _run(runner, argv + ["--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == 2
+    assert json.loads(res.output)["error"] == error
+
+
 def test_mfunc_scan_upper_half_plane(runner, tmp_path):
     spec = tmp_path / "krein.json"
     spec.write_text('{"reference": "dirichlet", "z0": 0.0, "L": {"special": "krein"}, "X": "full"}')

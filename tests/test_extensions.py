@@ -123,8 +123,8 @@ def test_resolvent_selfadjointness(interval):
     z = -1.4 + 0.8j
     f = interval.field(lambda x: np.sin(3 * x), None, None)
     g = interval.field(lambda x: np.exp(-x) * (1 + 1j * x), None, None)
-    uf = apply_resolvent(ext, z, lambda x: f.fn(x))
-    ug = apply_resolvent(ext, np.conj(z), lambda x: g.fn(x))
+    uf = apply_resolvent(ext, z, f)
+    ug = apply_resolvent(ext, np.conj(z), g)
     lhs = interval.inner(f, ug)
     rhs = np.conj(interval.inner(g, uf))
     assert abs(lhs - rhs) < 1e-10

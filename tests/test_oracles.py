@@ -194,3 +194,73 @@ def test_backend_build_time_self_test():
     # the constructors re-derive the static boundary maps; failure would raise
     Model1D()
     DiskModel(radius=2.0, mode_cutoff=4)
+
+
+# field algebra: sums, scalar multiples and the Helmholtz action must give the
+# termwise closed forms bit for bit
+C, Z = 0.3 - 1.2j, -0.7 + 0.4j
+
+
+def test_interval_field_algebra_keeps_its_bits():
+    b = Model1D()
+    P = np.polynomial.Polynomial([1.0, -2.0, 0.5])
+    Q = np.polynomial.Polynomial([0.0, 3.0, 0.0, -1.5])
+    u, v = b.polynomial(P.coef), b.polynomial(Q.coef)
+    w = C * u + v
+    x = np.linspace(0.0, 1.0, 7)
+    for got, p, q in ((w.value(x), P, Q), (w.derivative(x), P.deriv(), Q.deriv()),
+                      (w.laplacian(x), P.deriv(2), Q.deriv(2))):
+        assert np.array_equal(got, C * (p(x) + 0j) + (q(x) + 0j))
+    assert np.array_equal(u.helmholtz_apply(Z).value(x), -(P.deriv(2)(x) + 0j) - Z * (P(x) + 0j))
+
+
+def test_disk_field_algebra_keeps_its_bits():
+    d = DiskModel(radius=1.3, mode_cutoff=3)
+    u = d.mode_poly_field(2, {2: 1.0, 4: -0.5})
+    v = d.mode_poly_field(2, {3: 0.25j})
+    r, theta = np.linspace(0.1, 1.3, 5)[:, None], np.linspace(0.0, 6.0, 4)
+    # radial parts and (p^2 - k^2) r^(p - 2) Laplacian parts of mode k = 2
+    U, dU, lapU = r**2 - 0.5 * r**4, 2 * r - 2.0 * r**3, -6.0 * r**2
+    V, dV, lapV = 0.25j * r**3, 0.75j * r**2, 1.25j * r
+    phase = np.exp(2j * theta)
+    w = C * u + v
+    assert np.array_equal(w.value(r, theta), (C * U + V) * phase)
+    assert np.array_equal(w.laplacian(r, theta), (C * lapU + lapV) * phase)
+    gr, gt = (C * dU + dV) * phase, 2j * (C * U + V) / r * phase
+    grad = np.stack([gr * np.cos(theta) - gt * np.sin(theta),
+                     gr * np.sin(theta) + gt * np.cos(theta)], axis=-1)
+    assert np.array_equal(w.gradient(r, theta), grad)
+    assert np.array_equal(u.helmholtz_apply(Z).value(r, theta), (-lapU - Z * U) * phase)
+
+
+def test_interval_field_source_gives_the_callable_source_bits():
+    b = Model1D()
+    fn = lambda x: np.exp(-x) * (1 + 1j * x)
+    u = b.polynomial([0.0, 0.0, 1.0])
+    x = np.linspace(0.0, 1.0, 5)
+    for resolvent in (b.resolvent_dirichlet, b.resolvent_neumann):
+        pairs = [(resolvent(-1.3, b.field(fn)), resolvent(-1.3, fn)),
+                 (resolvent(-1.0, u.helmholtz_apply(-1.0)),
+                  resolvent(-1.0, lambda x: -u.laplacian(x) - -1.0 * u.value(x)))]
+        for via_field, via_callable in pairs:
+            for part in ("value", "derivative", "laplacian"):
+                assert np.array_equal(getattr(via_field, part)(x), getattr(via_callable, part)(x))
+
+
+@pytest.mark.parametrize("reference", ["dirichlet", "neumann"])
+def test_resolvent_reads_keep_scalars_and_shapes(reference):
+    b = Model1D()
+    u = getattr(b, f"resolvent_{reference}")(-1.0, lambda x: np.cos(x) + 0j)
+    x = np.linspace(0.0, 1.0, 12).reshape(3, 4)  # holds the endpoints 0 and 1
+    for part in (u.value, u.derivative, u.laplacian):
+        assert all(isinstance(part(t), complex) for t in (0.0, 0.5, 1.0))
+        assert part(x).shape == (3, 4)
+    d = DiskModel(radius=1.3, mode_cutoff=2)
+    v = getattr(d, f"resolvent_{reference}")(-2.0, {0: lambda r: np.exp(-r), 1: lambda r: r})
+    r = np.linspace(0.0, 1.3, 12).reshape(3, 4)  # holds the centre r = 0 and r = R
+    for p in v.profiles.values():
+        for part in (p.val, p.dval, p.lap):
+            assert all(isinstance(part(t), complex) for t in (0.0, 0.65, 1.3))
+            assert part(r).shape == (3, 4) and np.all(np.isfinite(part(r)))
+    assert isinstance(v.value(0.0, 0.3), complex)
+    assert v.value(r, 0.3).shape == v.laplacian(r, r).shape == (3, 4)
