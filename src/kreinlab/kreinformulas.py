@@ -38,7 +38,7 @@ import numpy as np
 from .errors import BracketSingular, DomainError, NearEigenvalue
 from .extensions import Extension, ExtensionSpec, apply_resolvent, make_extension
 from .layerpot import BoundaryOperator, assemble_adjoint_double_layer
-from .oracles import Model1D, barycentric_interpolant
+from .oracles import Model1D
 from .specfun import as_complex
 from .traces import gamma_D, gamma_N, hermitian_part, tau_N, weighted_adjoint
 from .weyl import COND_LIMIT, inverse_and_condition
@@ -315,16 +315,6 @@ def smoothing_factorization_check(ext, z, backend=None) -> float:
 # discretized operator witnesses (interval backend)
 # ---------------------------------------------------------------------------
 
-def _cardinal_functions(nodes: np.ndarray):
-    out = []
-    n = len(nodes)
-    for j in range(n):
-        data = np.zeros(n)
-        data[j] = 1.0
-        out.append(barycentric_interpolant(nodes, data))
-    return out
-
-
 def _discretize_interval(ext: Extension, z):
     """Matrices of R_ext(z), R_D(w), tau_N R_D(w), gamma_D R_ext(zbar) and tau_N R_D(wbar)."""
     backend = ext.backend
@@ -337,7 +327,9 @@ def _discretize_interval(ext: Extension, z):
     TN = np.zeros((2, n), dtype=complex)
     GD_zbar = np.zeros((2, n), dtype=complex)
     TNb = np.zeros((2, n), dtype=complex)
-    for j, fj in enumerate(_cardinal_functions(nodes)):
+    # the cardinal functions, as samples at the nodes: the backend's one
+    # barycentric basis evaluates all of them
+    for j, fj in enumerate(np.eye(n, dtype=complex)):
         u = apply_resolvent(ext, z, fj)
         Rext[:, j] = u.value(nodes)
         ud = backend.resolvent_dirichlet(w, fj)
@@ -543,7 +535,7 @@ def abstract_krein_check(model: Abstract1D, z, probes=None) -> float:
         lhs = uk.value(nodes) - uf.value(nodes)
         # g1 = (S_F + i)(S_F - z)^{-1} f = f + (z + i) R_F(z) f
         g1_vals = f(nodes) + (z + 1j) * uf.value(nodes)
-        g1 = backend.field(barycentric_interpolant(nodes, g1_vals), None, None)
+        g1 = backend.field(backend.basis.interpolant(g1_vals), None, None)
         c = np.linalg.solve(bracket, model.project_plus(g1))
         h = model.onb_combination(c)
         uh = RF(h)
@@ -701,11 +693,15 @@ def _trial_family(backend: Model1D, count: int):
 
 
 def _galerkin_resolvent(ext: Extension, a: float, trial) -> np.ndarray:
+    """Hermitian part of ``G[i, j] = (phi_i, R_ext(-a) phi_j)`` on the interval;
+    each trial field and each image is sampled once at the quadrature nodes."""
     n = len(trial)
     backend = ext.backend
+    x, w = backend.quad_nodes, backend.quad_weights
+    conj_trial = [np.conj(f.value(x)) for f in trial]
+    images = [apply_resolvent(ext, -a - ext.z0, f).value(x) for f in trial]
     G = np.zeros((n, n), dtype=complex)
-    images = [apply_resolvent(ext, -a - ext.z0, f) for f in trial]
     for i in range(n):
         for j in range(n):
-            G[i, j] = backend.inner(trial[i], images[j])
+            G[i, j] = complex(np.sum(w * conj_trial[i] * images[j]))
     return 0.5 * (G + G.conj().T)

@@ -182,22 +182,33 @@ def _green_profile(left, right, scale, w, source, end: float, radial: bool) -> P
 
         u(x) = (uR(x) int_0^x uL f weight + uL(x) int_x^end uR f weight) / scale,
 
-    and the profile returned is (u, u', -w u - f).
+    and the profile returned is (u, u', -w u - f).  One call evaluates all of
+    its targets in one array pass: the rules of m targets are (m, 64) arrays,
+    and ``uL``, ``uR`` and the source are called once per half.  A sampled
+    source is read through its backend's barycentric basis
+    (:class:`BarycentricBasis`), which is built once per array of points.
     """
     (uL, duL), (uR, duR) = left, right
 
     def solve(x, at_left, at_right):
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape, dtype=complex)
-        for idx, xi in np.ndenumerate(x):
-            xs1, ws1 = _gauss(0.0, float(xi))
-            xs2, ws2 = _gauss(float(xi), end)
-            lower, upper = ws1 * uL(xs1), ws2 * uR(xs2)
+        t = x.reshape(-1, 1)
+        xs2, ws2 = _gauss(t, end)
+        upper = ws2 * uR(xs2)
+        if radial:
+            upper = upper * xs2
+        above = at_left(t[:, 0]) * np.sum(upper * source(xs2), axis=-1)
+        below = np.zeros(above.shape, dtype=complex)
+        # the integral over (0, 0) is empty, and the disk's uR is singular at r = 0
+        inside = t[:, 0] != 0
+        if np.any(inside):
+            ti = t[inside]
+            xs1, ws1 = _gauss(0.0, ti)
+            lower = ws1 * uL(xs1)
             if radial:
-                lower, upper = lower * xs1, upper * xs2
-            # the integral over (0, 0) is empty, and the disk's uR is singular at r = 0
-            below = at_right(xi) * np.sum(lower * source(xs1)) if xi != 0 else 0.0
-            out[idx] = (below + at_left(xi) * np.sum(upper * source(xs2))) / scale
+                lower = lower * xs1
+            below[inside] = at_right(ti[:, 0]) * np.sum(lower * source(xs1), axis=-1)
+        out = ((below + above) / scale).reshape(x.shape)
         return out if out.ndim else complex(out)
 
     val = lambda x: solve(x, uL, uR)
@@ -246,42 +257,68 @@ class IntervalField:
         return IntervalField(self.backend, self.profile * as_complex(c))
 
 
-def barycentric_interpolant(nodes, values):
-    """Deterministic barycentric polynomial interpolant through the nodes.
+class BarycentricBasis:
+    """Barycentric Lagrange basis on one node set (Berrut & Trefethen,
+    "Barycentric Lagrange Interpolation", SIAM Rev. 46, 2004).
 
-    Capacity scaling keeps the weight products in floating range for the
-    Gauss grids used here; the evaluation is exact at the nodes.
+    The weights are computed once.  :meth:`matrix` returns ``B(x)``, whose row
+    for a point x is ``(w_k / (x - x_k)) / sum_k w_k / (x - x_k)``, or the unit
+    row of node k where x equals x_k exactly; it is kept for the last
+    ``STORE_SIZE`` arrays of points asked for, so the interpolants of many
+    samples on the same nodes share one basis.  Capacity scaling keeps the
+    weight products in floating range for the Gauss grids used here.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    cap = 0.25 * (np.max(nodes) - np.min(nodes))
-    w = np.ones(len(nodes))
-    for j in range(len(nodes)):
-        w[j] = 1.0 / np.prod((nodes[j] - np.delete(nodes, j)) / cap)
 
-    def interp(x):
+    STORE_SIZE = 8
+
+    def __init__(self, nodes):
+        self.nodes = np.asarray(nodes, dtype=float)
+        cap = 0.25 * (np.max(self.nodes) - np.min(self.nodes))
+        self.weights = np.ones(len(self.nodes))
+        for j in range(len(self.nodes)):
+            self.weights[j] = 1.0 / np.prod((self.nodes[j] - np.delete(self.nodes, j)) / cap)
+        self._order = np.argsort(self.nodes)
+        self._sorted = self.nodes[self._order]
+        self._store = {}  # (shape, bytes) of the points -> B, oldest first
+
+    def matrix(self, x) -> np.ndarray:
+        """``B(x)`` of shape ``x.shape + (n,)``, read-only."""
         x = np.asarray(x, dtype=float)
-        diff = x[..., None] - nodes
-        hit = diff == 0.0
-        diff = np.where(hit, 1.0, diff)
-        num = np.sum(w * values / diff, axis=-1)
-        den = np.sum(w / diff, axis=-1)
-        out = num / den
-        if np.any(hit):
-            exact = values[np.argmax(hit, axis=-1)]
-            out = np.where(np.any(hit, axis=-1), exact, out)
-        return out if out.ndim else complex(out)
+        key = (x.shape, x.tobytes())
+        B = self._store.pop(key, None)
+        if B is None:
+            n = len(self.nodes)
+            B = np.subtract.outer(x, self.nodes)
+            rows = B.reshape(-1, n)
+            flat = x.reshape(-1)
+            pos = np.minimum(np.searchsorted(self._sorted, flat), n - 1)
+            hit = self._sorted[pos] == flat
+            rows[hit] = 1.0
+            np.divide(self.weights, rows, out=rows)
+            rows /= rows.sum(axis=-1, keepdims=True)
+            rows[hit] = 0.0
+            rows[hit, self._order[pos[hit]]] = 1.0
+            B.flags.writeable = False
+            if len(self._store) >= self.STORE_SIZE:
+                del self._store[next(iter(self._store))]
+        self._store[key] = B
+        return B
 
-    return interp
+    def interpolant(self, values):
+        """Polynomial through ``(nodes, values)``: ``x -> B(x) @ values``."""
+        values = np.asarray(values, dtype=complex)
+        if values.shape != self.nodes.shape:
+            raise DomainError("sampled data must match the backend quadrature nodes")
+        # one real product with the (n, 2) real/imaginary view, so B is never cast to complex
+        pairs = np.ascontiguousarray(values).view(float).reshape(-1, 2)
+        n = len(self.nodes)
 
+        def interp(x):
+            B = self.matrix(x)
+            out = (B.reshape(-1, n) @ pairs).view(complex).reshape(B.shape[:-1])
+            return out if out.ndim else complex(out)
 
-def _callable_or_interp(f, nodes):
-    if callable(f):
-        return f
-    vals = np.asarray(f, dtype=complex)
-    if vals.shape != nodes.shape:
-        raise DomainError("sampled data must match the backend quadrature nodes")
-    return barycentric_interpolant(nodes, vals)
+        return interp
 
 
 class Model1D:
@@ -293,6 +330,7 @@ class Model1D:
     def __init__(self):
         self.boundary_weights = np.ones(2)
         self.quad_nodes, self.quad_weights = _gauss(0.0, 1.0)
+        self.basis = BarycentricBasis(self.quad_nodes)
         # build-time self test of the closed-form boundary operator
         ref = np.array([[-1.0, 1.0], [1.0, -1.0]])
         if np.max(np.abs(interval_dtn(0.0) - ref)) > 1e-14:
@@ -390,7 +428,7 @@ class Model1D:
             raise NearEigenvalue(f"w = {w} is a {reference} eigenvalue of the interval")
         if isinstance(f, IntervalField):
             f = f.profile.val
-        source = _callable_or_interp(f, self.quad_nodes)
+        source = f if callable(f) else self.basis.interpolant(f)
         profile = _green_profile(left, right, -wronsk, w, source, 1.0, radial=False)
         return IntervalField(self, profile)
 
@@ -468,10 +506,18 @@ class DiskField:
         theta = np.asarray(theta, dtype=float)
         gr = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
         gt = np.zeros_like(gr)
+        at_center = r == 0
+        safe = np.where(at_center, self.backend.radius, r)  # any r > 0; replaced below
         for k, p in self.profiles.items():
             phase = np.exp(1j * k * theta)
             gr = gr + p.dval(r) * phase
-            gt = gt + 1j * k * p.val(r) / r * phase
+            angular = 1j * k * p.val(safe) / safe
+            if np.any(at_center):
+                # the limit of i k p(r) / r at r = 0 is i k p'(0) for |k| = 1 and 0
+                # otherwise (a regular mode-k profile vanishes like r^|k|)
+                limit = 1j * k * p.dval(0.0) if abs(k) == 1 else 0.0
+                angular = np.where(at_center, limit, angular)
+            gt = gt + angular * phase
         gx = gr * np.cos(theta) - gt * np.sin(theta)
         gy = gr * np.sin(theta) + gt * np.cos(theta)
         return np.stack([gx, gy], axis=-1)
@@ -526,6 +572,7 @@ class DiskModel:
         nodes, weights = np.polynomial.legendre.leggauss(radial_nodes)
         self.quad_nodes = 0.5 * self.radius * (nodes + 1.0)
         self.quad_weights = 0.5 * self.radius * weights
+        self.basis = BarycentricBasis(self.quad_nodes)
         self._reference = {}  # reference -> (top, eigenvalues below top)
         if abs(disk_mode_dtn(3, 0.0, self.radius) + 3.0 / self.radius) > 1e-14:
             raise AssertionError("disk DtN self-test failed")
@@ -657,7 +704,7 @@ class DiskModel:
             bessel_j_prime(ak, kap * np.asarray(r, dtype=float)) * a
             - bessel_y_prime(ak, kap * np.asarray(r, dtype=float)) * b
         )
-        source = _callable_or_interp(fk, self.quad_nodes)
+        source = fk if callable(fk) else self.basis.interpolant(fk)
         return _green_profile((uL, duL), (uR, duR), scale, w, source, R, radial=True)
 
     def _resolvent(self, w, f, reference: str) -> DiskField:

@@ -13,7 +13,8 @@ a conditioning diagnostic instead of continuing silently.  The diagnostic is
 the exact 1-norm condition number ``||A||_1 ||A^{-1}||_1``, taken from the
 inverse that ``dtn`` and ``ntd`` form anyway; an exactly singular matrix has
 condition ``inf``.  Only the condition of ``V_z`` is cached per ``z``, never
-its inverse.
+its inverse, and a backend keeps the matrices of its ``CACHED_PARAMETERS``
+most recently stored ``z`` only.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .layerpot import (
 from .specfun import as_complex
 
 COND_LIMIT = 1e12
+
+#: distinct spectral parameters whose matrices a :class:`BemBackend` keeps
+CACHED_PARAMETERS = 8
 
 
 def inverse_and_condition(A: np.ndarray):
@@ -150,7 +154,22 @@ class BemBackend:
     def __init__(self, grid: BoundaryGrid):
         self.grid = grid
         self.name = f"bem-{grid.spec.kind}"
-        self._cache: dict = {}
+        self._cache: dict = {}  # (kind, z) -> matrix or condition
+        self._parameters: dict = {}  # z -> None, least recently stored first
+
+    def _store(self, key, value):
+        """Cache ``value`` under ``key = (kind, z)``; storing a new ``z`` beyond
+        ``CACHED_PARAMETERS`` evicts every entry of the least recently stored one."""
+        z = key[1]
+        if z in self._parameters:
+            del self._parameters[z]
+        elif len(self._parameters) >= CACHED_PARAMETERS:
+            oldest = next(iter(self._parameters))
+            del self._parameters[oldest]
+            for stale in [k for k in self._cache if k[1] == oldest]:
+                del self._cache[stale]
+        self._parameters[z] = None
+        self._cache[key] = value
 
     @property
     def nboundary(self) -> int:
@@ -168,19 +187,19 @@ class BemBackend:
         z = as_complex(z)
         key = ("V", z)
         if key not in self._cache:
-            self._cache[key] = assemble_single_layer_trace(self.grid, z).matrix
+            self._store(key, assemble_single_layer_trace(self.grid, z).matrix)
         return self._cache[key]
 
     def neumann_trace(self, z) -> np.ndarray:
         z = as_complex(z)
         key = ("T", z)
         if key not in self._cache:
-            self._cache[key] = neumann_trace_of_single_layer(self.grid, z).matrix
+            self._store(key, neumann_trace_of_single_layer(self.grid, z).matrix)
         return self._cache[key]
 
     def _single_layer_inverse(self, z: complex):
         inv, cond = inverse_and_condition(self.single_layer(z))
-        self._cache[("cond V", z)] = cond
+        self._store(("cond V", z), cond)
         return inv
 
     def single_layer_condition(self, z) -> float:
@@ -207,7 +226,7 @@ class BemBackend:
             T = self.neumann_trace(z)
             inv = self._single_layer_inverse(z)
             self._check_single_layer(z)
-            self._cache[key] = -T @ inv
+            self._store(key, -T @ inv)
         return self._cache[key]
 
     def ntd(self, z) -> np.ndarray:

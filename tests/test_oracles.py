@@ -1,5 +1,7 @@
 """Closed-form backend checks: interval model, disk model, wedge fixture."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,16 @@ def test_disk_field_gradient():
     g = u.gradient(np.array([0.4]), np.array([1.1]))
     assert abs(g[0, 0] - 1.0) < 1e-14
     assert abs(g[0, 1] - 1j) < 1e-14
+    # at the centre the angular term takes its limit, with no 0/0 warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.max(np.abs(u.gradient(0.0, 0.3) - np.array([1.0, 1j]))) < 1e-15
+        # r e^{-i theta} = x - i y; r^2 e^{2 i theta} and r^2 have zero gradient at 0
+        g = d.mode_poly_field(-1, {1: 1.0}).gradient(np.array([0.0, 0.5]), 1.1)
+        assert np.max(np.abs(g - np.array([1.0, -1j]))) < 1e-15
+        for k in (0, 2):
+            g = d.mode_poly_field(k, {2: 1.0}).gradient(np.array([0.0]), np.array([0.4]))
+            assert np.max(np.abs(g[0])) == 0.0
 
 
 def test_disk_resolvent_neumann_traces():
@@ -264,3 +276,154 @@ def test_resolvent_reads_keep_scalars_and_shapes(reference):
             assert part(r).shape == (3, 4) and np.all(np.isfinite(part(r)))
     assert isinstance(v.value(0.0, 0.3), complex)
     assert v.value(r, 0.3).shape == v.laplacian(r, r).shape == (3, 4)
+
+
+# vectorized Green quadrature: one array pass per call must match the former
+# per-target split-Gauss loop, written out here, to rounding
+
+def _per_target_green(left, right, scale, source, end, radial, x, derivative=False):
+    from kreinlab.oracles import _GL_NODES, _GL_WEIGHTS
+
+    (uL, duL), (uR, duR) = left, right
+    at_left, at_right = (duL, duR) if derivative else (uL, uR)
+    out = np.empty(np.shape(x), dtype=complex)
+    for idx, xi in np.ndenumerate(np.asarray(x, dtype=float)):
+        xs1, ws1 = 0.5 * xi * _GL_NODES + 0.5 * xi, 0.5 * xi * _GL_WEIGHTS
+        xs2, ws2 = 0.5 * (end - xi) * _GL_NODES + 0.5 * (xi + end), 0.5 * (end - xi) * _GL_WEIGHTS
+        lower, upper = ws1 * uL(xs1), ws2 * uR(xs2)
+        if radial:
+            lower, upper = lower * xs1, upper * xs2
+        below = at_right(xi) * np.sum(lower * source(xs1)) if xi != 0 else 0.0
+        out[idx] = (below + at_left(xi) * np.sum(upper * source(xs2))) / scale
+    return out
+
+
+def _interval_problem(reference, w):
+    k = np.sqrt(complex(w))
+    if reference == "dirichlet":
+        left = (lambda x: np.sin(k * x)), (lambda x: k * np.cos(k * x))
+        right = (lambda x: np.sin(k * (1 - x))), (lambda x: -k * np.cos(k * (1 - x)))
+        return left, right, k * np.sin(k)
+    left = (lambda x: np.cos(k * x)), (lambda x: -k * np.sin(k * x))
+    right = (lambda x: np.cos(k * (1 - x))), (lambda x: k * np.sin(k * (1 - x)))
+    return left, right, -k * np.sin(k)
+
+
+def _disk_problem(k, w, R):
+    from scipy.special import jv, jvp, yv, yvp
+
+    kap = np.sqrt(complex(w))
+    a, b = yv(k, kap * R), jv(k, kap * R)
+    left = (lambda r: jv(k, kap * r)), (lambda r: kap * jvp(k, kap * r))
+    right = ((lambda r: jv(k, kap * r) * a - yv(k, kap * r) * b),
+             (lambda r: kap * (jvp(k, kap * r) * a - yvp(k, kap * r) * b)))
+    return left, right, (2.0 / np.pi) * b
+
+
+def _assert_green_matches(left, right, scale, source, end, radial, targets):
+    from kreinlab.oracles import _green_profile
+
+    w = -0.8 + 0.3j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the disk's uR must never be read at r = 0
+        profile = _green_profile(left, right, scale, w, source, end, radial)
+        for x in targets:
+            for part, derivative in ((profile.val, False), (profile.dval, True)):
+                got = part(x)
+                want = _per_target_green(left, right, scale, source, end, radial, x, derivative)
+                assert np.shape(got) == np.shape(x)
+                assert isinstance(got, complex) == (np.ndim(x) == 0)
+                assert np.all(np.isfinite(got))
+                assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+            want = -w * profile.val(x) - source(np.asarray(x, dtype=float))
+            assert np.array_equal(profile.lap(x), want)
+
+
+@pytest.mark.parametrize("reference", ["dirichlet", "neumann"])
+def test_green_profile_matches_the_per_target_loop_on_the_interval(reference):
+    left, right, scale = _interval_problem(reference, -0.8 + 0.3j)
+    callable_source = lambda x: np.exp(-x) * (1.0 + 0.5j * x)
+    sampled_source = Model1D().basis.interpolant(callable_source(Model1D().quad_nodes))
+    targets = [0.0, 1.0, 0.37, np.array([0.0, 0.2, 1.0]),
+               np.linspace(0.0, 1.0, 12).reshape(3, 4), Model1D().quad_nodes]
+    for source in (callable_source, sampled_source):
+        _assert_green_matches(left, right, scale, source, 1.0, False, targets)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_green_profile_matches_the_per_target_loop_on_the_disk(k):
+    R = 1.3
+    left, right, scale = _disk_problem(k, -0.8 + 0.3j, R)
+    source = lambda r: np.exp(-r) * r**k + 0j
+    targets = [0.0, R, 0.61, np.array([0.0, 0.4, R]), np.linspace(0.0, R, 12).reshape(3, 4)]
+    _assert_green_matches(left, right, scale, source, R, True, targets)
+
+
+def _former_barycentric(nodes, values, x):
+    """The per-interpolant formula the basis replaced."""
+    cap = 0.25 * (np.max(nodes) - np.min(nodes))
+    w = np.array([1.0 / np.prod((nodes[j] - np.delete(nodes, j)) / cap) for j in range(len(nodes))])
+    diff = x[..., None] - nodes
+    hit = diff == 0.0
+    diff = np.where(hit, 1.0, diff)
+    out = np.sum(w * values / diff, axis=-1) / np.sum(w / diff, axis=-1)
+    return np.where(np.any(hit, axis=-1), values[np.argmax(hit, axis=-1)], out)
+
+
+@pytest.mark.parametrize("backend", [Model1D(), DiskModel(radius=1.3, mode_cutoff=2)])
+def test_barycentric_basis_is_exact_at_nodes_and_agrees_with_the_former_formula(backend):
+    nodes = backend.quad_nodes
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(len(nodes)) + 1j * rng.standard_normal(len(nodes))
+    interp = backend.basis.interpolant(values)
+    # a batch where only some points are nodes, in a 2-D layout
+    x = np.array([[nodes[5], 0.5 * (nodes[5] + nodes[6])], [0.0, nodes[-1]], [0.3, nodes[0]]])
+    got = interp(x)
+    assert got.shape == (3, 2)
+    assert got[0, 0] == values[5] and got[1, 1] == values[-1] and got[2, 1] == values[0]
+    assert interp(nodes[7]) == values[7] and isinstance(interp(nodes[7]), complex)
+    assert np.array_equal(interp(nodes), values)
+    probe = np.concatenate([x.ravel(), rng.uniform(0.0, nodes[-1] + nodes[0], 50)])
+    want = _former_barycentric(nodes, values, probe)
+    assert np.max(np.abs(interp(probe) - want)) <= 1e-13 * np.max(np.abs(want))
+    B = backend.basis.matrix(x)
+    assert np.max(np.abs(B.sum(axis=-1) - 1.0)) < 1e-13
+    assert backend.basis.matrix(x) is B  # memoized per array of points
+    for _ in range(2 * backend.basis.STORE_SIZE):
+        backend.basis.matrix(rng.uniform(0.0, 1.0, 3))
+    assert len(backend.basis._store) == backend.basis.STORE_SIZE
+
+
+def test_barycentric_basis_rejects_samples_off_the_nodes():
+    with pytest.raises(DomainError):
+        Model1D().basis.interpolant(np.ones(10))
+
+
+def test_witness_pass_leaves_no_basis_store(monkeypatch):
+    import gc
+    import weakref
+
+    from kreinlab import kreinformulas
+
+    stores = []
+
+    class Recording(Model1D):
+        def __init__(self):
+            super().__init__()
+            stores.append(weakref.ref(self.basis))
+
+    monkeypatch.setattr(kreinformulas, "Model1D", Recording)
+    witnesses = kreinformulas.sign_witnesses()
+    assert witnesses["krein-formula"] < 1e-12
+    assert len(stores) == 1
+    gc.collect()
+    assert stores[0]() is None
+    # the store is used by the pass, bounded, and dies with its backend
+    backend = Recording()
+    ext = kreinformulas._extension_from_matrix(np.array([[1.0, 0.2], [0.2, 0.5]]), 0.0, backend)
+    kreinformulas.interval_sign_witnesses(ext, -1.0 + 0.7j)
+    assert 0 < len(backend.basis._store) <= backend.basis.STORE_SIZE
+    store = weakref.ref(backend.basis)
+    del backend, ext
+    gc.collect()
+    assert store() is None

@@ -178,3 +178,23 @@ def test_operator_role_tags(disk13_backend):
     assert dtn(disk13_backend, -1.0).role == "DtN"
     assert ntd(disk13_backend, -1.0).role == "NtD"
     assert dtn(disk13_backend, -1.0).grid_token == disk13_backend.grid.token
+
+
+def test_bem_cache_keeps_the_eight_most_recent_parameters():
+    from kreinlab.weyl import CACHED_PARAMETERS
+
+    backend = BemBackend(make_grid(CurveSpec.circle(1.0), 32))
+    zs = [complex(-1.0 - 0.25 * i, 0.1 * i) for i in range(20)]
+    for z in zs:
+        backend.dtn(z)  # stores V, T, the condition of V and the map itself
+    cached = {key[1] for key in backend._cache}
+    assert CACHED_PARAMETERS == 8 and cached == set(zs[-CACHED_PARAMETERS:])
+    assert len(backend._cache) == 4 * CACHED_PARAMETERS
+    # storing a new kind at a cached parameter makes it the most recent
+    backend = BemBackend(make_grid(CurveSpec.circle(1.0), 32))
+    for z in zs[:CACHED_PARAMETERS]:
+        backend.single_layer(z)
+    backend.dtn(zs[0])
+    backend.single_layer(-7.0)
+    assert {key[1] for key in backend._cache} == set(zs[:CACHED_PARAMETERS]) - {zs[1]} | {-7.0}
+    assert len([key for key in backend._cache if key[1] == zs[0]]) == 4
