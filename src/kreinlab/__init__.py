@@ -14,7 +14,6 @@ from .errors import (
     RangeExceeded,
     SpecInvalid,
     TargetTooClose,
-    WindowTooWide,
 )
 from .extensions import (
     Extension,
@@ -47,10 +46,10 @@ from .layerpot import (
     evaluate_potential,
     neumann_trace_of_single_layer,
 )
-from .oracles import DiskModel, Model1D, WedgeMode, disk_mode_dtn, interval_dtn, wedge_singular_function
-from .specfun import bessel_j, fundamental_solution, hankel1, sqrt_upper
+from .oracles import DiskModel, Model1D, disk_mode_dtn, interval_dtn
+from .specfun import bessel_j, hankel1, sqrt_upper
 from .spectral import SpectrumRequest, eigenvalues, ordering_check
 from .traces import gamma_D, gamma_N, green_defect, tau_D, tau_N
-from .weyl import BemBackend, SpectralParameter, dtn, ntd, solve_dirichlet, solve_neumann
+from .weyl import BemBackend, dtn, ntd, solve_dirichlet, solve_neumann
 
 __version__ = "0.1.0"

@@ -3,8 +3,7 @@
 CSV conventions: complex cells are quoted "re,im" pairs with 17 significant
 digits; the first line is a ``#``-prefixed header describing the layout.
 Reports are emitted as JSON with sorted keys, so identical (config, seed)
-pairs produce byte-identical files.  ``KREINLAB_THREADS`` caps the number of
-suite workers.
+pairs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .geometry import CurveSpec, make_grid
 from .kreinformulas import imaginary_part_eigenvalues, resolve_sign_conventions, sign_witnesses
 from .oracles import DiskModel, Model1D, interval_dtn
 from .spectral import SpectrumRequest, eigenvalues
-from .verifysuite import build_suite, worker_count
+from .verifysuite import build_suite
 from .weyl import BemBackend, inverse_and_condition
 
 
@@ -62,9 +61,12 @@ def _fail(payload: dict, code: int):
 def _parse_z(text: str) -> complex:
     try:
         re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
-    except Exception:
+        z = complex(float(re_s), float(im_s))
+    except ValueError:
         _fail({"error": "bad_spectral_parameter", "value": text}, 2)
+    if not np.isfinite(z):
+        _fail({"error": "bad_spectral_parameter", "value": text, "detail": "z must be finite"}, 2)
+    return z
 
 
 def _load_domain(domain: str, nodes: int):
@@ -249,6 +251,8 @@ def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
         step = float(step_s)
     except ValueError:
         _fail({"error": "bad_path", "value": path_text}, 2)
+    if not np.isfinite([start, end, step]).all():
+        _fail({"error": "bad_path", "value": path_text, "detail": "path must be finite"}, 2)
     if not step > 0:
         _fail({"error": "bad_path", "value": path_text, "detail": "step must be positive"}, 2)
     try:
@@ -295,7 +299,6 @@ def cmd_verify(suite, backend_name, nodes, seed, tol, out, flip):
         "seed": seed,
         "nodes": nodes,
         "tolerance_scale": tol,
-        "workers": worker_count(),
         "results": items,
         "sign_ledger": ledger.to_list(),
         "pass": passed,

@@ -37,10 +37,6 @@ class BackendUnsupported(KreinlabError):
     """Operation not available on this backend."""
 
 
-class WindowTooWide(KreinlabError):
-    """No eigenvalue where one was asked for."""
-
-
 class CountFailed(KreinlabError):
     """The eigenvalue count cannot be trusted at ``lam``.
 

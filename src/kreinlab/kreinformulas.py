@@ -544,25 +544,6 @@ def abstract_krein_check(model: Abstract1D, z, probes=None) -> float:
     return worst
 
 
-def krein_shooting_determinant(lam: float, backend: Model1D | None = None) -> float:
-    """Shooting determinant whose zeros are the nonzero Krein eigenvalues.
-
-    An eigenfunction u of the Krein extension is a combination of the
-    homogeneous solutions at lam whose static-resolvent image of lam*u has
-    vanishing endpoint derivatives; equivalently both moments of u against
-    {1, x} vanish.  The 2x2 determinant of those moments is returned.
-    """
-    backend = backend or Model1D()
-    if lam <= 0:
-        raise DomainError("shooting determinant defined for positive spectral points")
-    s = np.sqrt(lam)
-    x, w = backend.quad_nodes, backend.quad_weights
-    u1, u2 = np.cos(s * x), np.sin(s * x)
-    row1 = np.array([np.sum(w * u1), np.sum(w * u2)])
-    row2 = np.array([np.sum(w * x * u1), np.sum(w * x * u2)])
-    return float(np.real(row1[0] * row2[1] - row1[1] * row2[0]))
-
-
 def friedrichs_krein_domains(model: Abstract1D | None = None, b_value: float = 1.0) -> dict:
     """Verify the extremal-extension domain decompositions on the interval.
 

@@ -1,4 +1,4 @@
-"""Closed-form backends: unit interval, Fourier-Bessel disk, wedge fixture.
+"""Closed-form backends: unit interval and Fourier-Bessel disk.
 
 Both model backends expose the same surface the extension factory and the
 resolvent-formula checks are written against:
@@ -11,12 +11,15 @@ resolvent-formula checks are written against:
 * interior L2 inner products at spectral quadrature accuracy.
 
 Everything here is a closed form plus Gauss-Legendre quadrature, so the
-backends serve as independent oracles for the boundary-element lane.
+backends serve as independent oracles for the boundary-element lane.  They
+do share ``sqrt_upper``, ``as_complex`` and the range checks of ``specfun``
+with that lane, so a wrong branch of sqrt(z) would reach both at once.  That
+is accepted: the benchmark's checks (``perfbench/checks.py``) choose the
+branch on their own without importing the package, and ``test_sqrt_branch``
+pins the cut on the positive real axis from both sides.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -91,52 +94,6 @@ def disk_mode_dtn(k, z, radius: float = 1.0):
         jp = 0.5 * (special.jv(ks - 1, x) - special.jv(ks + 1, x))
         values = np.array([-kap * p / j for p, j in zip(jp.tolist(), jk.tolist())])
     return complex(values[0]) if np.ndim(k) == 0 else values
-
-
-# ---------------------------------------------------------------------------
-# wedge corner fixture
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WedgeMode:
-    """Re-entrant corner of opening angle in (pi, 2 pi); evaluation only."""
-
-    opening: float
-
-    def __post_init__(self):
-        if not np.pi < self.opening < 2.0 * np.pi:
-            raise DomainError("wedge opening must lie in (pi, 2 pi)")
-
-    @property
-    def exponent(self) -> float:
-        return np.pi / self.opening
-
-    def cutoff(self, r):
-        """C-infinity profile: 1 for r <= 1/4, 0 for r >= 1/2."""
-        r = np.asarray(r, dtype=float)
-        t = np.clip((r - 0.25) / 0.25, 0.0, 1.0)
-
-        def bump(s):
-            out = np.zeros_like(s)
-            pos = s > 0
-            out[pos] = np.exp(-1.0 / s[pos])
-            return out
-
-        up, down = bump(1.0 - t), bump(t)
-        return up / (up + down)
-
-
-def wedge_singular_function(mode: WedgeMode, r, theta):
-    """Value of the corner mode  cutoff(r) r^(pi/w) sin(pi theta / w)."""
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(r < 0):
-        raise DomainError("radius must be nonnegative")
-    if np.any(theta < -1e-14) or np.any(theta > mode.opening + 1e-14):
-        raise DomainError("angle outside the wedge opening")
-    a = mode.exponent
-    val = mode.cutoff(r) * r**a * np.sin(a * theta)
-    return float(val) if val.ndim == 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +536,6 @@ class DiskModel:
 
     def mode_index(self, k: int) -> int:
         return k + self.mode_cutoff
-
-    def truncation_tail(self) -> float:
-        """Magnitude of the first omitted static Dirichlet-to-Neumann value."""
-        return (self.mode_cutoff + 1) / self.radius
 
     # -- boundary operators ---------------------------------------------------
     def dtn(self, z) -> np.ndarray:

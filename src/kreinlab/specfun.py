@@ -1,4 +1,4 @@
-"""Bessel/Hankel functions and the Helmholtz fundamental solution.
+"""Bessel and Hankel functions on a checked range, and the sqrt(z) branch.
 
 All evaluation is restricted to a desk-scale range (``|x| <= 60``, order
 ``<= 60``); inside it the values are accurate to well below 1e-12 relative,
@@ -103,51 +103,3 @@ def hankel1(order: int, x):
     out = _sp.hankel1(order, arr)
     return complex(out) if np.isscalar(x) or arr.ndim == 0 else out
 
-
-def fundamental_solution(dim: int, z, x) -> complex:
-    """Free-space kernel of (-Laplace - z) in dimension 2 or 3.
-
-    dim = 2, z != 0:  (i/4) H^(1)_0(sqrt(z) |x|)
-    dim = 2, z  = 0:  -(1/2 pi) ln |x|
-    dim = 3, z != 0:  exp(i sqrt(z) |x|) / (4 pi |x|)
-    dim = 3, z  = 0:  1 / (4 pi |x|)
-
-    sqrt(z) is taken with Im >= 0; the 3-d static normalisation uses the
-    unit-sphere area 4 pi.
-    """
-    if dim not in (2, 3):
-        raise DomainError(f"dimension must be 2 or 3, got {dim}")
-    z = as_complex(z)
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (dim,):
-        raise DomainError(f"point must be a length-{dim} real vector")
-    r = float(np.hypot(*vec)) if dim == 2 else float(np.sqrt(np.sum(vec**2)))
-    if r == 0.0:
-        raise DomainError("fundamental solution is singular at the origin")
-    if dim == 2:
-        if z == 0:
-            return complex(-np.log(r) / (2.0 * np.pi))
-        k = sqrt_upper(z)
-        return 0.25j * hankel1(0, k * r)
-    if z == 0:
-        return complex(1.0 / (4.0 * np.pi * r))
-    k = sqrt_upper(z)
-    _check_arg(k * r)
-    return complex(np.exp(1j * k * r) / (4.0 * np.pi * r))
-
-
-def fundamental_solution_gradient(dim: int, z, x):
-    """Gradient in x of the fundamental solution (dim = 2 only)."""
-    if dim != 2:
-        raise DomainError("gradient implemented for dimension 2 only")
-    z = as_complex(z)
-    vec = np.asarray(x, dtype=float)
-    r = float(np.hypot(*vec))
-    if r == 0.0:
-        raise DomainError("fundamental solution is singular at the origin")
-    if z == 0:
-        radial = -1.0 / (2.0 * np.pi * r)
-    else:
-        k = sqrt_upper(z)
-        radial = -0.25j * k * hankel1(1, k * r)
-    return radial * vec / r

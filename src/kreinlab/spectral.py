@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BackendUnsupported, CountFailed, NearEigenvalue, WindowTooWide
+from .errors import BackendUnsupported, CountFailed, NearEigenvalue
 from .extensions import Extension, ExtensionSpec, make_extension
 from .kreinformulas import _galerkin_resolvent, _trial_family
 from .traces import hermitian_part
@@ -163,30 +163,3 @@ def ordering_check(ext_list, a: float, backend, trial_count: int = 40) -> dict:
     report["pass"] = ok
     return report
 
-
-def eigenvalue_near(spec: ExtensionSpec, backend, guess: float, width: float = 1.0) -> float:
-    """Single eigenvalue nearest to a guess (helper for perturbation tests)."""
-    req = SpectrumRequest(spec, (guess - width, guess + width))
-    roots = eigenvalues(req, backend)
-    if not roots:
-        raise WindowTooWide(f"no eigenvalue within {width} of {guess}")
-    return min(roots, key=lambda r: abs(r - guess))
-
-
-def dirichlet_disk_ground_state(radius: float = 1.0) -> float:
-    """Square of the first root of J_0, scaled to the disk radius, by bisection."""
-    from .specfun import bessel_j
-
-    lo, hi = 2.0, 3.0
-    flo = bessel_j(0, lo).real
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = bessel_j(0, mid).real
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-14:
-            break
-    root = 0.5 * (lo + hi)
-    return (root / radius) ** 2

@@ -8,9 +8,6 @@ symbolically.  Items are deterministic given (backend, nodes, seed).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .errors import KreinlabError
@@ -50,13 +47,8 @@ from .weyl import BemBackend, solve_dirichlet, solve_neumann
 
 
 def worker_count() -> int:
-    env = os.environ.get("KREINLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+    """Suite tasks run in the calling thread; kept for the benchmark harness."""
+    return 1
 
 
 def _item(identity, formula, residual, tolerance, sign_used="n/a"):
@@ -559,17 +551,9 @@ def build_suite(suite: str, backend_name: str, nodes: int = 0, seed: int = 0, to
             raw.append(lambda rng: _sign_items(tol, flip, witnesses))
             raw.append(lambda rng: _krein_kite(nodes, rng, tol))
 
-    # one child generator per task keeps results identical under threading
-    tasks = [
-        (fn, np.random.default_rng([seed, idx])) for idx, fn in enumerate(raw)
-    ]
+    # one child generator per task, so a task's draws do not depend on the others
     items: list = []
-    if len(tasks) > 1 and worker_count() > 1:
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            for chunk in pool.map(lambda pair: pair[0](pair[1]), tasks):
-                items.extend(chunk)
-    else:
-        for fn, rng in tasks:
-            items.extend(fn(rng))
+    for idx, fn in enumerate(raw):
+        items.extend(fn(np.random.default_rng([seed, idx])))
     items.sort(key=lambda it: it["identity"])
     return items

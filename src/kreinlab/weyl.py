@@ -19,8 +19,6 @@ most recently stored ``z`` only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BackendUnsupported, NearSingular, QuadratureUnavailable
@@ -53,21 +51,6 @@ def check_condition(cond: float, what: str, hint: str):
     """Raise :class:`NearSingular` unless ``cond`` is at most ``COND_LIMIT``."""
     if not cond <= COND_LIMIT:
         raise NearSingular(f"{what} has condition {cond:.3e}; {hint}")
-
-
-@dataclass(frozen=True)
-class SpectralParameter:
-    """Spectral parameter with optional certified distances to the spectra."""
-
-    z: complex
-    dirichlet_distance: float | None = None
-    neumann_distance: float | None = None
-
-
-def as_spectral(z) -> SpectralParameter:
-    if isinstance(z, SpectralParameter):
-        return z
-    return SpectralParameter(as_complex(z))
 
 
 class LayerField:
@@ -249,37 +232,29 @@ class BemBackend:
 def solve_dirichlet(grid, z, f) -> LayerField:
     """Field u with (-Laplace - z)u = 0 and gamma_D u = f; u = S_z V_z^{-1} f."""
     backend = grid if isinstance(grid, BemBackend) else BemBackend(grid)
-    zp = as_spectral(z)
-    if zp.dirichlet_distance is not None and zp.dirichlet_distance == 0.0:
-        raise NearSingular("z certified to lie on the Dirichlet spectrum")
-    return backend.harmonic_extension(zp.z, np.asarray(f, dtype=complex))
+    z = as_complex(z)
+    return backend.harmonic_extension(z, np.asarray(f, dtype=complex))
 
 
 def solve_neumann(grid, z, g) -> LayerField:
     """Field u with (-Laplace - z)u = 0 and gamma_N u = g."""
     backend = grid if isinstance(grid, BemBackend) else BemBackend(grid)
-    zp = as_spectral(z)
-    if zp.neumann_distance is not None and zp.neumann_distance == 0.0:
-        raise NearSingular("z certified to lie on the Neumann spectrum")
-    T = backend.neumann_trace(zp.z)
-    check_condition(inverse_and_condition(T)[1], f"interior Neumann trace at z = {zp.z}",
+    z = as_complex(z)
+    T = backend.neumann_trace(z)
+    check_condition(inverse_and_condition(T)[1], f"interior Neumann trace at z = {z}",
                     "z is (numerically) a Neumann eigenvalue")
-    return LayerField(backend, zp.z, np.linalg.solve(T, np.asarray(g, dtype=complex)))
+    return LayerField(backend, z, np.linalg.solve(T, np.asarray(g, dtype=complex)))
 
 
 def dtn(grid, z) -> BoundaryOperator:
     """Dirichlet-to-Neumann matrix on the grid (convention f -> -gamma_N u)."""
     backend = grid if isinstance(grid, BemBackend) else BemBackend(grid)
-    zp = as_spectral(z)
-    if zp.dirichlet_distance is not None and zp.dirichlet_distance == 0.0:
-        raise NearSingular("z certified to lie on the Dirichlet spectrum")
-    return BoundaryOperator(backend.dtn(zp.z), "DtN", zp.z, backend.token)
+    z = as_complex(z)
+    return BoundaryOperator(backend.dtn(z), "DtN", z, backend.token)
 
 
 def ntd(grid, z) -> BoundaryOperator:
     """Neumann-to-Dirichlet matrix, the negative inverse of dtn."""
     backend = grid if isinstance(grid, BemBackend) else BemBackend(grid)
-    zp = as_spectral(z)
-    if zp.neumann_distance is not None and zp.neumann_distance == 0.0:
-        raise NearSingular("z certified to lie on the Neumann spectrum")
-    return BoundaryOperator(backend.ntd(zp.z), "NtD", zp.z, backend.token)
+    z = as_complex(z)
+    return BoundaryOperator(backend.ntd(z), "NtD", z, backend.token)

@@ -1,11 +1,15 @@
-"""Every method the per-layer benchmark tracer wraps must exist.
+"""Every kreinlab name the benchmark harness uses must exist.
 
 ``perfbench/layers.py`` names kreinlab functions and methods by string in
-``OPS``; a rename would otherwise surface only as a broken ``--trace 1`` run.
+``OPS``, and the harness modules import kreinlab names, some inside code
+strings run in child interpreters; a rename would otherwise surface only as
+a broken benchmark run.
 """
 
+import glob
 import importlib
 import os
+import re
 import sys
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -29,3 +33,20 @@ def test_every_traced_op_resolves(monkeypatch):
     finally:
         sys.modules.pop("layers", None)
         sys.modules.pop("spans", None)
+
+
+def test_every_harness_import_resolves():
+    missing = []
+    for path in sorted(glob.glob(os.path.join(PERFBENCH, "**", "*.py"), recursive=True)):
+        with open(path) as fh:
+            text = fh.read()
+        for module_name, names in re.findall(r"from (kreinlab(?:\.\w+)*) import (\w+(?:, \w+)*)",
+                                             text):
+            module = importlib.import_module(module_name)
+            for name in names.split(", "):
+                if not hasattr(module, name):
+                    try:
+                        importlib.import_module(f"{module_name}.{name}")
+                    except ImportError:
+                        missing.append(f"{os.path.basename(path)}: {module_name}.{name}")
+    assert not missing

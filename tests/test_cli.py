@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -142,6 +143,11 @@ def test_spectrum_empty_window(runner, tmp_path):
     (["dtn", "--domain", "disk:1:-3"], "bad_domain"),
     (["dtn", "--domain", "diskfoo"], "config_not_found"),
     (["solve", "--domain", "interval", "--data", "mode:x"], "bad_boundary_data"),
+    (["dtn", "--domain", "interval", "--z", "nan,0"], "bad_spectral_parameter"),
+    (["dtn", "--domain", "interval", "--z", "1,inf"], "bad_spectral_parameter"),
+    (["solve", "--domain", "interval", "--z", "1,2,3"], "bad_spectral_parameter"),
+    (["mfunc-scan", "--spec", "@spec", "--path", "nan+0.1i:0.1:3+0.1i"], "bad_path"),
+    (["mfunc-scan", "--spec", "@spec", "--path", "0.1+0.1i:inf:3+0.1i"], "bad_path"),
 ])
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
     (tmp_path / "spec.json").write_text(
@@ -248,3 +254,24 @@ def test_suite_tasks_keep_their_random_streams():
     alone = _krein_model(DiskModel(radius=1.0, mode_cutoff=8), np.random.default_rng([3, 1]), 1.0)
     want = [it for it in alone if it["identity"] == "herglotz-random-L"]
     assert items["herglotz-random-L"]["residual"] == want[0]["residual"]
+
+
+def test_verify_runs_every_suite_task_in_the_calling_thread(runner, tmp_path, monkeypatch):
+    from kreinlab import verifysuite
+
+    threads = []
+
+    def task(*args):
+        threads.append(threading.get_ident())
+        return []
+
+    for name in ("_weyl_kite", "_traces_kite", "_sign_items", "_krein_kite"):
+        monkeypatch.setattr(verifysuite, name, task)
+    assert verifysuite.build_suite("all", "kite") == []
+    assert threads == [threading.get_ident()] * 4
+    out = tmp_path / "report.json"
+    res = _run(runner, ["verify", "--suite", "all", "--backend", "kite", "--out", str(out)])
+    assert res.exit_code == 0
+    assert threads == [threading.get_ident()] * 8
+    assert set(json.loads(out.read_text())) == {
+        "suite", "backend", "seed", "nodes", "tolerance_scale", "results", "sign_ledger", "pass"}

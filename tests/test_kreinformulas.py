@@ -12,7 +12,6 @@ from kreinlab.kreinformulas import (
     friedrichs_krein_domains,
     herglotz_defect,
     interval_sign_witnesses,
-    krein_shooting_determinant,
     mfunc,
     mfunc_direct,
     mfunc_symmetry_defect,
@@ -319,18 +318,8 @@ def test_friedrichs_krein_domain_report(model):
     assert rep["krein_kernel_x"] < 1e-10
 
 
-def test_shooting_determinant_roots():
+def test_shooting_determinant_roots(krein_shooting_root):
     # the shooting roots are cos(sqrt(lam)) = 1 and tan(s/2) = s/2 solutions
     targets = (4 * np.pi**2, 80.76291422570652, 16 * np.pi**2)
     for lam in targets:
-        lo, hi = lam - 0.5, lam + 0.5
-        flo = krein_shooting_determinant(lo)
-        assert flo * krein_shooting_determinant(hi) < 0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = krein_shooting_determinant(mid)
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        assert abs(0.5 * (lo + hi) - lam) < 1e-8
+        assert abs(krein_shooting_root(lam - 0.5, lam + 0.5) - lam) < 1e-8

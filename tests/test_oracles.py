@@ -1,4 +1,4 @@
-"""Closed-form backend checks: interval model, disk model, wedge fixture."""
+"""Closed-form backend checks: interval model and disk model."""
 
 import warnings
 
@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from kreinlab.errors import DomainError, NearEigenvalue
-from kreinlab.oracles import (
-    DiskModel,
-    Model1D,
-    WedgeMode,
-    disk_mode_dtn,
-    interval_dtn,
-    wedge_singular_function,
-)
+from kreinlab.oracles import DiskModel, Model1D, disk_mode_dtn, interval_dtn
 
 # frozen oracle constants (40-digit series/quadrature computation)
 J0_1 = 0.7651976865579666
@@ -86,7 +79,6 @@ def test_disk_mode_smoothing_decay():
 def test_disk_backend_self_checks():
     d = DiskModel(radius=1.3, mode_cutoff=6)
     assert d.nboundary == 13
-    assert d.truncation_tail() == pytest.approx(7 / 1.3)
     M = d.dtn(0.0)
     assert np.max(np.abs(np.diag(M) - [-abs(k) / 1.3 for k in d.modes])) < 1e-14
 
@@ -148,58 +140,6 @@ def test_disk_resolvent_neumann_traces():
     assert np.max(np.abs(u.gamma_neumann())) < 1e-12
     ud = d.resolvent_dirichlet(-2.0, {1: (lambda r: r)})
     assert np.max(np.abs(ud.gamma_dirichlet())) < 1e-12
-
-
-def test_wedge_mode_basic_values():
-    mode = WedgeMode(1.5 * np.pi)
-    assert mode.exponent == pytest.approx(2.0 / 3.0)
-    assert wedge_singular_function(mode, 0.1, 0.0) == 0.0
-    assert abs(wedge_singular_function(mode, 0.1, mode.opening)) < 1e-15
-    want = 0.1 ** (2.0 / 3.0)  # sin((2/3)(3 pi/4)) = sin(pi/2) = 1
-    assert wedge_singular_function(mode, 0.1, 0.75 * np.pi) == pytest.approx(want, abs=1e-12)
-    assert want == pytest.approx(0.21544346900318834, abs=1e-10)
-
-
-def test_wedge_invalid_opening():
-    with pytest.raises(DomainError):
-        WedgeMode(0.5 * np.pi)
-    with pytest.raises(DomainError):
-        WedgeMode(2.5 * np.pi)
-
-
-def test_wedge_harmonicity_inside_cutoff():
-    mode = WedgeMode(1.5 * np.pi)
-    a = mode.exponent
-    for r0 in (0.02, 0.05, 0.2):
-        th0 = 0.6 * mode.opening
-        x0 = np.array([r0 * np.cos(th0), r0 * np.sin(th0)])
-        h = r0 / 100.0
-
-        def val(p):
-            r = np.hypot(p[0], p[1])
-            th = np.arctan2(p[1], p[0]) % (2 * np.pi)
-            return wedge_singular_function(mode, r, th)
-
-        lap = (
-            val(x0 + [h, 0]) + val(x0 - [h, 0]) + val(x0 + [0, h]) + val(x0 - [0, h]) - 4 * val(x0)
-        ) / h**2
-        assert abs(lap) < 1e-4 * r0 ** (a - 2.0)
-
-
-def test_wedge_gradient_blowup_rate():
-    mode = WedgeMode(1.5 * np.pi)
-    a = mode.exponent
-    th0 = 0.5 * mode.opening
-    slopes = []
-    for m in (2, 3, 4):
-        r0 = 10.0**-m
-        h = r0 * 1e-3
-        g1 = (
-            wedge_singular_function(mode, r0 + h, th0) - wedge_singular_function(mode, r0 - h, th0)
-        ) / (2 * h)
-        slopes.append(abs(g1))
-    fitted = np.polyfit(np.log([1e-2, 1e-3, 1e-4]), np.log(slopes), 1)[0]
-    assert abs(fitted - (a - 1.0)) < 1e-3
 
 
 def test_backend_build_time_self_test():

@@ -11,8 +11,6 @@ from kreinlab.specfun import (
     bessel_j_prime,
     bessel_y,
     bessel_y_prime,
-    fundamental_solution,
-    fundamental_solution_gradient,
     hankel1,
     sqrt_upper,
 )
@@ -117,34 +115,45 @@ def test_sqrt_branch():
     assert sqrt_upper(-4.0) == 2j
     w = sqrt_upper(2 - 1j)
     assert w.imag >= 0
+    # the cut lies on the positive real axis: +2 just above it, -2 just below
+    assert sqrt_upper(4 + 1e-9j) == pytest.approx(2 + 2.5e-10j, abs=1e-15)
+    assert sqrt_upper(4 - 1e-9j) == pytest.approx(-2 + 2.5e-10j, abs=1e-15)
+    assert sqrt_upper(0.25 + 1e-3j).real > 0 > sqrt_upper(0.25 - 1e-3j).real
+
+
+def fundamental_solution(z, x) -> complex:
+    """Free-space kernel of (-Laplace - z) in the plane, as layerpot assembles it:
+    (i/4) H^(1)_0(sqrt(z) |x|), and -(1/2 pi) ln |x| at z = 0."""
+    r = float(np.hypot(*x))
+    if z == 0:
+        return complex(-np.log(r) / (2.0 * np.pi))
+    return 0.25j * hankel1(0, sqrt_upper(z) * r)
+
+
+def fundamental_solution_gradient(z, x):
+    """Gradient in x of :func:`fundamental_solution` at z != 0."""
+    x = np.asarray(x, dtype=float)
+    r = float(np.hypot(*x))
+    k = sqrt_upper(z)
+    return -0.25j * k * hankel1(1, k * r) * x / r
 
 
 def test_fundamental_solution_static_values():
-    assert fundamental_solution(2, 0.0, [1.0, 0.0]) == 0.0
-    assert abs(fundamental_solution(3, 0.0, [0.0, 1.0, 0.0]) - 1.0 / (4 * np.pi)) < 1e-16
-    with pytest.raises(DomainError):
-        fundamental_solution(2, 0.0, [0.0, 0.0])
-
-
-def test_fundamental_solution_three_dimensional_form():
-    # (i/4)(2 pi r / k)^(-1/2) H_{1/2}(k r) collapses to exp(ikr)/(4 pi r)
-    z, r = 2.0 + 0.5j, 1.3
-    k = sqrt_upper(z)
-    val = fundamental_solution(3, z, [r, 0.0, 0.0])
-    assert abs(val - np.exp(1j * k * r) / (4 * np.pi * r)) < 1e-15
+    assert fundamental_solution(0.0, [1.0, 0.0]) == 0.0
+    assert fundamental_solution(0.0, [0.0, np.e]) == pytest.approx(-1.0 / (2 * np.pi), abs=1e-16)
 
 
 def test_log_singularity_cancellation():
     # E(z) - E(0) stays bounded as |x| -> 0 in 2-d
     for r in (1e-3, 1e-6, 1e-9):
-        diff = fundamental_solution(2, -1.0, [r, 0.0]) - fundamental_solution(2, 0.0, [r, 0.0])
+        diff = fundamental_solution(-1.0, [r, 0.0]) - fundamental_solution(0.0, [r, 0.0])
         assert abs(diff) < 1.0
 
 
 def test_conjugation_in_upper_half_plane():
     for z in (1 + 2j, -3 + 0.4j, 0.1 + 0.1j):
-        a = fundamental_solution(2, np.conj(z), [0.7, 0.2])
-        b = np.conj(fundamental_solution(2, z, [0.7, 0.2]))
+        a = fundamental_solution(np.conj(z), [0.7, 0.2])
+        b = np.conj(fundamental_solution(z, [0.7, 0.2]))
         assert abs(a - b) < 1e-14
 
 
@@ -186,7 +195,7 @@ def test_kernel_reproduces_bump():
 
     rng = np.random.default_rng(0)
     for r in rng.uniform(1e-4, 1.0, 8):
-        assert abs(kernel_profile(r) - fundamental_solution(2, z, [r, 0.0])) < 1e-15
+        assert abs(kernel_profile(r) - fundamental_solution(z, [r, 0.0])) < 1e-15
 
     ntheta = 128
     thetas = 2 * np.pi * np.arange(ntheta) / ntheta
@@ -218,10 +227,10 @@ def test_kernel_reproduces_bump():
 def test_gradient_matches_finite_difference():
     z = 2 + 1j
     x = np.array([0.4, -0.7])
-    g = fundamental_solution_gradient(2, z, x)
+    g = fundamental_solution_gradient(z, x)
     h = 1e-6
     for c in range(2):
         e = np.zeros(2)
         e[c] = h
-        fd = (fundamental_solution(2, z, x + e) - fundamental_solution(2, z, x - e)) / (2 * h)
+        fd = (fundamental_solution(z, x + e) - fundamental_solution(z, x - e)) / (2 * h)
         assert abs(g[c] - fd) < 1e-8

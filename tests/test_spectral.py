@@ -11,13 +11,10 @@ from kreinlab import spectral
 from kreinlab.cli import main
 from kreinlab.errors import CountFailed, NearEigenvalue
 from kreinlab.extensions import ExtensionSpec, make_extension
-from kreinlab.kreinformulas import krein_shooting_determinant
 from kreinlab.oracles import DiskModel, Model1D, interval_dtn
 from kreinlab.spectral import (
     SpectrumRequest,
     _scan_function,
-    dirichlet_disk_ground_state,
-    eigenvalue_near,
     eigenvalues,
     ordering_check,
 )
@@ -84,7 +81,7 @@ def test_disk_dirichlet_ground_state():
     model = DiskModel(radius=1.0, mode_cutoff=2)
     spec = ExtensionSpec("dirichlet", -1.0, "dirichlet", "zero")
     roots = eigenvalues(SpectrumRequest(spec, (5.0, 6.0)), model)
-    j2 = dirichlet_disk_ground_state()
+    j2 = special.jn_zeros(0, 1)[0] ** 2
     assert j2 == pytest.approx(5.783185962946785, abs=1e-10)
     assert len(roots) >= 1
     assert min(abs(r - j2) for r in roots) < 1e-6 * j2
@@ -93,32 +90,25 @@ def test_disk_dirichlet_ground_state():
 def test_eigenvalue_continuity_in_L(interval):
     # perturbing L by +/- eps I moves eigenvalues monotonically upward in eps
     base = -interval.dtn(-1.0)
-    lam0 = eigenvalue_near(ExtensionSpec("dirichlet", -1.0, base), interval, 39.4784, 1.0)
-    lam_minus = eigenvalue_near(
-        ExtensionSpec("dirichlet", -1.0, base - 1e-3 * np.eye(2)), interval, lam0, 0.5
-    )
-    lam_plus = eigenvalue_near(
-        ExtensionSpec("dirichlet", -1.0, base + 1e-3 * np.eye(2)), interval, lam0, 0.5
-    )
+
+    def only_eigenvalue(L, window):
+        roots = eigenvalues(SpectrumRequest(ExtensionSpec("dirichlet", -1.0, L), window), interval)
+        assert len(roots) == 1
+        return roots[0]
+
+    lam0 = only_eigenvalue(base, (38.4784, 40.4784))
+    lam_minus = only_eigenvalue(base - 1e-3 * np.eye(2), (lam0 - 0.5, lam0 + 0.5))
+    lam_plus = only_eigenvalue(base + 1e-3 * np.eye(2), (lam0 - 0.5, lam0 + 0.5))
     assert lam_minus < lam0 < lam_plus
     assert abs(lam_plus - lam0) < 0.05 and abs(lam_minus - lam0) < 0.05
 
 
-def test_cross_method_krein_shooting(interval):
+def test_cross_method_krein_shooting(interval, krein_shooting_root):
     # counted eigenvalues match the domain-description shooting roots
     spec = ExtensionSpec("dirichlet", 0.0, "krein", "full")
     roots = eigenvalues(SpectrumRequest(spec, (30.0, 170.0)), interval)
     for r in roots:
-        lo, hi = r - 0.5, r + 0.5
-        flo = krein_shooting_determinant(lo)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = krein_shooting_determinant(mid)
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        assert abs(r - 0.5 * (lo + hi)) < 1e-8
+        assert abs(r - krein_shooting_root(r - 0.5, r + 0.5)) < 1e-8
 
 
 def test_ordering_check_extremal_cases(interval):

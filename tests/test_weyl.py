@@ -10,7 +10,6 @@ from kreinlab.oracles import disk_mode_dtn
 from kreinlab.traces import gamma_D
 from kreinlab.weyl import (
     BemBackend,
-    SpectralParameter,
     check_condition,
     dtn,
     inverse_and_condition,
@@ -115,11 +114,6 @@ def test_single_layer_condition_is_exact_one_norm(kite_backend):
     n = kite_backend.grid.n
     cond2 = np.linalg.cond(V)
     assert cond2 / n <= got <= n * cond2
-
-
-def test_certified_spectral_parameter_rejected(circle_backend):
-    with pytest.raises(NearSingular):
-        dtn(circle_backend, SpectralParameter(5.783, dirichlet_distance=0.0))
 
 
 def test_dtn_static_modes(disk13_backend):
