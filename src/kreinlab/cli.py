@@ -39,7 +39,13 @@ def write_complex_matrix_csv(path: str, matrix: np.ndarray, header: str):
             fh.write(row_format % tuple(row.tolist()))
 
 
+def _complex_cell(cell: str) -> complex:
+    re_s, im_s = cell.split(",")
+    return complex(float(re_s), float(im_s))
+
+
 def read_complex_csv(path: str) -> np.ndarray:
+    """Matrix of a complex CSV file; a malformed cell or a ragged row is a ``ValueError``."""
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -49,7 +55,7 @@ def read_complex_csv(path: str) -> np.ndarray:
             cells = [c.strip().strip('"') for c in line.split('","')]
             cells[0] = cells[0].lstrip('"')
             cells[-1] = cells[-1].rstrip('"')
-            rows.append([complex(float(c.split(",")[0]), float(c.split(",")[1])) for c in cells])
+            rows.append([_complex_cell(c) for c in cells])
     return np.array(rows, dtype=complex)
 
 
@@ -158,9 +164,15 @@ def _boundary_data(data: str, n: int, t: np.ndarray | None):
             vec[k] = 1.0
             return vec
         return np.exp(1j * k * t)
-    if os.path.exists(data):
-        return read_complex_csv(data).ravel()
-    _fail({"error": "config_not_found", "path": data}, 2)
+    if not os.path.exists(data):
+        _fail({"error": "config_not_found", "path": data}, 2)
+    try:
+        vec = read_complex_csv(data).ravel()
+        if len(vec) != n:
+            raise ValueError(f"{len(vec)} values for a boundary of {n}")
+    except ValueError as exc:
+        _fail({"error": "bad_boundary_data", "detail": f"{data}: {exc}"}, 2)
+    return vec
 
 
 @main.command("solve")

@@ -24,9 +24,9 @@ Resolvents are computed by the shifted-reference formula
 with the correction coefficient solved from the boundary condition through
 the bracket ``L - dtn(z + z0) + dtn(z0)`` (:meth:`Extension.bracket`); the
 formula is cross-validated against independent direct solves in
-:mod:`kreinlab.kreinformulas`.  Brackets are gated by their exact 1-norm
-condition number (:func:`kreinlab.weyl.inverse_and_condition`) against
-``kreinlab.weyl.COND_LIMIT``.
+:mod:`kreinlab.kreinformulas`.  Each boundary system is inverted once, by
+:func:`kreinlab.weyl.gated_inverse`, which raises ``NearEigenvalue`` when its
+exact 1-norm condition exceeds ``COND_LIMIT``; the answer uses that inverse.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import BackendUnsupported, NearEigenvalue, SpecInvalid
 from .specfun import as_complex
 from .traces import gamma_D, gamma_N, hermitian_part, tau_D, tau_N
-from .weyl import COND_LIMIT, inverse_and_condition
+from .weyl import gated_inverse
 
 HERMITIAN_TOL = 1e-12
 
@@ -241,20 +241,15 @@ def apply_resolvent(ext: Extension, z, f):
         raise BackendUnsupported("interior resolvents need a model backend")
     z = as_complex(z)
     w = z + ext.z0
-    if ext.reference == "dirichlet":
-        part = backend.resolvent_dirichlet(w, f)
-    else:
-        part = backend.resolvent_neumann(w, f)
+    part = getattr(backend, f"resolvent_{ext.reference}")(w, f)
 
     if ext.projector is not None and not np.any(ext.projector):
         return part
 
     tau, gam = ext.boundary_trace_parts(part)
-    rhs = tau + ext.L @ gam
-    bracket = ext.bracket(w)
-    if not inverse_and_condition(bracket)[1] <= COND_LIMIT:
-        raise NearEigenvalue(f"z = {z} is numerically an eigenvalue of the extension")
-    coef = -np.linalg.solve(bracket, rhs)
+    bracket_inv = gated_inverse(ext.bracket(w), NearEigenvalue, f"bracket at z = {z} (z is "
+                                "numerically an eigenvalue of the extension)")
+    coef = -bracket_inv @ (tau + ext.L @ gam)
     if ext.projector is not None:
         coef = ext.projector @ coef
     if ext.reference == "dirichlet":
@@ -272,29 +267,30 @@ def direct_solve(ext: Extension, z, f):
     backend = ext.backend
     z = as_complex(z)
     w = z + ext.z0
-    if ext.reference == "dirichlet":
-        part = backend.resolvent_dirichlet(w, f)
-    else:
-        part = backend.resolvent_neumann(w, f)
+    part = getattr(backend, f"resolvent_{ext.reference}")(w, f)
     if ext.projector is not None and not np.any(ext.projector):
         return part
     if ext.projector is not None:
         raise BackendUnsupported("direct solve implemented for full/zero subspace only")
-    basis = backend.homogeneous_basis(w)
-    m = backend.nboundary
-    A = np.zeros((m, m), dtype=complex)
-    for j, phi in enumerate(basis):
-        tau_j, gam_j = ext.boundary_trace_parts(phi)
-        A[:, j] = tau_j + ext.L @ gam_j
+    basis, A_inv, _ = homogeneous_system(ext, z)
     tau0, gam0 = ext.boundary_trace_parts(part)
-    rhs = -(tau0 + ext.L @ gam0)
-    if not inverse_and_condition(A)[1] <= COND_LIMIT:
-        raise NearEigenvalue(f"z = {z} is numerically an eigenvalue of the extension")
-    coef = np.linalg.solve(A, rhs)
+    coef = A_inv @ -(tau0 + ext.L @ gam0)
     out = part
     for c, phi in zip(coef, basis):
         out = out + c * phi
     return out
+
+
+def homogeneous_system(ext: Extension, z):
+    """``(basis, A^{-1}, G)`` for the homogeneous basis ``u_j`` at ``z + z0``, with
+    ``A[:, j] = tau_j + L gamma_j`` inverted behind the gate and ``G[:, j] = gamma_j``."""
+    basis = ext.backend.homogeneous_basis(z + ext.z0)
+    traces = [ext.boundary_trace_parts(phi) for phi in basis]
+    A = np.array([tau + ext.L @ gam for tau, gam in traces], dtype=complex).T
+    G = np.array([gam for _, gam in traces], dtype=complex).T
+    A_inv = gated_inverse(A, NearEigenvalue, f"homogeneous-basis system at z = {z} (z is "
+                          "numerically an eigenvalue of the extension)")
+    return basis, A_inv, G
 
 
 def is_nonnegative(ext: Extension, rng=None, trials: int = 50):
@@ -349,11 +345,13 @@ def _ritz_floor(ext: Extension, rng, trials: int) -> float:
     n = len(members)
     form = np.zeros((n, n), dtype=complex)
     mass = np.zeros((n, n), dtype=complex)
-    applied = [u.helmholtz_apply(ext.z0) for u in members]
+    # each member and each image sampled once; the pairs sum as backend.inner does
+    sampled = [backend.sample(u) for u in members]
+    applied = [backend.sample(u.helmholtz_apply(ext.z0)) for u in members]
     for i in range(n):
         for j in range(n):
-            form[i, j] = backend.inner(members[i], applied[j])
-            mass[i, j] = backend.inner(members[i], members[j])
+            form[i, j] = backend.sample_inner(sampled[i], applied[j])
+            mass[i, j] = backend.sample_inner(sampled[i], sampled[j])
     form = 0.5 * (form + form.conj().T)
     mass = 0.5 * (mass + mass.conj().T)
     # drop near-null mass directions before the generalized eigenproblem

@@ -36,12 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketSingular, DomainError, NearEigenvalue
-from .extensions import Extension, ExtensionSpec, apply_resolvent, make_extension
+from .extensions import (Extension, ExtensionSpec, apply_resolvent, homogeneous_system,
+                         make_extension)
 from .layerpot import BoundaryOperator, assemble_adjoint_double_layer
 from .oracles import Model1D
 from .specfun import as_complex
 from .traces import gamma_D, gamma_N, hermitian_part, tau_N, weighted_adjoint
-from .weyl import COND_LIMIT, inverse_and_condition
+from .weyl import gated_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +105,8 @@ def mfunc(ext, z, backend=None) -> BoundaryOperator:
     ext = _as_extension(ext, backend)
     if ext.projector is not None:
         raise DomainError("the Weyl-function inverse formula needs the full subspace")
-    mat, cond = inverse_and_condition(ext.bracket(as_complex(z) + ext.z0))
-    if not cond <= COND_LIMIT:
-        raise NearEigenvalue(f"Weyl function has a pole near z = {z}")
+    mat = gated_inverse(ext.bracket(as_complex(z) + ext.z0), NearEigenvalue,
+                        f"bracket at z = {z} (the Weyl function has a pole nearby)")
     token = getattr(ext.backend, "token", ext.backend.name if hasattr(ext.backend, "name") else "")
     return BoundaryOperator(mat, "MD", as_complex(z), token)
 
@@ -117,21 +117,8 @@ def mfunc_direct(ext: Extension, z) -> np.ndarray:
     Column j is gamma_D of the (z+z0)-homogeneous solution u with
     tau_N(z0) u + L gamma_D u = e_j, solved in the explicit homogeneous basis.
     """
-    backend = ext.backend
-    z = as_complex(z)
-    w = z + ext.z0
-    basis = backend.homogeneous_basis(w)
-    m = backend.nboundary
-    A = np.zeros((m, m), dtype=complex)
-    G = np.zeros((m, m), dtype=complex)
-    for j, phi in enumerate(basis):
-        tau_j, gam_j = ext.boundary_trace_parts(phi)
-        A[:, j] = tau_j + ext.L @ gam_j
-        G[:, j] = gam_j
-    inv, cond = inverse_and_condition(A)
-    if not cond <= COND_LIMIT:
-        raise NearEigenvalue(f"Weyl function has a pole near z = {z}")
-    return G @ inv
+    _, A_inv, G = homogeneous_system(ext, as_complex(z))
+    return G @ A_inv
 
 
 def imaginary_part_eigenvalues(ext: Extension, z) -> np.ndarray:
@@ -514,9 +501,7 @@ def abstract_krein_check(model: Abstract1D, z, probes=None) -> float:
         raise DomainError("spectral point must avoid the nonnegative half-line")
     MF0 = donoghue_m(model, "friedrichs", 0.0)
     MFz = donoghue_m(model, "friedrichs", z)
-    bracket = MF0 - MFz
-    if not inverse_and_condition(bracket)[1] <= COND_LIMIT:
-        raise BracketSingular(f"Donoghue bracket singular at z = {z}")
+    bracket_inv = gated_inverse(MF0 - MFz, BracketSingular, f"Donoghue bracket at z = {z}")
     if probes is None:
         probes = [
             lambda x: np.sin(np.pi * x),
@@ -536,7 +521,7 @@ def abstract_krein_check(model: Abstract1D, z, probes=None) -> float:
         # g1 = (S_F + i)(S_F - z)^{-1} f = f + (z + i) R_F(z) f
         g1_vals = f(nodes) + (z + 1j) * uf.value(nodes)
         g1 = backend.field(backend.basis.interpolant(g1_vals), None, None)
-        c = np.linalg.solve(bracket, model.project_plus(g1))
+        c = bracket_inv @ model.project_plus(g1)
         h = model.onb_combination(c)
         uh = RF(h)
         rhs = h.value(nodes) + (z - 1j) * uh.value(nodes)

@@ -49,6 +49,15 @@ def _gauss(a: float, b: float):
 # closed-form boundary operators
 # ---------------------------------------------------------------------------
 
+def _ntd(dtn: np.ndarray, z) -> np.ndarray:
+    """``-dtn^{-1}``, not gated by a condition number: spectral counts sample the
+    ill-conditioned maps a relative ``STEP_OFF`` from Neumann eigenvalues."""
+    try:
+        return -np.linalg.inv(dtn)
+    except np.linalg.LinAlgError:
+        raise NearEigenvalue(f"z = {z} is a Neumann eigenvalue: the DtN map is singular") from None
+
+
 def interval_dtn(z) -> np.ndarray:
     """Dirichlet-to-Neumann matrix of (-d^2/dx^2 - z) on (0, 1).
 
@@ -298,7 +307,7 @@ class Model1D:
         return interval_dtn(z)
 
     def ntd(self, z) -> np.ndarray:
-        return -np.linalg.inv(interval_dtn(z))
+        return _ntd(interval_dtn(z), z)
 
     def reference_eigenvalues(self, reference: str, top: float) -> np.ndarray:
         """Eigenvalues below ``top`` of the Dirichlet or Neumann reference
@@ -417,15 +426,18 @@ class Model1D:
 
     # -- inner products ------------------------------------------------------
     def inner(self, u, v) -> complex:
-        uu = u.value(self.quad_nodes) if hasattr(u, "value") else u(self.quad_nodes)
-        vv = v.value(self.quad_nodes) if hasattr(v, "value") else v(self.quad_nodes)
-        return complex(np.sum(self.quad_weights * np.conj(uu) * vv))
+        return self.sample_inner(self.sample(u), self.sample(v))
+
+    def sample(self, u) -> np.ndarray:
+        """Values of a field (or a callable) at the quadrature nodes."""
+        return u.value(self.quad_nodes) if hasattr(u, "value") else u(self.quad_nodes)
+
+    def sample_inner(self, su, sv) -> complex:
+        """:meth:`inner` of two fields from their :meth:`sample`."""
+        return complex(np.sum(self.quad_weights * np.conj(su) * sv))
 
     def boundary_inner(self, f, g) -> complex:
         return complex(np.sum(self.boundary_weights * np.conj(f) * g))
-
-    def norm(self, u) -> float:
-        return float(np.sqrt(abs(self.inner(u, u))))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +554,7 @@ class DiskModel:
         return np.diag(disk_mode_dtn(self.modes, z, self.radius))
 
     def ntd(self, z) -> np.ndarray:
-        return -np.linalg.inv(self.dtn(z))
+        return _ntd(self.dtn(z), z)
 
     def reference_eigenvalues(self, reference: str, top: float) -> np.ndarray:
         """Eigenvalues below ``top`` of the Dirichlet or Neumann reference
@@ -715,23 +727,19 @@ class DiskModel:
 
     # -- inner products ---------------------------------------------------------
     def inner(self, u, v) -> complex:
-        if not isinstance(u, DiskField) or not isinstance(v, DiskField):
+        return self.sample_inner(self.sample(u), self.sample(v))
+
+    def sample(self, u) -> dict:
+        """Radial profiles of a field at the quadrature nodes, by mode."""
+        if not isinstance(u, DiskField):
             raise DomainError("disk inner product needs DiskField arguments")
-        total = 0.0 + 0j
-        for k, pu in u.profiles.items():
-            pv = v.profiles.get(k)
-            if pv is None:
-                continue
-            total += 2.0 * np.pi * np.sum(
-                self.quad_weights
-                * np.conj(pu.val(self.quad_nodes))
-                * pv.val(self.quad_nodes)
-                * self.quad_nodes
-            )
-        return complex(total)
+        return {k: p.val(self.quad_nodes) for k, p in u.profiles.items()}
+
+    def sample_inner(self, su, sv) -> complex:
+        """:meth:`inner` of two fields from their :meth:`sample`."""
+        w, r = self.quad_weights, self.quad_nodes
+        return complex(sum(2.0 * np.pi * np.sum(w * np.conj(pu) * sv[k] * r)
+                           for k, pu in su.items() if k in sv))
 
     def boundary_inner(self, f, g) -> complex:
         return complex(np.sum(self.boundary_weights * np.conj(f) * g))
-
-    def norm(self, u) -> float:
-        return float(np.sqrt(abs(self.inner(u, u))))

@@ -24,9 +24,9 @@ multiplicity; no eigenvalue in the window can be skipped.
 The boundary maps are singular at the reference eigenvalues, so samples stay
 a relative ``STEP_OFF`` away from them, and an eigenvalue inside that gap is
 reported as the reference eigenvalue itself.  A count that decreases between
-two samples, or a boundary map that fails with ``NearEigenvalue`` or
-``LinAlgError`` at a sample, raises :class:`CountFailed`; any other error
-propagates.
+two samples, or a boundary map that fails with ``NearEigenvalue`` at a
+sample (an exactly singular map included), raises :class:`CountFailed`; any
+other error propagates.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _sample_points(a: float, b: float, ref: list) -> list:
 def _sample(count, lam: float, left, right) -> int:
     try:
         return count(lam)
-    except (NearEigenvalue, np.linalg.LinAlgError) as exc:
+    except NearEigenvalue as exc:
         raise CountFailed(f"boundary map failed off the reference eigenvalues ({exc})",
                           lam, (left, right)) from exc
 

@@ -10,9 +10,10 @@ from single-layer calculus as
 Near the Dirichlet spectrum (or on curves of logarithmic capacity one at
 z = 0) the single-layer trace degenerates; operations then fail loudly with
 a conditioning diagnostic instead of continuing silently.  The diagnostic is
-the exact 1-norm condition number ``||A||_1 ||A^{-1}||_1``, taken from the
-inverse that ``dtn`` and ``ntd`` form anyway; an exactly singular matrix has
-condition ``inf``.  Only the condition of ``V_z`` is cached per ``z``, never
+the exact 1-norm condition number ``||A||_1 ||A^{-1}||_1``; an exactly
+singular matrix has condition ``inf``.  Every gated system is factored once,
+by :func:`gated_inverse`, and the answer is formed with the inverse that
+passed the gate.  Only the condition of ``V_z`` is cached per ``z``, never
 its inverse, and a backend keeps the matrices of its ``CACHED_PARAMETERS``
 most recently stored ``z`` only.
 """
@@ -47,10 +48,13 @@ def inverse_and_condition(A: np.ndarray):
     return inv, float(np.linalg.norm(A, 1) * np.linalg.norm(inv, 1))
 
 
-def check_condition(cond: float, what: str, hint: str):
-    """Raise :class:`NearSingular` unless ``cond`` is at most ``COND_LIMIT``."""
+def gated_inverse(A: np.ndarray, error: type, what: str) -> np.ndarray:
+    """``A^{-1}`` if the 1-norm condition of ``A`` is at most ``COND_LIMIT``; else raise
+    ``error``, a :class:`KreinlabError` subclass, naming ``what`` and the condition."""
+    inv, cond = inverse_and_condition(A)
     if not cond <= COND_LIMIT:
-        raise NearSingular(f"{what} has condition {cond:.3e}; {hint}")
+        raise error(f"{what} has condition {cond:.3e}")
+    return inv
 
 
 class LayerField:
@@ -180,9 +184,11 @@ class BemBackend:
             self._store(key, neumann_trace_of_single_layer(self.grid, z).matrix)
         return self._cache[key]
 
-    def _single_layer_inverse(self, z: complex):
-        inv, cond = inverse_and_condition(self.single_layer(z))
-        self._store(("cond V", z), cond)
+    def _single_layer_inverse(self, z: complex) -> np.ndarray:
+        V = self.single_layer(z)
+        inv = gated_inverse(V, NearSingular, f"single-layer trace at z = {z} (near the "
+                            "Dirichlet spectrum or a capacity degeneracy)")
+        self._store(("cond V", z), float(np.linalg.norm(V, 1) * np.linalg.norm(inv, 1)))
         return inv
 
     def single_layer_condition(self, z) -> float:
@@ -190,34 +196,25 @@ class BemBackend:
         z = as_complex(z)
         key = ("cond V", z)
         if key not in self._cache:
-            self._single_layer_inverse(z)
+            self._store(key, inverse_and_condition(self.single_layer(z))[1])
         return self._cache[key]
 
-    def _check_single_layer(self, z: complex):
-        check_condition(self.single_layer_condition(z), f"single-layer trace at z = {z}",
-                        "near the Dirichlet spectrum or a capacity degeneracy")
-
     def single_layer_solve(self, z, rhs) -> np.ndarray:
-        z = as_complex(z)
-        self._check_single_layer(z)
-        return np.linalg.solve(self.single_layer(z), rhs)
+        return self._single_layer_inverse(as_complex(z)) @ rhs
 
     def dtn(self, z) -> np.ndarray:
         z = as_complex(z)
         key = ("dtn", z)
         if key not in self._cache:
             T = self.neumann_trace(z)
-            inv = self._single_layer_inverse(z)
-            self._check_single_layer(z)
+            inv = self._single_layer_inverse(z)  # before -T: one n x n matrix less at peak
             self._store(key, -T @ inv)
         return self._cache[key]
 
     def ntd(self, z) -> np.ndarray:
         z = as_complex(z)
-        inv, cond = inverse_and_condition(self.dtn(z))
-        check_condition(cond, f"Dirichlet-to-Neumann map at z = {z}",
-                        "z is near the Neumann spectrum")
-        return -inv
+        return -gated_inverse(self.dtn(z), NearSingular, f"Dirichlet-to-Neumann map at z = {z} "
+                              "(z is near the Neumann spectrum)")
 
     def harmonic_extension(self, w, g) -> LayerField:
         return LayerField(self, w, self.single_layer_solve(w, np.asarray(g, dtype=complex)))
@@ -240,10 +237,9 @@ def solve_neumann(grid, z, g) -> LayerField:
     """Field u with (-Laplace - z)u = 0 and gamma_N u = g."""
     backend = grid if isinstance(grid, BemBackend) else BemBackend(grid)
     z = as_complex(z)
-    T = backend.neumann_trace(z)
-    check_condition(inverse_and_condition(T)[1], f"interior Neumann trace at z = {z}",
-                    "z is (numerically) a Neumann eigenvalue")
-    return LayerField(backend, z, np.linalg.solve(T, np.asarray(g, dtype=complex)))
+    inv = gated_inverse(backend.neumann_trace(z), NearSingular, f"interior Neumann trace at "
+                        f"z = {z} (z is numerically a Neumann eigenvalue)")
+    return LayerField(backend, z, inv @ np.asarray(g, dtype=complex))
 
 
 def dtn(grid, z) -> BoundaryOperator:

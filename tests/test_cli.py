@@ -148,16 +148,49 @@ def test_spectrum_empty_window(runner, tmp_path):
     (["solve", "--domain", "interval", "--z", "1,2,3"], "bad_spectral_parameter"),
     (["mfunc-scan", "--spec", "@spec", "--path", "nan+0.1i:0.1:3+0.1i"], "bad_path"),
     (["mfunc-scan", "--spec", "@spec", "--path", "0.1+0.1i:inf:3+0.1i"], "bad_path"),
+    (["solve", "--domain", "interval", "--data", "@not-a-number.csv"], "bad_boundary_data"),
+    (["solve", "--domain", "interval", "--data", "@no-comma.csv"], "bad_boundary_data"),
+    (["solve", "--domain", "interval", "--data", "@three.csv"], "bad_boundary_data"),
+    (["solve", "--domain", "disk", "--data", "@three.csv"], "bad_boundary_data"),
+    (["solve", "--domain", "@circle", "--nodes", "16", "--data", "@three.csv"],
+     "bad_boundary_data"),
+    (["spectrum", "--spec", "@not-a-number-spec", "--window", "1,60"], "bad_extension_spec"),
+    (["spectrum", "--spec", "@no-comma-spec", "--window", "1,60"], "bad_extension_spec"),
 ])
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
     (tmp_path / "spec.json").write_text(
         '{"reference": "dirichlet", "z0": 0.0, "L": {"special": "krein"}, "X": "full"}')
     (tmp_path / "bad-spec.json").write_text('{"reference": "dirichlet", "L": "krein"}')
     (tmp_path / "csv-spec.json").write_text('{"L": {"matrix_csv": "no-such-file.csv"}}')
-    argv = [str(tmp_path / (a[1:] + ".json")) if a.startswith("@") else a for a in args]
+    (tmp_path / "circle.json").write_text('{"kind": "circle", "params": {"radius": 1.0}}')
+    for name, text in (("not-a-number", '"1,abc"\n'), ("no-comma", '"1,2","3"\n'),
+                       ("three", '"1,0"\n"2,0"\n"3,0"\n')):
+        (tmp_path / f"{name}.csv").write_text(text)
+        (tmp_path / f"{name}-spec.json").write_text(
+            json.dumps({"L": {"matrix_csv": str(tmp_path / f"{name}.csv")}}))
+    argv = [str(tmp_path / (a[1:] if a.endswith(".csv") else a[1:] + ".json"))
+            if a.startswith("@") else a for a in args]
     res = _run(runner, argv + ["--out", str(tmp_path / "out.csv")])
     assert res.exit_code == 2
     assert json.loads(res.output)["error"] == error
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--spec", "@neumann", "--backend", "interval", "--window", "1,30"],
+    ["spectrum", "--spec", "@neumann", "--backend", "disk", "--window", "1,30"],
+    ["mfunc-scan", "--spec", "@neumann", "--backend", "interval", "--path", "0.1+0.1i:0.1:1+0.1i"],
+    ["mfunc-scan", "--spec", "@neumann", "--backend", "disk", "--path", "0.1+0.1i:0.1:1+0.1i"],
+    ["solve", "--domain", "interval", "--bc", "neumann", "--z", "0,0"],
+    ["solve", "--domain", "disk", "--bc", "neumann", "--z", "0,0"],
+])
+def test_singular_ntd_exits_1_with_near_eigenvalue(runner, tmp_path, args):
+    # 0 is a Neumann eigenvalue of both models: their dtn(0) is exactly singular
+    spec = tmp_path / "neumann.json"
+    spec.write_text('{"reference": "neumann", "z0": 0.0, "L": {"special": "krein"}, "X": "full"}')
+    argv = [str(spec) if a == "@neumann" else a for a in args]
+    res = _run(runner, argv + ["--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == "NearEigenvalue"
 
 
 def test_mfunc_scan_upper_half_plane(runner, tmp_path):

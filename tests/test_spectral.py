@@ -152,8 +152,10 @@ class _FailingBackend:
 
 def test_scan_propagates_unexpected_errors():
     spec = ExtensionSpec("dirichlet", -1.0, "krein", "full")
-    with pytest.raises(TypeError):
-        eigenvalues(SpectrumRequest(spec, (1.0, 2.0)), _FailingBackend(TypeError("bug")))
+    # a singular boundary map raises NearEigenvalue, so a LinAlgError is a bug too
+    for error in (TypeError("bug"), np.linalg.LinAlgError("bug")):
+        with pytest.raises(type(error)):
+            eigenvalues(SpectrumRequest(spec, (1.0, 2.0)), _FailingBackend(error))
 
 
 def test_near_eigenvalue_samples_are_stepped_off(interval):

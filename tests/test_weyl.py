@@ -1,17 +1,20 @@
 """Boundary value solvers and spectral boundary maps (BEM lane)."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from kreinlab.errors import NearSingular
+from kreinlab.extensions import ExtensionSpec, apply_resolvent, direct_solve, make_extension
 from kreinlab.geometry import CurveSpec, make_grid
-from kreinlab.kreinformulas import hermitian_part
-from kreinlab.oracles import disk_mode_dtn
+from kreinlab.kreinformulas import Abstract1D, abstract_krein_check, hermitian_part
+from kreinlab.oracles import Model1D, disk_mode_dtn
 from kreinlab.traces import gamma_D
 from kreinlab.weyl import (
     BemBackend,
-    check_condition,
     dtn,
+    gated_inverse,
     inverse_and_condition,
     ntd,
     solve_dirichlet,
@@ -101,7 +104,46 @@ def test_exactly_singular_matrix_is_near_singular():
     inv, cond = inverse_and_condition(A)
     assert inv is None and cond == np.inf
     with pytest.raises(NearSingular, match="inf"):
-        check_condition(cond, "test matrix", "exactly singular")
+        gated_inverse(A, NearSingular, "test matrix")
+
+
+def _factorizations(monkeypatch, call) -> dict:
+    """``np.linalg.inv`` and ``np.linalg.solve`` calls made from kreinlab by ``call()``."""
+    counts = {"inv": 0, "solve": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name)):
+            if sys._getframe(1).f_globals.get("__name__", "").startswith("kreinlab"):
+                counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    call()
+    return counts
+
+
+@pytest.mark.parametrize("name, systems", [
+    ("apply_resolvent", 1),
+    ("direct_solve", 1),
+    # the Donoghue bracket, and the Krein bracket of the one probe's resolvent
+    ("abstract_krein_check", 2),
+    ("solve_dirichlet", 1),
+    ("solve_neumann", 1),
+])
+def test_each_gated_system_is_factored_once(monkeypatch, name, systems):
+    # the inverse formed for the condition gate is the one the answer uses
+    interval = Model1D()
+    krein = make_extension(ExtensionSpec("dirichlet", -1.0, "krein"), interval)
+    kite = make_grid(CurveSpec.kite(), 64)
+    ones = np.ones(kite.n)
+    probe = [lambda x: np.sin(np.pi * x)]
+    call = {
+        "apply_resolvent": lambda: apply_resolvent(krein, 0.5 + 1j, lambda x: x),
+        "direct_solve": lambda: direct_solve(krein, 0.5 + 1j, lambda x: x),
+        "abstract_krein_check": lambda: abstract_krein_check(Abstract1D(interval), -1.0, probe),
+        "solve_dirichlet": lambda: solve_dirichlet(kite, -1.0, ones),
+        "solve_neumann": lambda: solve_neumann(kite, -1.0, ones),
+    }[name]
+    assert _factorizations(monkeypatch, call) == {"inv": systems, "solve": 0}
 
 
 def test_single_layer_condition_is_exact_one_norm(kite_backend):
