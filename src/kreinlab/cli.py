@@ -1,7 +1,8 @@
 """Command-line front end: dtn, solve, spectrum, verify, mfunc-scan.
 
 CSV conventions: complex cells are quoted "re,im" pairs with 17 significant
-digits; the first line is a ``#``-prefixed header describing the layout.
+digits, as ``%.17g`` prints them (see :mod:`kreinlab.csvtext`); the first
+line is a ``#``-prefixed header describing the layout.
 Reports are emitted as JSON with sorted keys, so identical (config, seed)
 pairs produce byte-identical files.
 """
@@ -15,7 +16,8 @@ import sys
 import click
 import numpy as np
 
-from .errors import KreinlabError
+from . import csvtext
+from .errors import KreinlabError, SpecInvalid
 from .extensions import ExtensionSpec, make_extension
 from .geometry import CurveSpec, make_grid
 from .kreinformulas import imaginary_part_eigenvalues, resolve_sign_conventions, sign_witnesses
@@ -31,12 +33,11 @@ def _fmt(x: float) -> str:
 
 def write_complex_matrix_csv(path: str, matrix: np.ndarray, header: str):
     matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=complex)
-    # one format string per row, applied to the (re, im) pairs of a float view
-    row_format = ",".join(['"%.17g,%.17g"'] * matrix.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(f"# {header}; cells are \"re,im\"; row-major\n")
-        for row in matrix.view(np.float64):
-            fh.write(row_format % tuple(row.tolist()))
+    step = max(1, csvtext.BLOCK_CELLS // max(1, matrix.shape[1]))
+    with open(path, "wb") as fh:
+        fh.write(f"# {header}; cells are \"re,im\"; row-major\n".encode())
+        for i in range(0, len(matrix), step):
+            fh.write(csvtext.complex_rows(matrix[i:i + step]))
 
 
 def _complex_cell(cell: str) -> complex:
@@ -237,6 +238,8 @@ def cmd_spectrum(spec_path, backend_name, window, count, tol, out):
     backend = Model1D() if backend_name == "interval" else DiskModel(radius=1.0, mode_cutoff=8)
     try:
         roots = eigenvalues(SpectrumRequest(spec, (a, b), count, tol), backend)
+    except SpecInvalid as exc:  # raised only by the user's spec, e.g. a matrix of the wrong size
+        _fail({"error": "bad_extension_spec", "detail": str(exc)}, 2)
     except KreinlabError as exc:
         _fail({"error": type(exc).__name__, "detail": str(exc)}, 1)
     with open(out, "w") as fh:
@@ -277,6 +280,8 @@ def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
             for z in zs:
                 eigs = imaginary_part_eigenvalues(ext, z)
                 fh.write(",".join([_fmt(z.real), _fmt(z.imag)] + [_fmt(v) for v in eigs]) + "\n")
+    except SpecInvalid as exc:  # raised only by the user's spec, e.g. a matrix of the wrong size
+        _fail({"error": "bad_extension_spec", "detail": str(exc)}, 2)
     except KreinlabError as exc:
         _fail({"error": type(exc).__name__, "detail": str(exc)}, 1)
     click.echo(json.dumps({"written": out, "points": npts}, sort_keys=True))

@@ -18,7 +18,9 @@ The sign is not assumed: it is forced by the uniform-density disk identity
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import special as _sp
@@ -79,22 +81,30 @@ def _pairwise(grid: BoundaryGrid):
     return d, r, log4sin
 
 
-def _symmetric_bessel(fn, order: int, k: complex, r: np.ndarray, diagonal: complex = 0.0):
-    """``fn(order, k r)`` for the symmetric distance matrix ``r``.
+_Kernels = namedtuple("_Kernels", "scale parts power diagonal potential radial")
 
-    ``r`` from :func:`_pairwise` is symmetric bit for bit, because
-    ``p_i - p_j = -(p_j - p_i)`` exactly, so ``fn`` is evaluated on the strict
-    upper triangle only and mirrored.  The diagonal (``r = 0``) is set to
-    ``diagonal``.
-    """
-    n = len(r)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    vals = fn(order, k * r[upper])
-    out = np.empty((n, n), dtype=complex)
-    out[upper] = vals
-    out.T[upper] = vals  # visits (j, i) in the order r[upper] visits (i, j)
-    np.fill_diagonal(out, diagonal)
-    return out
+
+def _kernels(grid: BoundaryGrid, z: complex) -> _Kernels:
+    """Kernel table row for z: Laplace at 0, AMOS J_m and H^(1)_m otherwise.  ``parts``
+    are four ``(c, f)`` read as ``c f(scale r)`` (``f`` may be a number): the log
+    coefficient that log-splitting takes out of Phi, Phi, and the same for the factor of
+    K#_z = factor (x - y).nu_x / r**power (None: no log part).  ``diagonal(|x'|)`` is the
+    smooth part of V_z at r = 0; ``potential`` and ``radial`` are Phi and Phi' at target
+    distances r."""
+    c, log0 = 1.0 / (2.0 * np.pi), -1.0 / (4.0 * np.pi)
+    if z == 0:
+        return _Kernels(1.0, ((log0, 1.0), (-c, np.log), None, (-c, 1.0)), 2,
+                        lambda sp: -c * np.log(sp) * sp,
+                        lambda r: -np.log(r) / (2.0 * np.pi), lambda r: -1.0 / (2.0 * np.pi * r))
+    k = sqrt_upper(z)
+    _check_wavenumber(grid, k)
+    parts = ((log0, partial(_sp.jv, 0)), (0.25j, partial(_sp.hankel1, 0)),
+             (k / (4.0 * np.pi), partial(_sp.jv, 1)), (-(0.25j * k), partial(_sp.hankel1, 1)))
+    (c0, f0), (c1, f1) = parts[1], parts[3]
+    return _Kernels(k, parts, 1,
+                    lambda sp: (0.25j - EULER_GAMMA / (2.0 * np.pi)
+                                - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp,
+                    lambda r: c0 * f0(k * r), lambda r: c1 * f1(k * r))
 
 
 def _check_wavenumber(grid: BoundaryGrid, k: complex):
@@ -103,29 +113,69 @@ def _check_wavenumber(grid: BoundaryGrid, k: complex):
         raise RangeExceeded(f"|sqrt(z)| * diameter = {scale:.3g} exceeds {MAX_ARG}")
 
 
-def assemble_single_layer_trace(grid: BoundaryGrid, z) -> BoundaryOperator:
-    """Matrix of g -> boundary trace of the single layer potential S_z g."""
-    z = as_complex(z)
-    n = grid.n
+def _assemble(grid: BoundaryGrid, z: complex, single: bool, adjoint: bool):
+    """Matrices ``(V_z, K#_z)`` from one pairwise geometry; one not asked for is None.
+    Kernels are evaluated on the strict upper triangle and mirrored: ``r`` is
+    symmetric bit for bit, because ``p_i - p_j = -(p_j - p_i)`` exactly."""
+    lane = _kernels(grid, z)
+    n, sp = grid.n, grid.speed
     trap = 2.0 * np.pi / n
     R = log_quadrature_weights(n)
     d, r, log4sin = _pairwise(grid)
-    sp = grid.speed
-    if z == 0:
-        m1 = -(1.0 / (4.0 * np.pi)) * np.ones((n, n)) * sp[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m2 = -(1.0 / (2.0 * np.pi)) * np.log(r) * sp[None, :] - m1 * log4sin
-        np.fill_diagonal(m2, -(1.0 / (2.0 * np.pi)) * np.log(sp) * sp)
-    else:
-        k = sqrt_upper(z)
-        _check_wavenumber(grid, k)
-        # J_0(0) = 1; the Hankel diagonal is overwritten below
-        m1 = -(1.0 / (4.0 * np.pi)) * _symmetric_bessel(_sp.jv, 0, k, r, 1.0) * sp[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m2 = 0.25j * _symmetric_bessel(_sp.hankel1, 0, k, r) * sp[None, :] - m1 * log4sin
-        diag = (0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp
-        np.fill_diagonal(m2, diag)
-    return BoundaryOperator(R * m1 + trap * m2, "V", z, grid.token)
+    dn = np.sum(d * grid.normals[:, None, :], axis=-1) if adjoint else None
+    del d
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    x = lane.scale * r[upper]
+
+    def mirror(values, diagonal):
+        out = np.empty((n, n), dtype=np.result_type(values))
+        out[upper] = values
+        out.T[upper] = values  # visits (j, i) in the order r[upper] visits (i, j)
+        np.fill_diagonal(out, diagonal)
+        return out
+
+    def part(i, diagonal=0.0):
+        # ``c`` multiplies the fresh mirrored matrix within one expression: numpy then
+        # reuses that temporary for large n and puts it first, and the operand order
+        # of a complex product decides its last bit
+        c, f = lane.parts[i]
+        return c * mirror(f(x) if callable(f) else f, diagonal)
+
+    V = K = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if adjoint:  # first, and its log part freed before V_z: a lower peak resident set
+            K = part(3) * dn / r**lane.power * sp
+            if lane.parts[2]:
+                k1 = part(2) * dn / r * sp
+                K -= k1 * log4sin
+                np.fill_diagonal(k1, 0.0)
+            np.fill_diagonal(K, -grid.curvature * sp / (4.0 * np.pi))
+            K *= trap
+            if lane.parts[2]:
+                k1 *= R
+                K += k1
+                del k1
+        if single:
+            m1 = part(0, 1.0) * sp  # J_0(0) = 1
+            V = part(1) * sp - m1 * log4sin
+            np.fill_diagonal(V, lane.diagonal(sp))
+            m1 *= R
+            V *= trap
+            V += m1
+            del m1
+    return V, K
+
+
+def assemble_single_layer_trace(grid: BoundaryGrid, z, *, with_adjoint: bool = False):
+    """Matrix of g -> boundary trace of the single layer potential S_z g.
+
+    With ``with_adjoint`` the result is the pair ``(V_z, K#_z)``, both from one
+    pairwise geometry.
+    """
+    z = as_complex(z)
+    V, K = _assemble(grid, z, True, with_adjoint)
+    V = BoundaryOperator(V, "V", z, grid.token)
+    return (V, BoundaryOperator(K, "Ksharp", z, grid.token)) if with_adjoint else V
 
 
 def assemble_adjoint_double_layer(grid: BoundaryGrid, z) -> BoundaryOperator:
@@ -135,32 +185,13 @@ def assemble_adjoint_double_layer(grid: BoundaryGrid, z) -> BoundaryOperator:
     limit -kappa |x'| / (4 pi), independent of z.
     """
     z = as_complex(z)
-    n = grid.n
-    trap = 2.0 * np.pi / n
-    d, r, log4sin = _pairwise(grid)
-    sp = grid.speed
-    dn = np.sum(d * grid.normals[:, None, :], axis=-1)
-    diag = -grid.curvature * sp / (4.0 * np.pi)
-    if z == 0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ker = -(1.0 / (2.0 * np.pi)) * dn / r**2 * sp[None, :]
-        np.fill_diagonal(ker, diag)
-        return BoundaryOperator(trap * ker, "Ksharp", z, grid.token)
-    k = sqrt_upper(z)
-    _check_wavenumber(grid, k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k1 = (k / (4.0 * np.pi)) * _symmetric_bessel(_sp.jv, 1, k, r) * dn / r * sp[None, :]
-        k2 = (-(0.25j * k) * _symmetric_bessel(_sp.hankel1, 1, k, r) * dn / r * sp[None, :]
-              - k1 * log4sin)
-    np.fill_diagonal(k1, 0.0)
-    np.fill_diagonal(k2, diag)
-    R = log_quadrature_weights(n)
-    return BoundaryOperator(R * k1 + trap * k2, "Ksharp", z, grid.token)
+    return BoundaryOperator(_assemble(grid, z, False, True)[1], "Ksharp", z, grid.token)
 
 
-def neumann_trace_of_single_layer(grid: BoundaryGrid, z) -> BoundaryOperator:
-    """Matrix sending a density g to the interior Neumann trace of S_z g."""
-    ksharp = assemble_adjoint_double_layer(grid, z)
+def neumann_trace_of_single_layer(grid: BoundaryGrid, z, ksharp=None) -> BoundaryOperator:
+    """Matrix sending a density g to the interior Neumann trace of S_z g; ``ksharp``
+    is K#_z when it is already assembled."""
+    ksharp = assemble_adjoint_double_layer(grid, z) if ksharp is None else ksharp
     mat = 0.5 * JUMP_SIGN * np.eye(grid.n) + ksharp.matrix
     return BoundaryOperator(mat, "generic", as_complex(z), grid.token)
 
@@ -195,13 +226,7 @@ def evaluate_potential(grid: BoundaryGrid, density, z, targets, *, warn_close: b
     r = np.sqrt(np.sum(d**2, axis=-1))
     if np.any(r == 0):
         raise DomainError("target coincides with a boundary node")
-    if z == 0:
-        kernel = -np.log(r) / (2.0 * np.pi)
-    else:
-        k = sqrt_upper(z)
-        _check_wavenumber(grid, k)
-        kernel = 0.25j * _sp.hankel1(0, k * r)
-    vals = kernel @ (grid.weighted_measure * g)
+    vals = _kernels(grid, z).potential(r) @ (grid.weighted_measure * g)
     return vals if np.asarray(targets).ndim > 1 else complex(vals[0])
 
 
@@ -219,11 +244,6 @@ def evaluate_potential_gradient(grid: BoundaryGrid, density, z, targets, *, warn
     r = np.sqrt(np.sum(d**2, axis=-1))
     if np.any(r == 0):
         raise DomainError("target coincides with a boundary node")
-    if z == 0:
-        radial = -1.0 / (2.0 * np.pi * r)
-    else:
-        k = sqrt_upper(z)
-        _check_wavenumber(grid, k)
-        radial = -0.25j * k * _sp.hankel1(1, k * r)
+    radial = _kernels(grid, z).radial(r)
     kernel = radial[..., None] * d / r[..., None]
     return np.einsum("mjc,j->mc", kernel, grid.weighted_measure * g)

@@ -206,9 +206,17 @@ class BemBackend:
         z = as_complex(z)
         key = ("dtn", z)
         if key not in self._cache:
+            if ("V", z) not in self._cache and ("T", z) not in self._cache:
+                # both layers from one pairwise geometry
+                V, K = assemble_single_layer_trace(self.grid, z, with_adjoint=True)
+                self._store(("V", z), V.matrix)
+                self._store(("T", z), neumann_trace_of_single_layer(self.grid, z, K).matrix)
+                del K  # K#_z is not kept once T_z is formed
             T = self.neumann_trace(z)
-            inv = self._single_layer_inverse(z)  # before -T: one n x n matrix less at peak
-            self._store(key, -T @ inv)
+            inv = self._single_layer_inverse(z)
+            # every product T_ik (-inv_kj) equals (-T_ik) inv_kj, signed zeros too, so this
+            # is -T @ inv bit for bit, with no copy of T
+            self._store(key, T @ np.negative(inv, out=inv))
         return self._cache[key]
 
     def ntd(self, z) -> np.ndarray:

@@ -156,6 +156,13 @@ def test_spectrum_empty_window(runner, tmp_path):
      "bad_boundary_data"),
     (["spectrum", "--spec", "@not-a-number-spec", "--window", "1,60"], "bad_extension_spec"),
     (["spectrum", "--spec", "@no-comma-spec", "--window", "1,60"], "bad_extension_spec"),
+    (["spectrum", "--spec", "@three-by-three-spec", "--window", "1,60"], "bad_extension_spec"),
+    (["mfunc-scan", "--spec", "@three-by-three-spec", "--path", "0.1+0.1i:0.1:1+0.1i"],
+     "bad_extension_spec"),
+    (["spectrum", "--spec", "@three-by-three-projector-spec", "--backend", "disk",
+      "--window", "1,60"], "bad_extension_spec"),
+    (["mfunc-scan", "--spec", "@three-by-three-projector-spec", "--path", "0.1+0.1i:0.1:1+0.1i"],
+     "bad_extension_spec"),
 ])
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
     (tmp_path / "spec.json").write_text(
@@ -168,6 +175,13 @@ def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
         (tmp_path / f"{name}.csv").write_text(text)
         (tmp_path / f"{name}-spec.json").write_text(
             json.dumps({"L": {"matrix_csv": str(tmp_path / f"{name}.csv")}}))
+    # a 3 x 3 boundary operator or projector: the interval has 2 boundary points, the disk 17 modes
+    (tmp_path / "three-by-three.csv").write_text('"1,0","0,0","0,0"\n' * 3)
+    (tmp_path / "three-by-three-spec.json").write_text(json.dumps(
+        {"L": {"matrix_csv": str(tmp_path / "three-by-three.csv")}}))
+    (tmp_path / "three-by-three-projector-spec.json").write_text(json.dumps(
+        {"L": {"shape": [], "matrix": [0.0, 0.0]},
+         "X": {"projector_csv": str(tmp_path / "three-by-three.csv")}}))
     argv = [str(tmp_path / (a[1:] if a.endswith(".csv") else a[1:] + ".json"))
             if a.startswith("@") else a for a in args]
     res = _run(runner, argv + ["--out", str(tmp_path / "out.csv")])

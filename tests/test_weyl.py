@@ -168,7 +168,7 @@ def test_dtn_static_modes(disk13_backend):
         assert abs(ray - (-abs(k) / 1.3)) < 1e-8
 
 
-@pytest.mark.parametrize("z", [-1.0, 2 + 1j])
+@pytest.mark.parametrize("z", [-1.0, 2 + 1j, -0.09, -2.25, -25.0])
 def test_dtn_matches_disk_oracle(disk13_backend, z):
     grid = disk13_backend.grid
     M = dtn(disk13_backend, z).matrix
