@@ -16,48 +16,20 @@ import sys
 import click
 import numpy as np
 
-from . import csvtext
+from .csvtext import read_complex_csv, write_complex_matrix_csv
 from .errors import KreinlabError, SpecInvalid
 from .extensions import ExtensionSpec, make_extension
 from .geometry import CurveSpec, make_grid
 from .kreinformulas import imaginary_part_eigenvalues, resolve_sign_conventions, sign_witnesses
-from .oracles import DiskModel, Model1D, interval_dtn
+from .oracles import DiskModel, Model1D
 from .spectral import SpectrumRequest, eigenvalues
-from .verifysuite import build_suite
-from .weyl import BemBackend, inverse_and_condition
+from .traces import gamma_D, gamma_N
+from .verifysuite import BACKENDS, SUITES, build_suite
+from .weyl import BemBackend, inverse_and_condition, solve_neumann
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def write_complex_matrix_csv(path: str, matrix: np.ndarray, header: str):
-    matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=complex)
-    step = max(1, csvtext.BLOCK_CELLS // max(1, matrix.shape[1]))
-    with open(path, "wb") as fh:
-        fh.write(f"# {header}; cells are \"re,im\"; row-major\n".encode())
-        for i in range(0, len(matrix), step):
-            fh.write(csvtext.complex_rows(matrix[i:i + step]))
-
-
-def _complex_cell(cell: str) -> complex:
-    re_s, im_s = cell.split(",")
-    return complex(float(re_s), float(im_s))
-
-
-def read_complex_csv(path: str) -> np.ndarray:
-    """Matrix of a complex CSV file; a malformed cell or a ragged row is a ``ValueError``."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = [c.strip().strip('"') for c in line.split('","')]
-            cells[0] = cells[0].lstrip('"')
-            cells[-1] = cells[-1].rstrip('"')
-            rows.append([_complex_cell(c) for c in cells])
-    return np.array(rows, dtype=complex)
 
 
 def _fail(payload: dict, code: int):
@@ -81,11 +53,9 @@ def _load_domain(domain: str, nodes: int):
     if domain == "interval":
         return "interval", Model1D()
     if domain == "disk" or domain.startswith("disk:"):
-        parts = domain.split(":")
-        try:
-            radius = float(parts[1]) if len(parts) > 1 else 1.0
-            cutoff = int(parts[2]) if len(parts) > 2 else 8
-            return "disk", DiskModel(radius=radius, mode_cutoff=cutoff)
+        try:  # disk[:radius[:mode cutoff]]
+            return "disk", DiskModel(*(cast(part) for cast, part in zip((float, int),
+                                                                       domain.split(":")[1:])))
         except (ValueError, KreinlabError) as exc:
             _fail({"error": "bad_domain", "value": domain, "detail": str(exc)}, 2)
     if not os.path.exists(domain):
@@ -127,14 +97,12 @@ def cmd_dtn(domain, z_text, nodes, out):
     z = _parse_z(z_text)
     kind, backend = _load_domain(domain, nodes)
     try:
+        matrix = backend.dtn(z)
         if kind == "interval":
-            matrix = interval_dtn(z)
             meta = {"backend": "interval", "n": 2}
         elif kind == "disk":
-            matrix = backend.dtn(z)
             meta = {"backend": "disk", "radius": backend.radius, "modes": backend.nboundary}
         else:
-            matrix = backend.dtn(z)
             meta = {
                 "backend": backend.name,
                 "n": backend.grid.n,
@@ -187,24 +155,17 @@ def _boundary_data(data: str, n: int, t: np.ndarray | None):
 @click.option("--out", default="solution.csv", show_default=True)
 def cmd_solve(domain, z_text, bc, data, nodes, out):
     """Solve a boundary value problem; emit boundary traces of the solution."""
-    from .traces import gamma_D, gamma_N
-    from .weyl import solve_dirichlet, solve_neumann
-
     z = _parse_z(z_text)
     kind, backend = _load_domain(domain, nodes)
     try:
-        if kind == "bem":
-            vec = _boundary_data(data, backend.grid.n, backend.grid.t)
-            u = (solve_dirichlet if bc == "dirichlet" else solve_neumann)(backend, z, vec)
-            rows = np.stack([gamma_D(u), gamma_N(u)], axis=1)
+        vec = _boundary_data(data, backend.nboundary, backend.grid.t if kind == "bem" else None)
+        if bc == "dirichlet":
+            u = backend.harmonic_extension(z, vec)
+        elif kind == "bem":
+            u = solve_neumann(backend, z, vec)
         else:
-            m = backend.nboundary
-            vec = _boundary_data(data, m, None)
-            if bc == "dirichlet":
-                u = backend.harmonic_extension(z, vec)
-            else:
-                u = backend.harmonic_extension(z, backend.ntd(z) @ vec)
-            rows = np.stack([gamma_D(u), gamma_N(u)], axis=1)
+            u = backend.harmonic_extension(z, backend.ntd(z) @ vec)
+        rows = np.stack([gamma_D(u), gamma_N(u)], axis=1)
     except KreinlabError as exc:
         _fail({"error": type(exc).__name__, "detail": str(exc)}, 1)
     write_complex_matrix_csv(out, rows, f"columns gamma_D, gamma_N of the {bc} solution at z = {z}")
@@ -235,7 +196,7 @@ def cmd_spectrum(spec_path, backend_name, window, count, tol, out):
         _fail({"error": "bad_window", "value": window}, 2)
     if not np.isfinite([a, b]).all():
         _fail({"error": "bad_window", "value": window, "detail": "bounds must be finite"}, 2)
-    backend = Model1D() if backend_name == "interval" else DiskModel(radius=1.0, mode_cutoff=8)
+    backend = Model1D() if backend_name == "interval" else DiskModel()
     try:
         roots = eigenvalues(SpectrumRequest(spec, (a, b), count, tol), backend)
     except SpecInvalid as exc:  # raised only by the user's spec, e.g. a matrix of the wrong size
@@ -258,7 +219,7 @@ def cmd_spectrum(spec_path, backend_name, window, count, tol, out):
 def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
     """Emit eigenvalues of Im M(z) along a path in the upper half plane."""
     spec = _load_extension_spec(spec_path)
-    backend = Model1D() if backend_name == "interval" else DiskModel(radius=1.0, mode_cutoff=8)
+    backend = Model1D() if backend_name == "interval" else DiskModel()
     try:
         start_s, step_s, end_s = path_text.split(":")
         start = complex(start_s.replace("i", "j"))
@@ -288,10 +249,9 @@ def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
 
 
 @main.command("verify")
-@click.option("--suite", type=click.Choice(["weyl", "traces", "krein", "abstract", "all"]),
-              default="all", show_default=True)
-@click.option("--backend", "backend_name", type=click.Choice(["interval", "disk", "kite"]),
-              default="interval", show_default=True)
+@click.option("--suite", type=click.Choice(SUITES), default="all", show_default=True)
+@click.option("--backend", "backend_name", type=click.Choice(BACKENDS), default="interval",
+              show_default=True)
 @click.option("--nodes", default=0, type=int, help="override the backend node count")
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--tol", default=1.0, show_default=True, type=float,

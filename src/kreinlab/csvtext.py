@@ -1,4 +1,5 @@
-"""Complex matrices as CSV text, byte for byte as ``'"%.17g,%.17g"'`` per cell.
+"""Complex matrices as CSV text, byte for byte as ``'"%.17g,%.17g"'`` per cell:
+the writer and the reader of the CLI's matrix files.
 
 ``%.17g`` costs a bignum conversion per number in Python, which made the CSV
 writer the largest single cost of a ``dtn`` request.  Here the 17 significant
@@ -200,3 +201,34 @@ def complex_rows(matrix: np.ndarray) -> bytes:
         cells[:, col:col + WIDTH] = text[:, part]
         keep[:, col:col + WIDTH] = np.take(_TEXT, length[:, part], axis=0)
     return cells[keep].tobytes()
+
+
+def write_complex_matrix_csv(path: str, matrix: np.ndarray, header: str):
+    """Write ``matrix`` to ``path``: a ``#`` header line, then the rows of
+    :func:`complex_rows`, ``BLOCK_CELLS`` cells at a time."""
+    matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=complex)
+    step = max(1, BLOCK_CELLS // max(1, matrix.shape[1]))
+    with open(path, "wb") as fh:
+        fh.write(f"# {header}; cells are \"re,im\"; row-major\n".encode())
+        for i in range(0, len(matrix), step):
+            fh.write(complex_rows(matrix[i:i + step]))
+
+
+def _complex_cell(cell: str) -> complex:
+    re_s, im_s = cell.split(",")
+    return complex(float(re_s), float(im_s))
+
+
+def read_complex_csv(path: str) -> np.ndarray:
+    """Matrix of a complex CSV file; a malformed cell or a ragged row is a ``ValueError``."""
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            cells = [c.strip().strip('"') for c in line.split('","')]
+            cells[0] = cells[0].lstrip('"')
+            cells[-1] = cells[-1].rstrip('"')
+            rows.append([_complex_cell(c) for c in cells])
+    return np.array(rows, dtype=complex)

@@ -15,7 +15,8 @@ and the distinguished cases translate as
     Robin(T):   X = full, L = -dtn(z0) + T
 
 (The Neumann-reference factory mirrors this with tau_D and gamma_N, where
-Dirichlet corresponds to L = +ntd(z0).)
+Dirichlet corresponds to L = +ntd(z0).)  A special or Robin ``L`` fixes its
+subspace, so its ``X`` is "full" or that subspace; any other is rejected.
 
 Resolvents are computed by the shifted-reference formula
 
@@ -32,10 +33,11 @@ exact 1-norm condition exceeds ``COND_LIMIT``; the answer uses that inverse.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .csvtext import read_complex_csv
 from .errors import BackendUnsupported, NearEigenvalue, SpecInvalid
 from .specfun import as_complex
 from .traces import gamma_D, gamma_N, hermitian_part, tau_D, tau_N
@@ -44,6 +46,9 @@ from .weyl import gated_inverse
 HERMITIAN_TOL = 1e-12
 
 SPECIAL_TAGS = ("dirichlet", "neumann", "krein")
+
+#: domain members in the Ritz certificate of :func:`is_nonnegative`
+RITZ_TRIALS = 50
 
 
 @dataclass(frozen=True)
@@ -94,23 +99,17 @@ class ExtensionSpec:
             if tag == "robin" and np.ndim(L.get("theta", 0.0)) == 0:
                 bo = ("robin", float(L.get("theta", 0.0)))
         elif "matrix_csv" in L:
-            bo = _load_complex_csv(L["matrix_csv"])
+            bo = read_complex_csv(L["matrix_csv"])
         else:
             shape = tuple(L["shape"])
             bo = np.asarray(L["matrix"], dtype=float).view(complex).reshape(shape)
         X = data.get("X", "full")
         if isinstance(X, dict):
             if "projector_csv" in X:
-                X = _load_complex_csv(X["projector_csv"])
+                X = read_complex_csv(X["projector_csv"])
             else:
                 X = np.asarray(X["projector"], dtype=float).view(complex).reshape(tuple(X["shape"]))
         return ExtensionSpec(data.get("reference", "dirichlet"), float(data.get("z0", 0.0)), bo, X)
-
-
-def _load_complex_csv(path: str) -> np.ndarray:
-    from .cli import read_complex_csv
-
-    return read_complex_csv(path)
 
 
 def _weighted_herm_defect(mat: np.ndarray, weights: np.ndarray) -> float:
@@ -152,7 +151,7 @@ class Extension:
         return tau_D(self.z0, u), gamma_N(u)
 
 
-def _as_matrix(value, m, weights) -> np.ndarray:
+def _as_matrix(value, m) -> np.ndarray:
     arr = np.asarray(value, dtype=complex)
     if arr.ndim == 0:
         return complex(arr) * np.eye(m, dtype=complex)
@@ -161,39 +160,38 @@ def _as_matrix(value, m, weights) -> np.ndarray:
     return arr
 
 
+def _translate(spec: ExtensionSpec, ref_matrix: np.ndarray, m: int):
+    """``(L, subspace)`` of a special tag or a Robin tuple.  The reference's own tag is
+    ``(0, "zero")``, the other reference's tag ``(-dtn(z0), "full")`` (Dirichlet
+    reference) or ``(ntd(z0), "full")`` (Neumann reference), and "krein" ``(0, "full")``."""
+    bo = spec.boundary_operator
+    if isinstance(bo, tuple):
+        if spec.reference != "dirichlet":
+            raise SpecInvalid("Robin is expressed through the Dirichlet-reference factory")
+        return -ref_matrix + _as_matrix(bo[1], m), "full"
+    if bo == spec.reference:
+        return np.zeros((m, m), dtype=complex), "zero"
+    if bo == "krein":
+        return np.zeros((m, m), dtype=complex), "full"
+    return (-ref_matrix if spec.reference == "dirichlet" else +ref_matrix), "full"
+
+
 def make_extension(spec: ExtensionSpec, backend) -> Extension:
-    """Realize an extension spec on a backend, translating special cases."""
+    """Realize an extension spec on a backend, translating special cases.  A special or
+    Robin ``L`` fixes its subspace: ``X`` is then "full" or that subspace."""
     m = backend.nboundary
     w = backend.boundary_weights
     bo = spec.boundary_operator
     subspace = spec.subspace
-
-    if spec.reference == "dirichlet":
-        ref_matrix = backend.dtn(spec.z0)
-        if isinstance(bo, str):
-            if bo == "dirichlet":
-                L, subspace = np.zeros((m, m), dtype=complex), "zero"
-            elif bo == "neumann":
-                L, subspace = -ref_matrix, "full"
-            else:  # krein
-                L, subspace = np.zeros((m, m), dtype=complex), "full"
-        elif isinstance(bo, tuple):
-            L, subspace = -ref_matrix + _as_matrix(bo[1], m, w), "full"
-        else:
-            L = _as_matrix(bo, m, w)
+    ref_matrix = backend.dtn(spec.z0) if spec.reference == "dirichlet" else backend.ntd(spec.z0)
+    if isinstance(bo, (str, tuple)):
+        L, fixed = _translate(spec, ref_matrix, m)
+        if not (isinstance(subspace, str) and subspace in ("full", fixed)):
+            tag = bo if isinstance(bo, str) else "robin"
+            raise SpecInvalid(f"{tag!r} fixes the subspace {fixed!r}; X must be 'full' or {fixed!r}")
+        subspace = fixed
     else:
-        ref_matrix = backend.ntd(spec.z0)
-        if isinstance(bo, str):
-            if bo == "neumann":
-                L, subspace = np.zeros((m, m), dtype=complex), "zero"
-            elif bo == "dirichlet":
-                L, subspace = ref_matrix.copy(), "full"
-            else:  # krein
-                L, subspace = np.zeros((m, m), dtype=complex), "full"
-        elif isinstance(bo, tuple):
-            raise SpecInvalid("Robin is expressed through the Dirichlet-reference factory")
-        else:
-            L = _as_matrix(bo, m, w)
+        L = _as_matrix(bo, m)
 
     if _weighted_herm_defect(L, w) > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(L)))):
         raise SpecInvalid("boundary operator is not Hermitian in the weighted inner product")
@@ -234,11 +232,17 @@ def boundary_residual(ext: Extension, u) -> float:
     return float(np.sqrt(np.sum(w * np.abs(vec) ** 2).real))
 
 
+def _model_backend(ext: Extension):
+    """The extension's backend, which must be a model backend: only those have interior
+    resolvents, homogeneous bases and interior fields."""
+    if not hasattr(ext.backend, "resolvent_dirichlet"):
+        raise BackendUnsupported("interior resolvents need a model backend")
+    return ext.backend
+
+
 def apply_resolvent(ext: Extension, z, f):
     """Field u with (-Laplace - z0 - z) u = f in the extension's domain."""
-    backend = ext.backend
-    if not hasattr(backend, "resolvent_dirichlet"):
-        raise BackendUnsupported("interior resolvents need a model backend")
+    backend = _model_backend(ext)
     z = as_complex(z)
     w = z + ext.z0
     part = getattr(backend, f"resolvent_{ext.reference}")(w, f)
@@ -264,7 +268,7 @@ def direct_solve(ext: Extension, z, f):
     """Independent resolvent: explicit homogeneous basis + reference particular
     solution, bypassing the bracket-inverse formula.  Full or zero subspace only.
     """
-    backend = ext.backend
+    backend = _model_backend(ext)
     z = as_complex(z)
     w = z + ext.z0
     part = getattr(backend, f"resolvent_{ext.reference}")(w, f)
@@ -284,7 +288,7 @@ def direct_solve(ext: Extension, z, f):
 def homogeneous_system(ext: Extension, z):
     """``(basis, A^{-1}, G)`` for the homogeneous basis ``u_j`` at ``z + z0``, with
     ``A[:, j] = tau_j + L gamma_j`` inverted behind the gate and ``G[:, j] = gamma_j``."""
-    basis = ext.backend.homogeneous_basis(z + ext.z0)
+    basis = _model_backend(ext).homogeneous_basis(z + ext.z0)
     traces = [ext.boundary_trace_parts(phi) for phi in basis]
     A = np.array([tau + ext.L @ gam for tau, gam in traces], dtype=complex).T
     G = np.array([gam for _, gam in traces], dtype=complex).T
@@ -293,16 +297,15 @@ def homogeneous_system(ext: Extension, z):
     return basis, A_inv, G
 
 
-def is_nonnegative(ext: Extension, rng=None, trials: int = 50):
+def is_nonnegative(ext: Extension, rng=None):
     """Sign test of the extension via its boundary operator, plus a Ritz certificate.
 
     Returns ``(flag, certificate)`` where ``flag`` is the smallest eigenvalue
     test of the Hermitian part of L (>= -1e-10) and the certificate holds the
     smallest Ritz value of the extension's quadratic form over a random trial
-    family drawn from its operator domain.
+    family of ``RITZ_TRIALS`` members drawn from its operator domain.
     """
-    backend = ext.backend
-    w = backend.boundary_weights
+    w = _model_backend(ext).boundary_weights
     if ext.projector is not None and not np.any(ext.projector):
         lmin = 0.0
     else:
@@ -315,24 +318,23 @@ def is_nonnegative(ext: Extension, rng=None, trials: int = 50):
     flag = lmin >= -1e-10
 
     rng = np.random.default_rng(0) if rng is None else rng
-    ritz = _ritz_floor(ext, rng, trials)
     certificate = {
         "boundary_operator_min_eigenvalue": lmin,
-        "ritz_min": ritz,
-        "ritz_trials": trials,
+        "ritz_min": _ritz_floor(ext, rng),
+        "ritz_trials": RITZ_TRIALS,
     }
     return flag, certificate
 
 
-def _ritz_floor(ext: Extension, rng, trials: int) -> float:
+def _ritz_floor(ext: Extension, rng) -> float:
     """Smallest Ritz value of (u, (-Laplace - z0) u) over domain members."""
     backend = ext.backend
     if ext.reference != "dirichlet":
         raise BackendUnsupported("Ritz certificate implemented for the Dirichlet reference")
     m = backend.nboundary
     members = []
-    h20 = backend.h20_family(trials, rng)
-    for i in range(trials):
+    h20 = backend.h20_family(RITZ_TRIALS, rng)
+    for i in range(RITZ_TRIALS):
         u = h20[i]
         if ext.projector is None or np.any(ext.projector):
             a = rng.standard_normal(m) + 1j * rng.standard_normal(m)

@@ -36,11 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketSingular, DomainError, NearEigenvalue
-from .extensions import (Extension, ExtensionSpec, apply_resolvent, homogeneous_system,
-                         make_extension)
+from .extensions import (Extension, ExtensionSpec, apply_resolvent, boundary_residual,
+                         homogeneous_system, make_extension)
 from .layerpot import BoundaryOperator, assemble_adjoint_double_layer
 from .oracles import Model1D
 from .specfun import as_complex
+from .spectral import ordering_check
 from .traces import gamma_D, gamma_N, hermitian_part, tau_N, weighted_adjoint
 from .weyl import gated_inverse
 
@@ -225,17 +226,18 @@ def _extension_from_matrix(L: np.ndarray, z0: float, backend) -> Extension:
     return make_extension(ExtensionSpec("dirichlet", z0, L, "full"), backend)
 
 
-def two_extension_identity_residuals(L1, L2, z0: float, z, backend, probe=None) -> dict:
+def two_extension_identity_residuals(L1, L2, z0: float, z, backend) -> dict:
     """Residuals of the resolvent identity for each variant/adjoint-argument choice.
 
     The identity tested:  R_2(z) f - R_1(z) f  =  [gamma_D R_1(.)]^* T [gamma_D R_1(z)] f
-    with the left factor at zbar (kernel-correct) or z (as printed in one source).
+    with the left factor at zbar (kernel-correct) or z (as printed in one source), on the
+    backend's default probe f.
     """
     z = as_complex(z)
     w = z + z0
     ext1 = _extension_from_matrix(np.asarray(L1, dtype=complex), z0, backend)
     ext2 = _extension_from_matrix(np.asarray(L2, dtype=complex), z0, backend)
-    f = probe if probe is not None else _default_probe(backend)
+    f = _default_probe(backend)
     u1 = apply_resolvent(ext1, z, f)
     u2 = apply_resolvent(ext2, z, f)
     a = gamma_D(u1)
@@ -357,10 +359,11 @@ def interval_sign_witnesses(ext: Extension, z) -> dict:
     }
 
 
-def sign_witnesses(grid=None, backend=None, z0: float = 0.0, z=-1.0 + 0.7j) -> dict:
+def sign_witnesses(grid=None, backend=None) -> dict:
     """Residuals of every sign witness, both candidates kept where there are two."""
     from .geometry import CurveSpec, make_grid
 
+    z0, z = 0.0, -1.0 + 0.7j  # shift and spectral parameter of the interval witnesses
     backend = backend or Model1D()
     grid = grid or make_grid(CurveSpec.circle(1.0), 64)
 
@@ -386,11 +389,10 @@ def sign_witnesses(grid=None, backend=None, z0: float = 0.0, z=-1.0 + 0.7j) -> d
     return out
 
 
-def resolve_sign_conventions(grid=None, backend=None, z0: float = 0.0, z=-1.0 + 0.7j,
-                             witnesses: dict | None = None) -> SignLedger:
+def resolve_sign_conventions(grid=None, backend=None, witnesses: dict | None = None) -> SignLedger:
     """Sign ledger from the residuals of :func:`sign_witnesses`, run here unless
     ``witnesses`` already holds them."""
-    r = sign_witnesses(grid, backend, z0, z) if witnesses is None else witnesses
+    r = sign_witnesses(grid, backend) if witnesses is None else witnesses
     jump, diff, two = r["jump-relation"], r["resolvent-difference"], r["two-extension"]
     ntd_min, res_bc = r["ntd-sign"], r["boundary-condition"]
     ledger = SignLedger()
@@ -529,13 +531,13 @@ def abstract_krein_check(model: Abstract1D, z, probes=None) -> float:
     return worst
 
 
-def friedrichs_krein_domains(model: Abstract1D | None = None, b_value: float = 1.0) -> dict:
+def friedrichs_krein_domains(model: Abstract1D | None = None) -> dict:
     """Verify the extremal-extension domain decompositions on the interval.
 
     Returns a report with residuals: the Friedrichs resolvent matches the
     Dirichlet solve and is form-minimal; members of dom(S^*) split into
     a minimal part, an image of the kernel, and a kernel part; the kernel of
-    the Krein extension is {1, x}; and the B = b I parametrized extension
+    the Krein extension is {1, x}; and the B = I parametrized extension
     has its Galerkin resolvent between the extremal ones.
     """
     model = model or Abstract1D()
@@ -571,27 +573,18 @@ def friedrichs_krein_domains(model: Abstract1D | None = None, b_value: float = 1
     )
     report["domain_split"] = _domain_split_residual(backend, probe)
 
-    # (iii) B = b I on ker(S^*) gives an extension between the extremal ones.
-    L = _kernel_gram_boundary_operator(backend, b_value)
-    exts = {
-        "friedrichs": make_extension(ExtensionSpec("dirichlet", 0.0, "dirichlet", "zero"), backend),
-        "middle": make_extension(ExtensionSpec("dirichlet", 0.0, L, "full"), backend),
-        "krein": make_extension(ExtensionSpec("dirichlet", 0.0, "krein", "full"), backend),
-    }
-    trial = _trial_family(backend, 20)
-    gram = {k: _galerkin_resolvent(e, 1.0, trial) for k, e in exts.items()}
-    low = np.min(np.linalg.eigvalsh(gram["middle"] - gram["friedrichs"]))
-    high = np.min(np.linalg.eigvalsh(gram["krein"] - gram["middle"]))
-    report["ordering_floor"] = float(min(low, high))
+    # (iii) B = I on ker(S^*) gives an extension between the extremal ones.
+    middle = make_extension(ExtensionSpec("dirichlet", 0.0, _kernel_gram_boundary_operator(backend),
+                                          "full"), backend)
+    item = ordering_check([middle], 1.0, backend, trial_count=20)["items"][0]
+    report["ordering_floor"] = min(item["lower_floor"], item["upper_floor"])
 
     # Krein kernel: {1, x} annihilated by the extension's action and condition
-    kext = exts["krein"]
+    kext = make_extension(ExtensionSpec("dirichlet", 0.0, "krein", "full"), backend)
     for name, fld in (("one", backend.constant(1.0)), ("x", backend.polynomial([0.0, 1.0]))):
         act = fld.helmholtz_apply(0.0)
         resid = float(np.sqrt(abs(backend.inner(act, act))))
-        from .extensions import boundary_residual as _bres
-
-        report[f"krein_kernel_{name}"] = max(resid, _bres(kext, fld))
+        report[f"krein_kernel_{name}"] = max(resid, boundary_residual(kext, fld))
     return report
 
 
@@ -624,50 +617,14 @@ def _domain_split_residual(backend: Model1D, u) -> float:
     return max(g_resid, t_res, rec_res)
 
 
-def _kernel_gram_boundary_operator(backend: Model1D, b_value: float) -> np.ndarray:
-    """Boundary operator matching B = b I on ker(S^*) under the trace pairing.
+def _kernel_gram_boundary_operator(backend: Model1D) -> np.ndarray:
+    """Boundary operator matching B = I on ker(S^*) under the trace pairing.
 
-    The correspondence sends harmonic g with trace a to <a, L a> = b (g, g),
-    so L = b G with G the Gram matrix of the static harmonic extensions.
+    The correspondence sends harmonic g with trace a to <a, L a> = (g, g),
+    so L = G, the Gram matrix of the static harmonic extensions.
     """
     e0 = backend.harmonic_extension(0.0, np.array([1.0, 0.0]))
     e1 = backend.harmonic_extension(0.0, np.array([0.0, 1.0]))
-    G = np.array(
+    return np.array(
         [[backend.inner(e0, e0), backend.inner(e0, e1)], [backend.inner(e1, e0), backend.inner(e1, e1)]]
     )
-    return b_value * G
-
-
-def _trial_family(backend: Model1D, count: int):
-    """Fixed, well-conditioned L2 trial functions: sine and cosine modes."""
-    out = []
-    for k in range(1, count // 2 + 1):
-        out.append(backend.field(
-            lambda x, k=k: np.sin(k * np.pi * x) + 0j,
-            lambda x, k=k: k * np.pi * np.cos(k * np.pi * x) + 0j,
-            lambda x, k=k: -((k * np.pi) ** 2) * np.sin(k * np.pi * x) + 0j,
-        ))
-    k = 0
-    while len(out) < count:
-        out.append(backend.field(
-            lambda x, k=k: np.cos(k * np.pi * x) + 0j,
-            lambda x, k=k: -k * np.pi * np.sin(k * np.pi * x) + 0j,
-            lambda x, k=k: -((k * np.pi) ** 2) * np.cos(k * np.pi * x) + 0j,
-        ))
-        k += 1
-    return out[:count]
-
-
-def _galerkin_resolvent(ext: Extension, a: float, trial) -> np.ndarray:
-    """Hermitian part of ``G[i, j] = (phi_i, R_ext(-a) phi_j)`` on the interval;
-    each trial field and each image is sampled once at the quadrature nodes."""
-    n = len(trial)
-    backend = ext.backend
-    x, w = backend.quad_nodes, backend.quad_weights
-    conj_trial = [np.conj(f.value(x)) for f in trial]
-    images = [apply_resolvent(ext, -a - ext.z0, f).value(x) for f in trial]
-    G = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = complex(np.sum(w * conj_trial[i] * images[j]))
-    return 0.5 * (G + G.conj().T)

@@ -32,6 +32,9 @@ from .specfun import EULER_GAMMA, MAX_ARG, RangeExceeded, as_complex, sqrt_upper
 #: validated sign of the interior-trace jump relation for this kernel
 JUMP_SIGN = 1.0
 
+#: largest Im sqrt(z) * diameter with eps e^(Im sqrt(z) * diameter) <= 1e-8
+DECAY_LIMIT = float(np.log(1e-8 / np.finfo(float).eps))
+
 #: evaluation points closer than this many grid spacings trigger a warning
 SAFE_DISTANCE_FACTOR = 5.0
 
@@ -47,10 +50,6 @@ class BoundaryOperator:
     role: str
     z: complex
     grid_token: str
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 def log_quadrature_weights(n_nodes: int) -> np.ndarray:
@@ -97,7 +96,7 @@ def _kernels(grid: BoundaryGrid, z: complex) -> _Kernels:
                         lambda sp: -c * np.log(sp) * sp,
                         lambda r: -np.log(r) / (2.0 * np.pi), lambda r: -1.0 / (2.0 * np.pi * r))
     k = sqrt_upper(z)
-    _check_wavenumber(grid, k)
+    _check_wavenumber(grid, z, k)
     parts = ((log0, partial(_sp.jv, 0)), (0.25j, partial(_sp.hankel1, 0)),
              (k / (4.0 * np.pi), partial(_sp.jv, 1)), (-(0.25j * k), partial(_sp.hankel1, 1)))
     (c0, f0), (c1, f1) = parts[1], parts[3]
@@ -107,8 +106,17 @@ def _kernels(grid: BoundaryGrid, z: complex) -> _Kernels:
                     lambda r: c0 * f0(k * r), lambda r: c1 * f1(k * r))
 
 
-def _check_wavenumber(grid: BoundaryGrid, k: complex):
-    scale = float(np.max(np.abs(k)) * (np.max(np.abs(grid.points)) * 2.0 + 1.0))
+def _check_wavenumber(grid: BoundaryGrid, z: complex, k: complex):
+    """Raise :class:`RangeExceeded` where AMOS leaves its range, or where the log split,
+    whose log part grows like e^(kappa r) and cancels down to e^(-kappa r) (kappa = Im k),
+    would lose more than 1e-8 relative: eps e^(kappa diameter) > 1e-8."""
+    diameter = float(np.max(np.abs(grid.points)) * 2.0)
+    growth = float(k.imag) * diameter
+    if growth > DECAY_LIMIT:
+        raise RangeExceeded(f"at z = {z}, Im sqrt(z) * diameter = {growth:.3g} exceeds "
+                            f"{DECAY_LIMIT:.3g}: the log split would lose more than 1e-8 "
+                            "relative to cancellation")
+    scale = float(np.max(np.abs(k)) * (diameter + 1.0))
     if scale > MAX_ARG:
         raise RangeExceeded(f"|sqrt(z)| * diameter = {scale:.3g} exceeds {MAX_ARG}")
 
@@ -196,9 +204,22 @@ def neumann_trace_of_single_layer(grid: BoundaryGrid, z, ksharp=None) -> Boundar
     return BoundaryOperator(mat, "generic", as_complex(z), grid.token)
 
 
-def _target_distances(grid: BoundaryGrid, targets: np.ndarray) -> np.ndarray:
-    d = targets[:, None, :] - grid.points[None, :, :]
-    return np.min(np.sqrt(np.sum(d**2, axis=-1)), axis=1)
+def _targets(grid: BoundaryGrid, targets, warn_close: bool):
+    """Offsets ``x - y_j`` and distances of the targets to the nodes, shape (M, n, 2) and
+    (M, n).  A target on a node is a :class:`DomainError`; targets closer than
+    ``SAFE_DISTANCE_FACTOR`` grid spacings warn :class:`TargetTooClose` unless
+    ``warn_close`` is False."""
+    pts = np.atleast_2d(np.asarray(targets, dtype=float))
+    d = pts[:, None, :] - grid.points[None, :, :]
+    r = np.sqrt(np.sum(d**2, axis=-1))
+    if warn_close:
+        close = np.count_nonzero(np.min(r, axis=1) < SAFE_DISTANCE_FACTOR * grid.spacing)
+        if close:
+            warnings.warn(TargetTooClose(f"{close} target(s) closer than {SAFE_DISTANCE_FACTOR} "
+                                         "grid spacings to the boundary"))
+    if np.any(r == 0):
+        raise DomainError("target coincides with a boundary node")
+    return d, r
 
 
 def evaluate_potential(grid: BoundaryGrid, density, z, targets, *, warn_close: bool = True):
@@ -211,21 +232,7 @@ def evaluate_potential(grid: BoundaryGrid, density, z, targets, *, warn_close: b
     """
     z = as_complex(z)
     g = np.asarray(density, dtype=complex)
-    pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    if warn_close:
-        dist = _target_distances(grid, pts)
-        limit = SAFE_DISTANCE_FACTOR * grid.spacing
-        if np.any(dist < limit):
-            warnings.warn(
-                TargetTooClose(
-                    f"{int(np.sum(dist < limit))} target(s) closer than "
-                    f"{SAFE_DISTANCE_FACTOR} grid spacings to the boundary"
-                )
-            )
-    d = pts[:, None, :] - grid.points[None, :, :]
-    r = np.sqrt(np.sum(d**2, axis=-1))
-    if np.any(r == 0):
-        raise DomainError("target coincides with a boundary node")
+    _, r = _targets(grid, targets, warn_close)
     vals = _kernels(grid, z).potential(r) @ (grid.weighted_measure * g)
     return vals if np.asarray(targets).ndim > 1 else complex(vals[0])
 
@@ -234,16 +241,7 @@ def evaluate_potential_gradient(grid: BoundaryGrid, density, z, targets, *, warn
     """Gradient of the single layer potential at interior targets, shape (M, 2)."""
     z = as_complex(z)
     g = np.asarray(density, dtype=complex)
-    pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    if warn_close:
-        dist = _target_distances(grid, pts)
-        limit = SAFE_DISTANCE_FACTOR * grid.spacing
-        if np.any(dist < limit):
-            warnings.warn(TargetTooClose("gradient target(s) too close to the boundary"))
-    d = pts[:, None, :] - grid.points[None, :, :]
-    r = np.sqrt(np.sum(d**2, axis=-1))
-    if np.any(r == 0):
-        raise DomainError("target coincides with a boundary node")
+    d, r = _targets(grid, targets, warn_close)
     radial = _kernels(grid, z).radial(r)
     kernel = radial[..., None] * d / r[..., None]
     return np.einsum("mjc,j->mc", kernel, grid.weighted_measure * g)

@@ -436,9 +436,6 @@ class Model1D:
         """:meth:`inner` of two fields from their :meth:`sample`."""
         return complex(np.sum(self.quad_weights * np.conj(su) * sv))
 
-    def boundary_inner(self, f, g) -> complex:
-        return complex(np.sum(self.boundary_weights * np.conj(f) * g))
-
 
 # ---------------------------------------------------------------------------
 # disk backend
@@ -527,7 +524,7 @@ class DiskModel:
 
     name = "disk"
 
-    def __init__(self, radius: float = 1.0, mode_cutoff: int = 8, radial_nodes: int = 64):
+    def __init__(self, radius: float = 1.0, mode_cutoff: int = 8):
         if not radius > 0:
             raise DomainError("disk radius must be positive")
         if mode_cutoff < 0:
@@ -538,9 +535,9 @@ class DiskModel:
         self.nboundary = len(self.modes)
         # L2(boundary) inner product of trigonometric coefficients
         self.boundary_weights = np.full(self.nboundary, 2.0 * np.pi * self.radius)
-        nodes, weights = np.polynomial.legendre.leggauss(radial_nodes)
-        self.quad_nodes = 0.5 * self.radius * (nodes + 1.0)
-        self.quad_weights = 0.5 * self.radius * weights
+        # 64-point Gauss rule on the radius
+        self.quad_nodes = 0.5 * self.radius * (_GL_NODES + 1.0)
+        self.quad_weights = 0.5 * self.radius * _GL_WEIGHTS
         self.basis = BarycentricBasis(self.quad_nodes)
         self._reference = {}  # reference -> (top, eigenvalues below top)
         if abs(disk_mode_dtn(3, 0.0, self.radius) + 3.0 / self.radius) > 1e-14:
@@ -740,6 +737,3 @@ class DiskModel:
         w, r = self.quad_weights, self.quad_nodes
         return complex(sum(2.0 * np.pi * np.sum(w * np.conj(pu) * sv[k] * r)
                            for k, pu in su.items() if k in sv))
-
-    def boundary_inner(self, f, g) -> complex:
-        return complex(np.sum(self.boundary_weights * np.conj(f) * g))

@@ -534,7 +534,7 @@ def build_suite(suite: str, backend_name: str, nodes: int = 0, seed: int = 0, to
         if "abstract" in wanted:
             raw.append(lambda rng: _abstract_items(rng, tol))
     elif backend_name == "disk":
-        model = DiskModel(radius=1.0, mode_cutoff=8)
+        model = DiskModel()
         if "weyl" in wanted:
             raw.append(lambda rng: _weyl_disk(nodes, rng, tol))
         if "traces" in wanted:

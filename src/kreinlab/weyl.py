@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BackendUnsupported, NearSingular, QuadratureUnavailable
+from .errors import NearSingular, QuadratureUnavailable
 from .geometry import BoundaryGrid
 from .layerpot import (
     BoundaryOperator,
@@ -73,66 +73,15 @@ class LayerField:
     def gradient(self, points):
         return evaluate_potential_gradient(self.backend.grid, self.density, self.z, points)
 
-    def laplacian(self, points):
-        return -self.z * self.value(points)
-
     def gamma_dirichlet(self) -> np.ndarray:
         return self.backend.single_layer(self.z) @ self.density
 
     def gamma_neumann(self) -> np.ndarray:
         return self.backend.neumann_trace(self.z) @ self.density
 
-    def helmholtz_apply(self, z):
-        z = as_complex(z)
-        if z == self.z:
-            return _ZeroLayerField(self.backend)
-        return _ScaledLayerField(self, self.z - z)
-
-    def __add__(self, other):
-        if isinstance(other, LayerField) and other.z == self.z:
-            return LayerField(self.backend, self.z, self.density + other.density)
-        raise BackendUnsupported("layer fields combine only at equal spectral parameters")
-
-    def __rmul__(self, c):
-        return LayerField(self.backend, self.z, as_complex(c) * self.density)
-
-
-class _ZeroLayerField:
-    __slots__ = ("backend",)
-
-    def __init__(self, backend):
-        self.backend = backend
-
-    def value(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(len(pts), dtype=complex)
-        return out if np.asarray(points).ndim > 1 else complex(out[0])
-
-    def gamma_dirichlet(self):
-        return np.zeros(self.backend.grid.n, dtype=complex)
-
-    gamma_neumann = gamma_dirichlet
-
-
-class _ScaledLayerField:
-    __slots__ = ("base", "factor")
-
-    def __init__(self, base: LayerField, factor: complex):
-        self.base = base
-        self.factor = factor
-
-    @property
-    def backend(self):
-        return self.base.backend
-
-    def value(self, points):
-        return self.factor * self.base.value(points)
-
-    def gamma_dirichlet(self):
-        return self.factor * self.base.gamma_dirichlet()
-
-    def gamma_neumann(self):
-        return self.factor * self.base.gamma_neumann()
+    def helmholtz_apply(self, z) -> "LayerField":
+        """(-Laplace - z) u = (self.z - z) u: the same layer with its density scaled."""
+        return LayerField(self.backend, self.z, (self.z - as_complex(z)) * self.density)
 
 
 class BemBackend:
@@ -227,11 +176,9 @@ class BemBackend:
     def harmonic_extension(self, w, g) -> LayerField:
         return LayerField(self, w, self.single_layer_solve(w, np.asarray(g, dtype=complex)))
 
-    def boundary_inner(self, f, g) -> complex:
-        return complex(np.sum(self.boundary_weights * np.conj(f) * g))
-
     def inner(self, u, v):
-        raise QuadratureUnavailable("layer-density backend has no interior quadrature")
+        raise QuadratureUnavailable("layer-density backend has no interior quadrature; "
+                                    "pass interior_quad")
 
 
 def solve_dirichlet(grid, z, f) -> LayerField:

@@ -1,14 +1,18 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import ast
+import glob
 import json
+import os
 import threading
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import kreinlab
 from kreinlab.cli import main, read_complex_csv, write_complex_matrix_csv
-from kreinlab.oracles import interval_dtn
+from kreinlab.oracles import DiskModel, Model1D, disk_mode_dtn, interval_dtn
 
 
 @pytest.fixture()
@@ -94,6 +98,47 @@ def test_solve_command(runner, tmp_path):
     assert np.max(np.abs(rows[:, 1] - 1.0)) < 1e-8
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("domain", ["interval", "disk:1:4"])
+def test_solve_model_domains(runner, tmp_path, domain, bc):
+    out = tmp_path / "sol.csv"
+    res = _run(runner, ["solve", "--domain", domain, "--z", "-1,0", "--bc", bc, "--data", "mode:1",
+                        "--out", str(out)])
+    assert res.exit_code == 0
+    gamma_d, gamma_n = read_complex_csv(str(out)).T
+    backend = Model1D() if domain == "interval" else DiskModel(1.0, 4)
+    data = np.eye(backend.nboundary)[1]  # mode:k is the k-th unit vector on a model
+    if bc == "dirichlet":
+        assert np.max(np.abs(gamma_d - data)) < 1e-12
+        assert np.max(np.abs(gamma_n + backend.dtn(-1.0) @ data)) < 1e-12
+    else:
+        assert np.max(np.abs(gamma_n - data)) < 1e-12
+        assert np.max(np.abs(gamma_d - backend.ntd(-1.0) @ data)) < 1e-12
+
+
+def test_solve_curve_mode_data(runner, tmp_path):
+    curve = tmp_path / "disk13.json"
+    curve.write_text('{"kind": "circle", "params": {"radius": 1.3}}')
+    out = tmp_path / "sol.csv"
+    res = _run(runner, ["solve", "--domain", str(curve), "--z", "-1,0", "--data", "mode:2",
+                        "--nodes", "64", "--out", str(out)])
+    assert res.exit_code == 0
+    gamma_d, gamma_n = read_complex_csv(str(out)).T
+    mode = np.exp(2j * 2 * np.pi * np.arange(64) / 64)  # mode:k is e^(ikt) on a curve
+    assert np.max(np.abs(gamma_d - mode)) < 1e-10
+    assert np.max(np.abs(gamma_n + disk_mode_dtn(2, -1.0, 1.3) * mode)) < 1e-8
+
+
+def test_dtn_disk_model_matches_mode_oracle(runner, tmp_path):
+    out = tmp_path / "dtn.csv"
+    res = _run(runner, ["dtn", "--domain", "disk:1.3:6", "--z", "2,1", "--out", str(out)])
+    assert res.exit_code == 0
+    mat = read_complex_csv(str(out))
+    assert np.array_equal(mat, np.diag(disk_mode_dtn(np.arange(-6, 7), 2 + 1j, 1.3)))
+    meta = json.loads((tmp_path / "dtn.csv.meta.json").read_text())
+    assert (meta["backend"], meta["radius"], meta["modes"]) == ("disk", 1.3, 13)
+
+
 def test_spectrum_command(runner, tmp_path):
     spec = tmp_path / "krein.json"
     spec.write_text('{"reference": "dirichlet", "z0": 0.0, "L": {"special": "krein"}, "X": "full"}')
@@ -163,6 +208,14 @@ def test_spectrum_empty_window(runner, tmp_path):
       "--window", "1,60"], "bad_extension_spec"),
     (["mfunc-scan", "--spec", "@three-by-three-projector-spec", "--path", "0.1+0.1i:0.1:1+0.1i"],
      "bad_extension_spec"),
+    (["spectrum", "--spec", "@krein-projector-spec", "--window", "1,100"], "bad_extension_spec"),
+    (["spectrum", "--spec", "@neumann-projector-spec", "--window", "1,100"], "bad_extension_spec"),
+    (["mfunc-scan", "--spec", "@robin-projector-spec", "--path", "0.1+0.1i:0.1:1+0.1i"],
+     "bad_extension_spec"),
+    (["mfunc-scan", "--spec", "@krein-zero-spec", "--path", "0.1+0.1i:0.1:1+0.1i"],
+     "bad_extension_spec"),
+    (["spectrum", "--spec", "@krein-zero-spec", "--backend", "disk", "--window", "1,60"],
+     "bad_extension_spec"),
 ])
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
     (tmp_path / "spec.json").write_text(
@@ -182,6 +235,14 @@ def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
     (tmp_path / "three-by-three-projector-spec.json").write_text(json.dumps(
         {"L": {"shape": [], "matrix": [0.0, 0.0]},
          "X": {"projector_csv": str(tmp_path / "three-by-three.csv")}}))
+    # a special or Robin L fixes its subspace: a projector, or "zero" under Krein, is rejected
+    (tmp_path / "projector.csv").write_text('"1,0","0,0"\n"0,0","0,0"\n')
+    projector = {"projector_csv": str(tmp_path / "projector.csv")}
+    for name, L, X in (("krein-projector", {"special": "krein"}, projector),
+                       ("neumann-projector", {"special": "neumann"}, projector),
+                       ("robin-projector", {"special": "robin", "theta": 1.0}, projector),
+                       ("krein-zero", {"special": "krein"}, "zero")):
+        (tmp_path / f"{name}-spec.json").write_text(json.dumps({"z0": -1.0, "L": L, "X": X}))
     argv = [str(tmp_path / (a[1:] if a.endswith(".csv") else a[1:] + ".json"))
             if a.startswith("@") else a for a in args]
     res = _run(runner, argv + ["--out", str(tmp_path / "out.csv")])
@@ -322,3 +383,26 @@ def test_verify_runs_every_suite_task_in_the_calling_thread(runner, tmp_path, mo
     assert threads == [threading.get_ident()] * 8
     assert set(json.loads(out.read_text())) == {
         "suite", "backend", "seed", "nodes", "tolerance_scale", "results", "sign_ledger", "pass"}
+
+
+def _imported_names(node) -> list:
+    """Absolute module names an import statement in a top-level kreinlab module may load."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = "kreinlab" + (f".{node.module}" if node.module else "") if node.level else node.module
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def test_no_library_module_imports_the_cli():
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(kreinlab.__file__), "*.py"))):
+        if os.path.basename(path) == "cli.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    name == "kreinlab.cli" or name.startswith("kreinlab.cli.")
+                    for name in _imported_names(node)):
+                offenders.append(f"{os.path.basename(path)}: line {node.lineno}")
+    assert not offenders

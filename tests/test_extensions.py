@@ -13,7 +13,7 @@ from kreinlab.extensions import (
     make_extension,
 )
 from kreinlab.geometry import CurveSpec, make_grid
-from kreinlab.kreinformulas import mfunc
+from kreinlab.kreinformulas import mfunc, mfunc_direct
 from kreinlab.oracles import DiskModel, Model1D
 from kreinlab.traces import gamma_D, gamma_N, tau_N
 from kreinlab.weyl import BemBackend, inverse_and_condition
@@ -62,6 +62,22 @@ def test_robin_condition(interval):
     robin = make_extension(ExtensionSpec("dirichlet", 0.0, ("robin", 1.0)), interval)
     u = apply_resolvent(robin, -2.0, lambda x: x * (1 - x))
     assert np.max(np.abs(gamma_N(u) + gamma_D(u))) < 1e-10
+
+
+def test_special_operator_fixes_its_subspace(interval):
+    z0 = -1.0
+    P = np.diag([1.0, 0.0]).astype(complex)  # a valid orthogonal projector
+    for reference, tags in (("dirichlet", ("dirichlet", "neumann", "krein", ("robin", 1.0))),
+                            ("neumann", ("dirichlet", "neumann", "krein"))):
+        for bo in tags:
+            fixed = "zero" if bo == reference else "full"
+            full = make_extension(ExtensionSpec(reference, z0, bo, "full"), interval)
+            same = make_extension(ExtensionSpec(reference, z0, bo, fixed), interval)
+            assert np.array_equal(full.L, same.L)
+            assert (full.projector is None) == (same.projector is None) == (fixed == "full")
+            for X in [P, "nonsense"] + (["zero"] if fixed == "full" else []):
+                with pytest.raises(SpecInvalid):
+                    make_extension(ExtensionSpec(reference, z0, bo, X), interval)
 
 
 def test_non_hermitian_rejected(interval):
@@ -162,10 +178,15 @@ def test_resolvent_near_eigenvalue_raises(interval):
 
 
 def test_resolvent_bem_unsupported():
+    # every call that needs interior resolvents or fields fails typed on a curve
     bem = BemBackend(make_grid(CurveSpec.circle(1.3), 64))
     ext = make_extension(ExtensionSpec("dirichlet", -1.0, "krein"), bem)
-    with pytest.raises(BackendUnsupported):
-        apply_resolvent(ext, -2.0, np.ones(64))
+    for call in (lambda: apply_resolvent(ext, -2.0, np.ones(64)),
+                 lambda: direct_solve(ext, -2.0, np.ones(64)),
+                 lambda: mfunc_direct(ext, -1.5 + 0.5j),
+                 lambda: is_nonnegative(ext)):
+        with pytest.raises(BackendUnsupported):
+            call()
 
 
 def test_is_nonnegative_examples(interval):

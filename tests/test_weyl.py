@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from kreinlab.errors import NearSingular
+from kreinlab.errors import NearSingular, RangeExceeded
 from kreinlab.extensions import ExtensionSpec, apply_resolvent, direct_solve, make_extension
 from kreinlab.geometry import CurveSpec, make_grid
 from kreinlab.kreinformulas import Abstract1D, abstract_krein_check, hermitian_part
@@ -177,6 +177,16 @@ def test_dtn_matches_disk_oracle(disk13_backend, z):
         v = np.exp(1j * k * grid.t)
         ray = np.sum(w * np.conj(v) * (M @ v)) / np.sum(w * np.abs(v) ** 2)
         assert abs(ray - disk_mode_dtn(k, z, 1.3)) < 1e-8
+
+
+@pytest.mark.parametrize("z, growth", [(-100.0, "20"), (-400.0, "40")])
+def test_log_split_cancellation_raises_range_exceeded(circle_backend, z, growth):
+    # past Im sqrt(z) * diameter = 17.6 the log split loses more than 1e-8 on the unit
+    # circle; that must be loud, and never reported as a near-singular system
+    with pytest.raises(RangeExceeded) as info:
+        dtn(circle_backend, z)
+    assert f"z = {complex(z)}" in str(info.value)
+    assert f"Im sqrt(z) * diameter = {growth} exceeds" in str(info.value)
 
 
 def test_ntd_dtn_identity_kite(kite_backend):
