@@ -126,13 +126,15 @@ def _boundary_data(data: str, n: int, t: np.ndarray | None):
             k = int(data.split(":")[1])
         except ValueError:
             _fail({"error": "bad_boundary_data", "detail": f"mode index of {data!r} is not an int"}, 2)
-        if t is None:
-            if not 0 <= k < n:
-                _fail({"error": "bad_boundary_data", "detail": f"mode index {k} out of range"}, 2)
-            vec = np.zeros(n, dtype=complex)
-            vec[k] = 1.0
-            return vec
-        return np.exp(1j * k * t)
+        # a model backend has modes 0..n-1; on n curve nodes e^{ikt} with |k| >= n/2
+        # equals a lower mode
+        if not (0 <= k < n if t is None else 2 * abs(k) < n):
+            _fail({"error": "bad_boundary_data", "detail": f"mode index {k} out of range"}, 2)
+        if t is not None:
+            return np.exp(1j * k * t)
+        vec = np.zeros(n, dtype=complex)
+        vec[k] = 1.0
+        return vec
     if not os.path.exists(data):
         _fail({"error": "config_not_found", "path": data}, 2)
     try:
@@ -233,6 +235,9 @@ def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
         _fail({"error": "bad_path", "value": path_text, "detail": "step must be positive"}, 2)
     try:
         ext = make_extension(spec, backend)
+        if ext.projector is not None:  # checked before the output file is opened
+            raise SpecInvalid("mfunc-scan needs the full subspace (X = \"full\"): the Weyl "
+                              "function is the inverse of the bracket on the whole boundary")
         length = abs(end - start)
         npts = max(2, int(round(length / step)) + 1)
         zs = [start + (end - start) * i / (npts - 1) for i in range(npts)]

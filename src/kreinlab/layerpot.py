@@ -17,8 +17,12 @@ The sign is not assumed: it is forced by the uniform-density disk identity
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 import warnings
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 
@@ -37,6 +41,23 @@ DECAY_LIMIT = float(np.log(1e-8 / np.finfo(float).eps))
 
 #: evaluation points closer than this many grid spacings trigger a warning
 SAFE_DISTANCE_FACTOR = 5.0
+
+#: kernel arguments with fewer points are evaluated in the calling thread: OpenBLAS's
+#: worker spins for 0.1-0.2 s after each LAPACK call and holds a core, so a split of a
+#: few milliseconds that follows a factorization gains nothing
+SPLIT_MIN = 65_536
+
+_pool = None  # runs the kernel slices past the caller's own; made on the first split
+_pool_lock = threading.Lock()
+
+
+def _drop_pool():  # a forked child inherits the pool and the lock but none of the threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 @dataclass(frozen=True)
@@ -67,8 +88,46 @@ def log_quadrature_weights(n_nodes: int) -> np.ndarray:
     profile = -(2.0 * np.pi / half) * (np.cos(np.outer(angles, m)) / m).sum(axis=1) - (
         np.pi / half**2
     ) * np.cos(half * angles)
-    idx = (np.arange(n_nodes)[:, None] - np.arange(n_nodes)[None, :]) % n_nodes
-    return profile[idx]
+    # R_ij = profile[(i - j) % n] = e[i - j + n - 1]: a read-only circulant view of the
+    # 2n - 1 values e, whose column j is the window of e starting at n - 1 - j
+    e = np.concatenate([profile[1:], profile])
+    return np.lib.stride_tricks.sliding_window_view(e, n_nodes)[:, ::-1]
+
+
+def _cores() -> int:
+    """CPUs this process may run on (every CPU where the OS has no affinity call)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _apply(f, x: np.ndarray) -> np.ndarray:
+    """``f(x)`` for a kernel ufunc ``f`` of :func:`_kernels` (it maps the dtype of ``x``
+    to itself).  From ``SPLIT_MIN`` points on, with more than one core, ``x`` is cut
+    into one contiguous slice per core: the calling thread evaluates the first and a
+    module pool the others, each writing with ``out=`` into its slice of one result and
+    running in a copy of the caller's context, so ``np.errstate`` holds in every slice.
+    The evaluation is elementwise, so the result has the bits of ``f(x)``."""
+    cores = _cores()
+    if cores < 2 or x.size < SPLIT_MIN:
+        return f(x)
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(cores - 1, thread_name_prefix="kreinlab-kernel")
+        pool = _pool
+    out = np.empty(x.shape, dtype=x.dtype)
+    xs, outs = np.ravel(x), out.reshape(-1)
+    cuts = [xs.size * i // cores for i in range(cores + 1)]
+    jobs = [pool.submit(contextvars.copy_context().run, f, xs[a:b], out=outs[a:b])
+            for a, b in zip(cuts[1:-1], cuts[2:])]
+    try:
+        f(xs[:cuts[1]], out=outs[:cuts[1]])
+    finally:
+        wait(jobs)  # no slice outlives the call, whatever raised
+    for job in jobs:
+        job.result()  # a worker's error is raised here
+    return out
 
 
 def _pairwise(grid: BoundaryGrid):
@@ -89,12 +148,13 @@ def _kernels(grid: BoundaryGrid, z: complex) -> _Kernels:
     coefficient that log-splitting takes out of Phi, Phi, and the same for the factor of
     K#_z = factor (x - y).nu_x / r**power (None: no log part).  ``diagonal(|x'|)`` is the
     smooth part of V_z at r = 0; ``potential`` and ``radial`` are Phi and Phi' at target
-    distances r."""
+    distances r.  Every ufunc ``f`` is evaluated through :func:`_apply`."""
     c, log0 = 1.0 / (2.0 * np.pi), -1.0 / (4.0 * np.pi)
     if z == 0:
         return _Kernels(1.0, ((log0, 1.0), (-c, np.log), None, (-c, 1.0)), 2,
                         lambda sp: -c * np.log(sp) * sp,
-                        lambda r: -np.log(r) / (2.0 * np.pi), lambda r: -1.0 / (2.0 * np.pi * r))
+                        lambda r: -_apply(np.log, r) / (2.0 * np.pi),
+                        lambda r: -1.0 / (2.0 * np.pi * r))
     k = sqrt_upper(z)
     _check_wavenumber(grid, z, k)
     parts = ((log0, partial(_sp.jv, 0)), (0.25j, partial(_sp.hankel1, 0)),
@@ -103,7 +163,7 @@ def _kernels(grid: BoundaryGrid, z: complex) -> _Kernels:
     return _Kernels(k, parts, 1,
                     lambda sp: (0.25j - EULER_GAMMA / (2.0 * np.pi)
                                 - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp,
-                    lambda r: c0 * f0(k * r), lambda r: c1 * f1(k * r))
+                    lambda r: c0 * _apply(f0, k * r), lambda r: c1 * _apply(f1, k * r))
 
 
 def _check_wavenumber(grid: BoundaryGrid, z: complex, k: complex):
@@ -147,7 +207,7 @@ def _assemble(grid: BoundaryGrid, z: complex, single: bool, adjoint: bool):
         # reuses that temporary for large n and puts it first, and the operand order
         # of a complex product decides its last bit
         c, f = lane.parts[i]
-        return c * mirror(f(x) if callable(f) else f, diagonal)
+        return c * mirror(_apply(f, x) if callable(f) else f, diagonal)
 
     V = K = None
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -13,9 +13,12 @@ a conditioning diagnostic instead of continuing silently.  The diagnostic is
 the exact 1-norm condition number ``||A||_1 ||A^{-1}||_1``; an exactly
 singular matrix has condition ``inf``.  Every gated system is factored once,
 by :func:`gated_inverse`, and the answer is formed with the inverse that
-passed the gate.  Only the condition of ``V_z`` is cached per ``z``, never
-its inverse, and a backend keeps the matrices of its ``CACHED_PARAMETERS``
-most recently stored ``z`` only.
+passed the gate.  The first time ``V_z`` or the Neumann trace ``1/2 I + K#_z``
+is needed, both are assembled from one pairwise geometry, so a request
+evaluates all its kernels before its first factorization.  Only the
+condition of ``V_z`` is cached per ``z``, never its inverse, and a backend
+keeps the matrices of its ``CACHED_PARAMETERS`` most recently stored ``z``
+only.
 """
 
 from __future__ import annotations
@@ -119,19 +122,21 @@ class BemBackend:
     def token(self) -> str:
         return self.grid.token
 
+    def _layers(self, z: complex):
+        """``(V_z, T_z)``.  The first time either is needed both are assembled from one
+        pairwise geometry, so a request does all its kernel work before its first
+        factorization; K#_z is not kept once T_z is formed."""
+        if ("V", z) not in self._cache:
+            V, K = assemble_single_layer_trace(self.grid, z, with_adjoint=True)
+            self._store(("V", z), V.matrix)
+            self._store(("T", z), neumann_trace_of_single_layer(self.grid, z, K).matrix)
+        return self._cache[("V", z)], self._cache[("T", z)]
+
     def single_layer(self, z) -> np.ndarray:
-        z = as_complex(z)
-        key = ("V", z)
-        if key not in self._cache:
-            self._store(key, assemble_single_layer_trace(self.grid, z).matrix)
-        return self._cache[key]
+        return self._layers(as_complex(z))[0]
 
     def neumann_trace(self, z) -> np.ndarray:
-        z = as_complex(z)
-        key = ("T", z)
-        if key not in self._cache:
-            self._store(key, neumann_trace_of_single_layer(self.grid, z).matrix)
-        return self._cache[key]
+        return self._layers(as_complex(z))[1]
 
     def _single_layer_inverse(self, z: complex) -> np.ndarray:
         V = self.single_layer(z)
@@ -155,12 +160,6 @@ class BemBackend:
         z = as_complex(z)
         key = ("dtn", z)
         if key not in self._cache:
-            if ("V", z) not in self._cache and ("T", z) not in self._cache:
-                # both layers from one pairwise geometry
-                V, K = assemble_single_layer_trace(self.grid, z, with_adjoint=True)
-                self._store(("V", z), V.matrix)
-                self._store(("T", z), neumann_trace_of_single_layer(self.grid, z, K).matrix)
-                del K  # K#_z is not kept once T_z is formed
             T = self.neumann_trace(z)
             inv = self._single_layer_inverse(z)
             # every product T_ik (-inv_kj) equals (-T_ik) inv_kj, signed zeros too, so this

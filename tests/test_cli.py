@@ -4,6 +4,8 @@ import ast
 import glob
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -129,6 +131,45 @@ def test_solve_curve_mode_data(runner, tmp_path):
     assert np.max(np.abs(gamma_n + disk_mode_dtn(2, -1.0, 1.3) * mode)) < 1e-8
 
 
+@pytest.mark.parametrize("k", [7, -7])
+def test_solve_curve_highest_modes(runner, tmp_path, k):
+    curve = tmp_path / "circle.json"
+    curve.write_text('{"kind": "circle", "params": {"radius": 1.0}}')
+    out = tmp_path / "sol.csv"
+    res = _run(runner, ["solve", "--domain", str(curve), "--nodes", "16", "--data", f"mode:{k}",
+                        "--out", str(out)])
+    assert res.exit_code == 0
+    gamma_d = read_complex_csv(str(out))[:, 0]
+    assert np.max(np.abs(gamma_d - np.exp(1j * k * 2 * np.pi * np.arange(16) / 16))) < 1e-10
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_curve_solve_assembles_once(runner, tmp_path, monkeypatch, bc):
+    from kreinlab import layerpot
+
+    calls = []
+    assemble = layerpot._assemble
+    monkeypatch.setattr(layerpot, "_assemble", lambda *a: calls.append(a[1:]) or assemble(*a))
+    curve = tmp_path / "kite.json"
+    curve.write_text('{"kind": "kite"}')
+    res = _run(runner, ["solve", "--domain", str(curve), "--bc", bc, "--z", "2,1", "--nodes", "64",
+                        "--out", str(tmp_path / "sol.csv")])
+    assert res.exit_code == 0
+    assert calls == [(2 + 1j, True, True)]  # both layers, one geometry
+
+
+def test_mfunc_scan_off_the_full_subspace_exits_2_before_writing(runner, tmp_path):
+    # a Dirichlet L fixes X = {0}; the Weyl function needs the full subspace
+    spec = tmp_path / "dirichlet.json"
+    spec.write_text('{"L": {"special": "dirichlet"}}')
+    out = tmp_path / "mf.csv"
+    res = _run(runner, ["mfunc-scan", "--spec", str(spec), "--path", "0.1+0.1i:0.1:1+0.1i",
+                        "--out", str(out)])
+    assert res.exit_code == 2
+    assert json.loads(res.output)["error"] == "bad_extension_spec"
+    assert not out.exists()
+
+
 def test_dtn_disk_model_matches_mode_oracle(runner, tmp_path):
     out = tmp_path / "dtn.csv"
     res = _run(runner, ["dtn", "--domain", "disk:1.3:6", "--z", "2,1", "--out", str(out)])
@@ -216,6 +257,10 @@ def test_spectrum_empty_window(runner, tmp_path):
      "bad_extension_spec"),
     (["spectrum", "--spec", "@krein-zero-spec", "--backend", "disk", "--window", "1,60"],
      "bad_extension_spec"),
+    # on 16 curve nodes e^{ikt} with |k| >= 8 aliases to a lower mode
+    (["solve", "--domain", "@circle", "--nodes", "16", "--data", "mode:17"], "bad_boundary_data"),
+    (["solve", "--domain", "@circle", "--nodes", "16", "--data", "mode:8"], "bad_boundary_data"),
+    (["solve", "--domain", "@circle", "--nodes", "16", "--data", "mode:-8"], "bad_boundary_data"),
 ])
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
     (tmp_path / "spec.json").write_text(
@@ -406,3 +451,21 @@ def test_no_library_module_imports_the_cli():
                     for name in _imported_names(node)):
                 offenders.append(f"{os.path.basename(path)}: line {node.lineno}")
     assert not offenders
+
+
+def test_import_starts_no_thread_and_package_reads_no_environment():
+    # the kernel pool starts on the first split evaluation, not on import
+    code = "import threading, kreinlab.cli; print(threading.active_count())"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kreinlab.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.stdout.split() == ["1"], done.stderr
+    readers = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(kreinlab.__file__), "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        readers += [f"{os.path.basename(path)}: line {node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and
+                    {"environ", "environb", "getenv", "getenvb"} & {
+                        getattr(node, "attr", None), getattr(node, "id", None),
+                        getattr(node, "name", None)}]
+    assert not readers

@@ -1,13 +1,21 @@
 """Layer-operator assembly checks against closed forms on circles."""
 
+import os
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import special
 
+from kreinlab import layerpot
 from kreinlab.errors import TargetTooClose
 from kreinlab.geometry import CurveSpec, make_grid
 from kreinlab.layerpot import (
     JUMP_SIGN,
+    SPLIT_MIN,
     _pairwise,
     assemble_adjoint_double_layer,
     assemble_single_layer_trace,
@@ -17,6 +25,7 @@ from kreinlab.layerpot import (
     neumann_trace_of_single_layer,
 )
 from kreinlab.specfun import EULER_GAMMA, sqrt_upper
+from kreinlab.weyl import BemBackend
 
 
 def test_log_quadrature_rule_exact_on_modes():
@@ -226,3 +235,117 @@ def test_triangle_kernels_bit_identical_to_full_matrix(n, z):
     K = assemble_adjoint_double_layer(grid, z).matrix
     assert np.array_equal(V, V_ref)
     assert np.array_equal(K, K_ref)
+
+
+@pytest.mark.parametrize("n", [4, 16, 256, 1024])
+def test_log_weights_are_a_read_only_circulant_view(n):
+    half = n // 2
+    angles = 2.0 * np.pi * np.arange(n) / n
+    m = np.arange(1, half)
+    profile = -(2.0 * np.pi / half) * (np.cos(np.outer(angles, m)) / m).sum(axis=1) - (
+        np.pi / half**2) * np.cos(half * angles)
+    gathered = profile[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+    R = log_quadrature_weights(n)
+    assert np.array_equal(R, gathered)
+    assert not R.flags.writeable
+
+
+@pytest.fixture()
+def cores(monkeypatch):
+    """``cores(c)``: from then on kernel evaluations are cut into ``c`` slices (1:
+    inline), with the slices past the caller's on a fresh one-thread pool."""
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(layerpot, "_pool", pool)
+    yield lambda c: monkeypatch.setattr(layerpot, "_cores", lambda: c)
+    pool.shutdown()
+
+
+# not the unit circle, whose V_0 is singular (logarithmic capacity one)
+_SPLIT_CURVES = [CurveSpec.kite(), CurveSpec.star(0.3, 5), CurveSpec.ellipse(1.5, 1.0),
+                 CurveSpec.circle(0.8)]
+
+
+@pytest.mark.parametrize("z", [2 + 1j, -2.3, 0.0])
+@pytest.mark.parametrize("spec", _SPLIT_CURVES, ids=lambda spec: spec.kind)
+def test_split_kernels_equal_inline(cores, spec, z):
+    grid = make_grid(spec, 512)
+    rng = np.random.default_rng(5)
+    density = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    targets = 0.3 * rng.uniform(-1.0, 1.0, (160, 2))  # 160 x 512 points: split too
+
+    def evaluate():
+        # T = I/2 + K#: off the diagonal, which no kernel reaches, T and K# have equal bits
+        backend = BemBackend(grid)
+        out = [backend.dtn(z), backend.single_layer(z), backend.neumann_trace(z),
+               evaluate_potential(grid, density, z, targets),
+               evaluate_potential_gradient(grid, density, z, targets)]
+        return out + [backend.ntd(z)] if z != 0 else out  # 0 is a Neumann eigenvalue
+
+    cores(1)
+    inline = evaluate()
+    cores(3)
+    for got, want in zip(evaluate(), inline):
+        assert (got == want).all()
+
+
+def test_kernels_are_cut_into_one_slice_per_core(monkeypatch, cores):
+    calls = []
+
+    def log(x, out=None):
+        calls.append(x.size)
+        return np.log(x, out=out)
+
+    x = np.linspace(1.0, 2.0, SPLIT_MIN)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one core: inline
+    assert np.array_equal(layerpot._apply(log, x), np.log(x)) and calls == [SPLIT_MIN]
+    cores(3)
+    calls.clear()
+    assert np.array_equal(layerpot._apply(log, x), np.log(x))
+    assert sorted(calls) == [SPLIT_MIN // 3, SPLIT_MIN // 3, SPLIT_MIN - 2 * (SPLIT_MIN // 3)]
+    calls.clear()
+    layerpot._apply(log, x[:-1])  # below SPLIT_MIN: inline
+    assert calls == [SPLIT_MIN - 1]
+
+
+def test_split_evaluation_under_warnings_as_errors(cores):
+    cores(2)
+    x = np.ones(2 * SPLIT_MIN)
+    x[-1] = 0.0  # log(0) divides by zero in the pool's slice only
+    grid = make_grid(CurveSpec.kite(), 512)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assemble_single_layer_trace(grid, 2 + 1j, with_adjoint=True)
+        with np.errstate(divide="ignore"):  # the caller's errstate holds in the pool
+            assert layerpot._apply(np.log, x)[-1] == -np.inf
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            layerpot._apply(np.log, x)
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    monkeypatch.setattr(layerpot, "_pool", None)
+    monkeypatch.setattr(layerpot, "_cores", lambda: 3)
+    pools = []
+    monkeypatch.setattr(layerpot, "ThreadPoolExecutor",
+                        lambda *a, **k: pools.append(ThreadPoolExecutor(*a, **k)) or pools[-1])
+    inputs = [np.linspace(1.0 + i, 2.0 + i, SPLIT_MIN + i) for i in range(8)]
+    results = [None] * 8
+
+    def call(i):
+        results[i] = layerpot._apply(np.log, inputs[i])
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in pools:
+            pool.shutdown()
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(pools) == 1
+    for x, got in zip(inputs, results):
+        assert np.array_equal(got, np.log(x))
