@@ -40,7 +40,6 @@ from .kreinformulas import (
 )
 from .layerpot import (
     JUMP_SIGN,
-    BoundaryOperator,
     assemble_adjoint_double_layer,
     assemble_single_layer_trace,
     evaluate_potential,

@@ -4,7 +4,8 @@ CSV conventions: complex cells are quoted "re,im" pairs with 17 significant
 digits, as ``%.17g`` prints them (see :mod:`kreinlab.csvtext`); the first
 line is a ``#``-prefixed header describing the layout.
 Reports are emitted as JSON with sorted keys, so identical (config, seed)
-pairs produce byte-identical files.
+pairs produce byte-identical files on hosts with the same CPU affinity
+(OpenBLAS sizes its thread pool by it, and the last bits of an inverse follow).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import click
 import numpy as np
 
 from .csvtext import read_complex_csv, write_complex_matrix_csv
-from .errors import KreinlabError, SpecInvalid
+from .errors import BadNodeCount, KreinlabError, SpecInvalid
 from .extensions import ExtensionSpec, make_extension
 from .geometry import CurveSpec, make_grid
 from .kreinformulas import imaginary_part_eigenvalues, resolve_sign_conventions, sign_witnesses
@@ -64,7 +65,10 @@ def _load_domain(domain: str, nodes: int):
         spec = CurveSpec.from_json(open(domain).read())
     except (json.JSONDecodeError, KeyError, KreinlabError) as exc:
         _fail({"error": "bad_curve_spec", "detail": str(exc)}, 2)
-    return "bem", BemBackend(make_grid(spec, nodes))
+    try:
+        return "bem", BemBackend(make_grid(spec, nodes))
+    except BadNodeCount as exc:
+        _fail({"error": "bad_node_count", "detail": str(exc)}, 2)
 
 
 def _load_extension_spec(path: str) -> ExtensionSpec:
@@ -198,6 +202,10 @@ def cmd_spectrum(spec_path, backend_name, window, count, tol, out):
         _fail({"error": "bad_window", "value": window}, 2)
     if not np.isfinite([a, b]).all():
         _fail({"error": "bad_window", "value": window, "detail": "bounds must be finite"}, 2)
+    if not np.isfinite(tol):
+        _fail({"error": "bad_tol", "detail": f"tol must be finite, got {tol}"}, 2)
+    if count is not None and count < 0:
+        _fail({"error": "bad_count", "detail": f"count must be nonnegative, got {count}"}, 2)
     backend = Model1D() if backend_name == "interval" else DiskModel()
     try:
         roots = eigenvalues(SpectrumRequest(spec, (a, b), count, tol), backend)
@@ -272,6 +280,8 @@ def cmd_verify(suite, backend_name, nodes, seed, tol, out, flip):
         items = build_suite(suite, backend_name, nodes=nodes, seed=seed, tol=tol, flip=flip,
                             witnesses=witnesses)
         ledger = resolve_sign_conventions(witnesses=witnesses)
+    except BadNodeCount as exc:  # only --nodes builds a grid of the caller's size
+        _fail({"error": "bad_node_count", "detail": str(exc)}, 2)
     except KreinlabError as exc:
         _fail({"error": type(exc).__name__, "detail": str(exc)}, 1)
     passed = all(it["pass"] for it in items)

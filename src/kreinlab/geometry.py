@@ -9,7 +9,6 @@ superalgebraically.  Every curve is parametrized counterclockwise over
 from __future__ import annotations
 
 import json
-import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +158,6 @@ class BoundaryGrid:
     speed: np.ndarray
     curvature: np.ndarray
     weights: np.ndarray
-    token: str
 
     @property
     def n(self) -> int:
@@ -204,5 +202,4 @@ def make_grid(spec: CurveSpec, n: int) -> BoundaryGrid:
         speed=speed,
         curvature=curvature,
         weights=weights,
-        token=uuid.uuid4().hex,
     )

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import BracketSingular, DomainError, NearEigenvalue
 from .extensions import (Extension, ExtensionSpec, apply_resolvent, boundary_residual,
                          homogeneous_system, make_extension)
-from .layerpot import BoundaryOperator, assemble_adjoint_double_layer
+from .layerpot import assemble_adjoint_double_layer
 from .oracles import Model1D
 from .specfun import as_complex
 from .spectral import ordering_check
@@ -93,23 +93,12 @@ class SignLedger:
 # Weyl function of an extension
 # ---------------------------------------------------------------------------
 
-def _as_extension(ext, backend=None) -> Extension:
-    if isinstance(ext, ExtensionSpec):
-        if backend is None:
-            raise DomainError("an ExtensionSpec needs a backend to bind to")
-        return make_extension(ext, backend)
-    return ext
-
-
-def mfunc(ext, z, backend=None) -> BoundaryOperator:
+def mfunc(ext: Extension, z) -> np.ndarray:
     """Weyl function M(z) of the extension: inverse of L - M(z+z0) + M(z0)."""
-    ext = _as_extension(ext, backend)
     if ext.projector is not None:
         raise DomainError("the Weyl-function inverse formula needs the full subspace")
-    mat = gated_inverse(ext.bracket(as_complex(z) + ext.z0), NearEigenvalue,
-                        f"bracket at z = {z} (the Weyl function has a pole nearby)")
-    token = getattr(ext.backend, "token", ext.backend.name if hasattr(ext.backend, "name") else "")
-    return BoundaryOperator(mat, "MD", as_complex(z), token)
+    return gated_inverse(ext.bracket(as_complex(z) + ext.z0), NearEigenvalue,
+                         f"bracket at z = {z} (the Weyl function has a pole nearby)")
 
 
 def mfunc_direct(ext: Extension, z) -> np.ndarray:
@@ -124,7 +113,7 @@ def mfunc_direct(ext: Extension, z) -> np.ndarray:
 
 def imaginary_part_eigenvalues(ext: Extension, z) -> np.ndarray:
     """Eigenvalues of Im M(z) = (M - M^*)/(2i) in the weighted product."""
-    mat = mfunc(ext, z).matrix
+    mat = mfunc(ext, z)
     w = ext.backend.boundary_weights
     s = np.sqrt(w)
     sym = (s[:, None] * mat) / s[None, :]
@@ -132,9 +121,8 @@ def imaginary_part_eigenvalues(ext: Extension, z) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (im + im.conj().T))
 
 
-def herglotz_defect(ext, zs, backend=None) -> float:
+def herglotz_defect(ext: Extension, zs) -> float:
     """Max over the grid of minus the smallest eigenvalue of Im M(z)."""
-    ext = _as_extension(ext, backend)
     worst = -np.inf
     for z in zs:
         z = as_complex(z)
@@ -147,8 +135,8 @@ def herglotz_defect(ext, zs, backend=None) -> float:
 def mfunc_symmetry_defect(ext: Extension, z) -> float:
     """Residual of M(z)^* = M(zbar) in the weighted inner product."""
     w = ext.backend.boundary_weights
-    a = weighted_adjoint(mfunc(ext, z).matrix, w, w)
-    b = mfunc(ext, np.conj(as_complex(z))).matrix
+    a = weighted_adjoint(mfunc(ext, z), w, w)
+    b = mfunc(ext, np.conj(as_complex(z)))
     return float(np.max(np.abs(a - b)))
 
 
@@ -190,7 +178,7 @@ def transfer_alternative_form(L1: np.ndarray, L2: np.ndarray, z0: float, z, back
 
 
 def two_extension_transfer(L1, L2, z0: float, z, backend,
-                           ledger: SignLedger | None = None) -> BoundaryOperator:
+                           ledger: SignLedger | None = None) -> np.ndarray:
     """Transfer operator of the two-extension resolvent identity.
 
     Evaluates both printed variants, validates them against direct solves of
@@ -218,8 +206,7 @@ def two_extension_transfer(L1, L2, z0: float, z, backend,
         raise BracketSingular(
             f"two-extension formula variant mismatch: validated {best} with residuals {resid}"
         )
-    token = getattr(backend, "token", getattr(backend, "name", ""))
-    return BoundaryOperator(variants["primary"], "MD", z, token)
+    return variants["primary"]
 
 
 def _extension_from_matrix(L: np.ndarray, z0: float, backend) -> Extension:
@@ -243,8 +230,8 @@ def two_extension_identity_residuals(L1, L2, z0: float, z, backend) -> dict:
     a = gamma_D(u1)
     variants = transfer_variants(np.asarray(L1, complex), np.asarray(L2, complex), z0, z, backend)
     # [gamma_D R_1(zbar)]^* = + HarmExt_w M_1(z);  [gamma_D R_1(z)]^* = + HarmExt_wbar M_1(zbar)
-    M1z = mfunc(ext1, z).matrix
-    M1zb = mfunc(ext1, np.conj(z)).matrix
+    M1z = mfunc(ext1, z)
+    M1zb = mfunc(ext1, np.conj(z))
     diff = u2 + (-1.0) * u1
     out = {}
     for name, T in variants.items():
@@ -276,7 +263,7 @@ def two_extension_symmetry_defect(L1, L2, z0: float, z, backend) -> float:
     return float(np.max(np.abs(weighted_adjoint(Tz, w, w) - Tzb)))
 
 
-def smoothing_factorization_check(ext, z, backend=None) -> float:
+def smoothing_factorization_check(ext: Extension, z) -> float:
     """Residual of  tau_N(z0) [gamma_D R_ext(zbar)]^*  =  [M(z0) - M(z+z0)] M(z).
 
     The adjoint is realized through the validated identity
@@ -284,11 +271,10 @@ def smoothing_factorization_check(ext, z, backend=None) -> float:
     to applying the regularized trace to explicit harmonic extensions, which
     is computed independently of the right-hand product.
     """
-    ext = _as_extension(ext, backend)
     backend = ext.backend
     z = as_complex(z)
     w = z + ext.z0
-    MD = mfunc(ext, z).matrix
+    MD = mfunc(ext, z)
     m = backend.nboundary
     lhs = np.zeros((m, m), dtype=complex)
     for j in range(m):
@@ -354,7 +340,7 @@ def interval_sign_witnesses(ext: Extension, z) -> dict:
             "+": float(np.max(np.abs(Rext - RD - adj @ TN))) / scale,
             "-": float(np.max(np.abs(Rext - RD + adj @ TN))) / scale,
         },
-        "krein-formula": float(np.max(np.abs(Rext - RD - adjT @ mfunc(ext, z).matrix @ TN))) / scale,
+        "krein-formula": float(np.max(np.abs(Rext - RD - adjT @ mfunc(ext, z) @ TN))) / scale,
         "harmonic-adjoint": float(np.max(np.abs(adjT + HE))),
     }
 
@@ -369,7 +355,7 @@ def sign_witnesses(grid=None, backend=None) -> dict:
 
     # jump relation: uniform density on the unit circle has zero interior
     # Neumann trace, which forces the +1/2 jump for this kernel.
-    ks = assemble_adjoint_double_layer(grid, 0.0).matrix
+    ks = assemble_adjoint_double_layer(grid, 0.0)
     ones = np.ones(grid.n)
     out = {"jump-relation": {
         "+1/2": float(np.max(np.abs((0.5 * np.eye(grid.n) + ks) @ ones))),

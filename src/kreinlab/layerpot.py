@@ -23,7 +23,6 @@ import threading
 import warnings
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -58,19 +57,6 @@ def _drop_pool():  # a forked child inherits the pool and the lock but none of t
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
-
-
-@dataclass(frozen=True)
-class BoundaryOperator:
-    """Dense boundary matrix acting on nodal samples of one grid.
-
-    ``role`` is one of  V, Ksharp, DtN, NtD, L, MD, generic.
-    """
-
-    matrix: np.ndarray
-    role: str
-    z: complex
-    grid_token: str
 
 
 def log_quadrature_weights(n_nodes: int) -> np.ndarray:
@@ -240,28 +226,24 @@ def assemble_single_layer_trace(grid: BoundaryGrid, z, *, with_adjoint: bool = F
     With ``with_adjoint`` the result is the pair ``(V_z, K#_z)``, both from one
     pairwise geometry.
     """
-    z = as_complex(z)
-    V, K = _assemble(grid, z, True, with_adjoint)
-    V = BoundaryOperator(V, "V", z, grid.token)
-    return (V, BoundaryOperator(K, "Ksharp", z, grid.token)) if with_adjoint else V
+    V, K = _assemble(grid, as_complex(z), True, with_adjoint)
+    return (V, K) if with_adjoint else V
 
 
-def assemble_adjoint_double_layer(grid: BoundaryGrid, z) -> BoundaryOperator:
+def assemble_adjoint_double_layer(grid: BoundaryGrid, z) -> np.ndarray:
     """Matrix of the principal-value kernel d/d nu_x E_2(z; x - y).
 
     The kernel is continuous on smooth curves; its diagonal is the curvature
     limit -kappa |x'| / (4 pi), independent of z.
     """
-    z = as_complex(z)
-    return BoundaryOperator(_assemble(grid, z, False, True)[1], "Ksharp", z, grid.token)
+    return _assemble(grid, as_complex(z), False, True)[1]
 
 
-def neumann_trace_of_single_layer(grid: BoundaryGrid, z, ksharp=None) -> BoundaryOperator:
+def neumann_trace_of_single_layer(grid: BoundaryGrid, z, ksharp=None) -> np.ndarray:
     """Matrix sending a density g to the interior Neumann trace of S_z g; ``ksharp``
     is K#_z when it is already assembled."""
     ksharp = assemble_adjoint_double_layer(grid, z) if ksharp is None else ksharp
-    mat = 0.5 * JUMP_SIGN * np.eye(grid.n) + ksharp.matrix
-    return BoundaryOperator(mat, "generic", as_complex(z), grid.token)
+    return 0.5 * JUMP_SIGN * np.eye(grid.n) + ksharp
 
 
 def _targets(grid: BoundaryGrid, targets, warn_close: bool):

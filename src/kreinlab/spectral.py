@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BackendUnsupported, CountFailed, NearEigenvalue
+from .errors import BackendUnsupported, CountFailed, DomainError, NearEigenvalue
 from .extensions import Extension, ExtensionSpec, apply_resolvent, make_extension
 from .traces import hermitian_part
 
@@ -95,6 +95,10 @@ def _sample(count, lam: float, left, right) -> int:
 def eigenvalues(req: SpectrumRequest, backend) -> list:
     """Sorted eigenvalues of the realized Laplacian extension in the window,
     each repeated by its multiplicity; ``count`` keeps the first ``count``."""
+    if not np.isfinite(req.tol):  # a nan width never closes a bracket
+        raise DomainError(f"bisection width must be finite, got {req.tol}")
+    if req.count is not None and req.count < 0:
+        raise DomainError(f"eigenvalue count must be nonnegative, got {req.count}")
     a, b = float(req.window[0]), float(req.window[1])
     if b <= a:
         return []
@@ -141,7 +145,7 @@ def ordering_check(ext_list, a: float, backend, trial_count: int = 40) -> dict:
     floor -1e-9.
     """
     if a <= 0:
-        raise ValueError("ordering parameter a must be positive")
+        raise DomainError("ordering parameter a must be positive")
     trial = _trial_family(backend, trial_count)
     z0 = ext_list[0].z0 if ext_list else 0.0
     dir_ext = make_extension(ExtensionSpec("dirichlet", z0, "dirichlet", "zero"), backend)

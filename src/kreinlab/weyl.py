@@ -28,7 +28,6 @@ import numpy as np
 from .errors import NearSingular, QuadratureUnavailable
 from .geometry import BoundaryGrid
 from .layerpot import (
-    BoundaryOperator,
     assemble_single_layer_trace,
     evaluate_potential,
     evaluate_potential_gradient,
@@ -118,18 +117,14 @@ class BemBackend:
     def boundary_weights(self) -> np.ndarray:
         return self.grid.weighted_measure
 
-    @property
-    def token(self) -> str:
-        return self.grid.token
-
     def _layers(self, z: complex):
         """``(V_z, T_z)``.  The first time either is needed both are assembled from one
         pairwise geometry, so a request does all its kernel work before its first
         factorization; K#_z is not kept once T_z is formed."""
         if ("V", z) not in self._cache:
             V, K = assemble_single_layer_trace(self.grid, z, with_adjoint=True)
-            self._store(("V", z), V.matrix)
-            self._store(("T", z), neumann_trace_of_single_layer(self.grid, z, K).matrix)
+            self._store(("V", z), V)
+            self._store(("T", z), neumann_trace_of_single_layer(self.grid, z, K))
         return self._cache[("V", z)], self._cache[("T", z)]
 
     def single_layer(self, z) -> np.ndarray:
@@ -180,31 +175,24 @@ class BemBackend:
                                     "pass interior_quad")
 
 
-def solve_dirichlet(grid, z, f) -> LayerField:
+def solve_dirichlet(backend: BemBackend, z, f) -> LayerField:
     """Field u with (-Laplace - z)u = 0 and gamma_D u = f; u = S_z V_z^{-1} f."""
-    backend = grid if isinstance(grid, BemBackend) else BemBackend(grid)
-    z = as_complex(z)
-    return backend.harmonic_extension(z, np.asarray(f, dtype=complex))
+    return backend.harmonic_extension(as_complex(z), np.asarray(f, dtype=complex))
 
 
-def solve_neumann(grid, z, g) -> LayerField:
+def solve_neumann(backend: BemBackend, z, g) -> LayerField:
     """Field u with (-Laplace - z)u = 0 and gamma_N u = g."""
-    backend = grid if isinstance(grid, BemBackend) else BemBackend(grid)
     z = as_complex(z)
     inv = gated_inverse(backend.neumann_trace(z), NearSingular, f"interior Neumann trace at "
                         f"z = {z} (z is numerically a Neumann eigenvalue)")
     return LayerField(backend, z, inv @ np.asarray(g, dtype=complex))
 
 
-def dtn(grid, z) -> BoundaryOperator:
+def dtn(backend: BemBackend, z) -> np.ndarray:
     """Dirichlet-to-Neumann matrix on the grid (convention f -> -gamma_N u)."""
-    backend = grid if isinstance(grid, BemBackend) else BemBackend(grid)
-    z = as_complex(z)
-    return BoundaryOperator(backend.dtn(z), "DtN", z, backend.token)
+    return backend.dtn(z)
 
 
-def ntd(grid, z) -> BoundaryOperator:
+def ntd(backend: BemBackend, z) -> np.ndarray:
     """Neumann-to-Dirichlet matrix, the negative inverse of dtn."""
-    backend = grid if isinstance(grid, BemBackend) else BemBackend(grid)
-    z = as_complex(z)
-    return BoundaryOperator(backend.ntd(z), "NtD", z, backend.token)
+    return backend.ntd(z)

@@ -104,7 +104,7 @@ def test_criterion_03_ntd_dtn_identity():
 
 def test_criterion_04_jump_relation_resolved_sign():
     grid = make_grid(CurveSpec.circle(1.0), 128)
-    ks = assemble_adjoint_double_layer(grid, 0.0).matrix
+    ks = assemble_adjoint_double_layer(grid, 0.0)
     trace = (0.5 * JUMP_SIGN * np.eye(grid.n) + ks) @ np.ones(grid.n)
     resid = float(np.max(np.abs(trace)))
     assert resid <= 1e-10

@@ -261,6 +261,16 @@ def test_spectrum_empty_window(runner, tmp_path):
     (["solve", "--domain", "@circle", "--nodes", "16", "--data", "mode:17"], "bad_boundary_data"),
     (["solve", "--domain", "@circle", "--nodes", "16", "--data", "mode:8"], "bad_boundary_data"),
     (["solve", "--domain", "@circle", "--nodes", "16", "--data", "mode:-8"], "bad_boundary_data"),
+    # a curve grid needs an even node count of at least 16
+    (["dtn", "--domain", "@circle", "--nodes", "15"], "bad_node_count"),
+    (["dtn", "--domain", "@circle", "--nodes", "0"], "bad_node_count"),
+    (["dtn", "--domain", "@circle", "--nodes", "17"], "bad_node_count"),
+    (["solve", "--domain", "@circle", "--nodes", "15"], "bad_node_count"),
+    (["verify", "--backend", "kite", "--nodes", "15"], "bad_node_count"),
+    (["verify", "--backend", "disk", "--nodes", "15"], "bad_node_count"),
+    (["spectrum", "--spec", "@spec", "--window", "1,60", "--tol", "nan"], "bad_tol"),
+    (["spectrum", "--spec", "@spec", "--window", "1,60", "--tol", "inf"], "bad_tol"),
+    (["spectrum", "--spec", "@spec", "--window", "1,60", "--count", "-1"], "bad_count"),
 ])
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
     (tmp_path / "spec.json").write_text(

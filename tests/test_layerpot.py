@@ -42,13 +42,13 @@ def test_log_quadrature_rule_exact_on_modes():
 def test_single_layer_uniform_density_unit_circle():
     # logarithmic-capacity degeneracy: the static trace annihilates constants
     grid = make_grid(CurveSpec.circle(1.0), 64)
-    V = assemble_single_layer_trace(grid, 0.0).matrix
+    V = assemble_single_layer_trace(grid, 0.0)
     assert np.max(np.abs(V @ np.ones(grid.n))) < 1e-14
 
 
 def test_single_layer_uniform_density_radius_two():
     grid = make_grid(CurveSpec.circle(2.0), 64)
-    V = assemble_single_layer_trace(grid, 0.0).matrix
+    V = assemble_single_layer_trace(grid, 0.0)
     want = -2.0 * np.log(2.0)
     assert np.max(np.abs(V @ np.ones(grid.n) - want)) < 1e-13
 
@@ -57,7 +57,7 @@ def test_single_layer_fourier_modes_static():
     # closed form on a circle of radius a: mode k maps to (a / 2|k|) mode k
     a = 2.0
     grid = make_grid(CurveSpec.circle(a), 128)
-    V = assemble_single_layer_trace(grid, 0.0).matrix
+    V = assemble_single_layer_trace(grid, 0.0)
     for k in (1, 2, 5):
         g = np.cos(k * grid.t)
         assert np.max(np.abs(V @ g - (a / (2 * k)) * g)) < 1e-13
@@ -65,14 +65,14 @@ def test_single_layer_fourier_modes_static():
 
 def test_single_layer_weighted_symmetry_kite():
     grid = make_grid(CurveSpec.kite(), 128)
-    V = assemble_single_layer_trace(grid, -1.0).matrix
+    V = assemble_single_layer_trace(grid, -1.0)
     WV = grid.weighted_measure[:, None] * V
     assert np.max(np.abs(WV - WV.T)) < 1e-12
 
 
 def test_adjoint_double_layer_unit_circle_static():
     grid = make_grid(CurveSpec.circle(1.0), 64)
-    K = assemble_adjoint_double_layer(grid, 0.0).matrix
+    K = assemble_adjoint_double_layer(grid, 0.0)
     # constant kernel -1/(4 pi): constants map to -1/2, oscillations to zero
     assert np.max(np.abs(K @ np.ones(grid.n) + 0.5)) < 1e-14
     assert np.max(np.abs(K @ np.exp(3j * grid.t))) < 1e-13
@@ -81,14 +81,14 @@ def test_adjoint_double_layer_unit_circle_static():
 def test_jump_relation_sign_on_circle():
     assert JUMP_SIGN == 1.0
     grid = make_grid(CurveSpec.circle(1.0), 64)
-    T = neumann_trace_of_single_layer(grid, 0.0).matrix
+    T = neumann_trace_of_single_layer(grid, 0.0)
     assert np.max(np.abs(T @ np.ones(grid.n))) < 1e-13
 
 
 def test_neumann_trace_fourier_mode():
     # S_0[e^{i theta}] = r/2 e^{i theta} inside the unit disk
     grid = make_grid(CurveSpec.circle(1.0), 64)
-    T = neumann_trace_of_single_layer(grid, 0.0).matrix
+    T = neumann_trace_of_single_layer(grid, 0.0)
     g = np.exp(1j * grid.t)
     assert np.max(np.abs(T @ g - 0.5 * g)) < 1e-13
 
@@ -113,7 +113,7 @@ def test_jump_relation_kite_by_extrapolation():
     grid = make_grid(CurveSpec.kite(), 1024)
     z = -1.0
     density = np.exp(np.cos(grid.t)) + 0.5j * np.sin(grid.t)
-    T = neumann_trace_of_single_layer(grid, z).matrix
+    T = neumann_trace_of_single_layer(grid, z)
     matrix_action = T @ density
     distances = np.linspace(0.05, 0.4, 12)
     for node in (0, 150, 490, 800):
@@ -129,7 +129,7 @@ def test_jump_relation_other_catalog_curves(spec, z):
     # same extrapolated-trace confirmation on the remaining catalog curves
     grid = make_grid(spec, 512)
     density = np.cos(grid.t) + 0.4j * np.sin(2 * grid.t)
-    matrix_action = neumann_trace_of_single_layer(grid, z).matrix @ density
+    matrix_action = neumann_trace_of_single_layer(grid, z) @ density
     distances = np.linspace(0.14, 0.5, 10)
     for node in (3, 200):
         got = _extrapolated_normal_derivative(grid, density, z, node, distances)
@@ -141,8 +141,8 @@ def test_adjoint_double_layer_self_convergence_kite():
     coarse = make_grid(CurveSpec.kite(), 128)
     fine = make_grid(CurveSpec.kite(), 256)
     dens = lambda t: np.exp(np.sin(t)) + 1j * np.cos(2 * t)
-    kc = assemble_adjoint_double_layer(coarse, z).matrix @ dens(coarse.t)
-    kf = assemble_adjoint_double_layer(fine, z).matrix @ dens(fine.t)
+    kc = assemble_adjoint_double_layer(coarse, z) @ dens(coarse.t)
+    kf = assemble_adjoint_double_layer(fine, z) @ dens(fine.t)
     assert np.max(np.abs(kc - kf[::2])) < 1e-9
 
 
@@ -150,14 +150,14 @@ def test_compactness_surrogate_singular_values():
     # static kernel on the unit circle is rank one: everything past the first
     # singular value collapses, far below the index-N/4 threshold
     grid = make_grid(CurveSpec.circle(1.0), 128)
-    K0 = assemble_adjoint_double_layer(grid, 0.0).matrix
+    K0 = assemble_adjoint_double_layer(grid, 0.0)
     s0 = np.linalg.svd(K0, compute_uv=False)
     assert np.max(s0[grid.n // 4:]) < 1e-12
     assert np.max(s0[2:]) < 1e-12
     # Helmholtz kernels have an r^2 log r diagonal part, so the tail decays
     # cubically; check the rate and that it passes 1e-8 within the rate fit
     for z in (-1.0, 2 + 1j):
-        K = assemble_adjoint_double_layer(grid, z).matrix
+        K = assemble_adjoint_double_layer(grid, z)
         s = np.sort(np.linalg.svd(K, compute_uv=False))[::-1]
         ratio = s[16] / s[32]
         assert 6.0 < ratio < 11.0  # ~2^3 per octave
@@ -231,8 +231,8 @@ def test_triangle_kernels_bit_identical_to_full_matrix(n, z):
     # evaluation exactly, diagonals included
     grid = make_grid(CurveSpec.kite(), n)
     V_ref, K_ref = _full_matrix_reference(grid, z)
-    V = assemble_single_layer_trace(grid, z).matrix
-    K = assemble_adjoint_double_layer(grid, z).matrix
+    V = assemble_single_layer_trace(grid, z)
+    K = assemble_adjoint_double_layer(grid, z)
     assert np.array_equal(V, V_ref)
     assert np.array_equal(K, K_ref)
 

@@ -9,7 +9,7 @@ from scipy import optimize, special
 
 from kreinlab import spectral
 from kreinlab.cli import main
-from kreinlab.errors import CountFailed, NearEigenvalue
+from kreinlab.errors import CountFailed, DomainError, NearEigenvalue
 from kreinlab.extensions import ExtensionSpec, make_extension
 from kreinlab.oracles import DiskModel, Model1D, interval_dtn
 from kreinlab.spectral import (
@@ -126,7 +126,7 @@ def test_ordering_check_extremal_cases(interval):
 
 
 def test_ordering_rejects_bad_parameter(interval):
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         ordering_check([], -1.0, interval)
 
 
@@ -331,3 +331,16 @@ def test_nonpositive_tolerance_still_terminates(interval):
     for tol in (0.0, -1.0):
         found = eigenvalues(SpectrumRequest(spec, (0.5, 60.0), tol=tol), interval)
         assert len(found) == len(want) and np.max(np.abs(np.array(found) - want)) < 1e-10
+
+
+@pytest.mark.parametrize("tol, count", [(np.nan, None), (np.inf, None), (-np.inf, None),
+                                        (1e-8, -1)])
+def test_bad_tolerance_or_count_raises_before_any_sample(interval, monkeypatch, tol, count):
+    # a nan width never closes a bracket, so it would bisect forever
+    def no_scan(ext):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(spectral, "_scan_function", no_scan)
+    spec = ExtensionSpec("dirichlet", 0.0, "krein", "full")
+    with pytest.raises(DomainError):
+        eigenvalues(SpectrumRequest(spec, (1.0, 60.0), count, tol), interval)
