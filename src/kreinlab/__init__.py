@@ -27,7 +27,6 @@ from .extensions import (
 from .geometry import BoundaryGrid, CurveSpec, make_grid
 from .kreinformulas import (
     Abstract1D,
-    SignLedger,
     abstract_deficiency,
     abstract_krein_check,
     donoghue_m,

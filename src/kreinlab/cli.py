@@ -20,7 +20,7 @@ import numpy as np
 from .csvtext import read_complex_csv, write_complex_matrix_csv
 from .errors import BadNodeCount, KreinlabError, SpecInvalid
 from .extensions import ExtensionSpec, make_extension
-from .geometry import CurveSpec, make_grid
+from .geometry import CurveSpec, check_node_count, make_grid
 from .kreinformulas import imaginary_part_eigenvalues, resolve_sign_conventions, sign_witnesses
 from .oracles import DiskModel, Model1D
 from .spectral import SpectrumRequest, eigenvalues
@@ -265,23 +265,30 @@ def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
 @click.option("--suite", type=click.Choice(SUITES), default="all", show_default=True)
 @click.option("--backend", "backend_name", type=click.Choice(BACKENDS), default="interval",
               show_default=True)
-@click.option("--nodes", default=0, type=int, help="override the backend node count")
+@click.option("--nodes", default=0, type=int,
+              help="node count of the kite or disk grid; 0 keeps the default")
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--tol", default=1.0, show_default=True, type=float,
               help="tolerance scale applied to every item")
 @click.option("--out", default="report.json", show_default=True)
-@click.option("--inject-sign-flip", "flip", default=None, hidden=True,
-              help="testing hook: evaluate the named identity with the wrong sign")
-def cmd_verify(suite, backend_name, nodes, seed, tol, out, flip):
+def cmd_verify(suite, backend_name, nodes, seed, tol, out):
     """Run an identity suite; exit 0 iff every residual is within tolerance."""
+    if not (np.isfinite(tol) and tol > 0):
+        _fail({"error": "bad_tol", "detail": f"tol must be finite and positive, got {tol}"}, 2)
+    if seed < 0:
+        _fail({"error": "bad_seed", "detail": f"seed must be nonnegative, got {seed}"}, 2)
+    if nodes:  # 0 keeps the backend's default
+        try:
+            if backend_name == "interval":
+                raise BadNodeCount(f"the interval backend takes no node count, got {nodes}")
+            check_node_count(nodes)
+        except BadNodeCount as exc:
+            _fail({"error": "bad_node_count", "detail": str(exc)}, 2)
     try:
         # one witness pass feeds both the krein-suite sign items and the ledger
         witnesses = sign_witnesses()
-        items = build_suite(suite, backend_name, nodes=nodes, seed=seed, tol=tol, flip=flip,
-                            witnesses=witnesses)
-        ledger = resolve_sign_conventions(witnesses=witnesses)
-    except BadNodeCount as exc:  # only --nodes builds a grid of the caller's size
-        _fail({"error": "bad_node_count", "detail": str(exc)}, 2)
+        items = build_suite(suite, backend_name, witnesses, nodes=nodes, seed=seed, tol=tol)
+        ledger = resolve_sign_conventions(witnesses)
     except KreinlabError as exc:
         _fail({"error": type(exc).__name__, "detail": str(exc)}, 1)
     passed = all(it["pass"] for it in items)
@@ -292,7 +299,7 @@ def cmd_verify(suite, backend_name, nodes, seed, tol, out, flip):
         "nodes": nodes,
         "tolerance_scale": tol,
         "results": items,
-        "sign_ledger": ledger.to_list(),
+        "sign_ledger": ledger,
         "pass": passed,
     }
     with open(out, "w") as fh:

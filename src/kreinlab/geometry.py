@@ -177,15 +177,20 @@ class BoundaryGrid:
         return float(np.sum(self.weighted_measure))
 
 
+def check_node_count(n) -> int:
+    """``n`` as an int; raises :class:`BadNodeCount` unless it is even and at least 16."""
+    if n != int(n) or n < MIN_NODES or n % 2 != 0:
+        raise BadNodeCount(f"node count must be an even integer >= {MIN_NODES}, got {n}")
+    return int(n)
+
+
 def make_grid(spec: CurveSpec, n: int) -> BoundaryGrid:
     """Build an ``n``-node grid; ``n`` must be even and at least 16.
 
     Normals, speeds and curvatures are analytic, so doubling ``n`` refines
     the grid without moving existing nodes.
     """
-    if n != int(n) or n < MIN_NODES or n % 2 != 0:
-        raise BadNodeCount(f"node count must be an even integer >= {MIN_NODES}, got {n}")
-    n = int(n)
+    n = check_node_count(n)
     t = 2.0 * np.pi * np.arange(n) / n
     pts = spec.point(t)
     vel = spec.velocity(t)

@@ -3,8 +3,8 @@
 Several identities in this calculus are sign-fragile: the printed sources
 disagree between equivalent statements, so no sign is ever assumed here.
 Each convention is resolved by a re-runnable witness (a direct solve or a
-closed-form disk/interval computation), and the outcome is recorded in a
-:class:`SignLedger`.  The conventions validated by the witnesses:
+closed-form disk/interval computation), and the outcome is recorded as a
+row of the sign ledger.  The conventions validated by the witnesses:
 
 * ``jump-relation``       interior Neumann trace of the single layer is
                           ``+1/2 I + K#`` for this kernel normalisation.
@@ -24,69 +24,25 @@ closed-form disk/interval computation), and the outcome is recorded in a
                           the Neumann special case L = -dtn(z0) cancel exactly).
 
 :func:`sign_witnesses` runs every witness once and keeps the residuals of
-both sign candidates; ``verify`` calls it once per request and reads both
-the ledger (:func:`resolve_sign_conventions`) and the krein-suite sign items
-from that one pass.
+both sign candidates.  ``verify`` calls it once per request and builds both
+the ledger rows (:func:`resolve_sign_conventions`, one dict per convention)
+and the krein-suite sign items from that one pass.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BracketSingular, DomainError, NearEigenvalue
 from .extensions import (Extension, ExtensionSpec, apply_resolvent, boundary_residual,
                          homogeneous_system, make_extension)
+from .geometry import CurveSpec, make_grid
 from .layerpot import assemble_adjoint_double_layer
 from .oracles import Model1D
 from .specfun import as_complex
 from .spectral import ordering_check
 from .traces import gamma_D, gamma_N, hermitian_part, tau_N, weighted_adjoint
 from .weyl import gated_inverse
-
-
-# ---------------------------------------------------------------------------
-# sign ledger
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SignLedgerEntry:
-    identity: str
-    stated_sign: str
-    validated_sign: str
-    witness: str
-    residual: float
-
-    @property
-    def agrees_with_statement(self) -> bool:
-        return self.stated_sign == self.validated_sign
-
-    def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "stated_sign": self.stated_sign,
-            "validated_sign": self.validated_sign,
-            "witness": self.witness,
-            "residual": self.residual,
-        }
-
-
-@dataclass
-class SignLedger:
-    entries: list = field(default_factory=list)
-
-    def add(self, entry: SignLedgerEntry):
-        self.entries.append(entry)
-
-    def get(self, identity: str) -> SignLedgerEntry:
-        for e in self.entries:
-            if e.identity == identity:
-                return e
-        raise KeyError(identity)
-
-    def to_list(self) -> list:
-        return [e.to_dict() for e in sorted(self.entries, key=lambda e: e.identity)]
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +133,12 @@ def transfer_alternative_form(L1: np.ndarray, L2: np.ndarray, z0: float, z, back
     return B1 @ (M2 - M1) @ B1
 
 
-def two_extension_transfer(L1, L2, z0: float, z, backend,
-                           ledger: SignLedger | None = None) -> np.ndarray:
+def two_extension_transfer(L1, L2, z0: float, z, backend) -> np.ndarray:
     """Transfer operator of the two-extension resolvent identity.
 
     Evaluates both printed variants, validates them against direct solves of
-    the two extensions applied to a probe function, records the outcome in
-    the ledger if given, and returns the variant that satisfies the identity.
+    the two extensions applied to a probe function, and returns the variant
+    that satisfies the identity.
     """
     m = backend.nboundary
     L1 = np.asarray(L1, dtype=complex).reshape(m, m)
@@ -192,16 +147,6 @@ def two_extension_transfer(L1, L2, z0: float, z, backend,
     variants = transfer_variants(L1, L2, z0, z, backend)
     resid = two_extension_identity_residuals(L1, L2, z0, z, backend)
     best = min(resid, key=resid.get)
-    if ledger is not None:
-        ledger.add(
-            SignLedgerEntry(
-                identity="two-extension",
-                stated_sign="primary(zbar)",
-                validated_sign=best,
-                witness="resolvent difference vs transfer formula on probe data",
-                residual=resid[best],
-            )
-        )
     if best != "primary(zbar)":
         raise BracketSingular(
             f"two-extension formula variant mismatch: validated {best} with residuals {resid}"
@@ -345,13 +290,15 @@ def interval_sign_witnesses(ext: Extension, z) -> dict:
     }
 
 
-def sign_witnesses(grid=None, backend=None) -> dict:
-    """Residuals of every sign witness, both candidates kept where there are two."""
-    from .geometry import CurveSpec, make_grid
+def sign_witnesses() -> dict:
+    """Residuals of every sign witness, both candidates kept where there are two.
 
+    The jump relation is witnessed on a 64-node unit circle, every other
+    convention on the interval backend.
+    """
     z0, z = 0.0, -1.0 + 0.7j  # shift and spectral parameter of the interval witnesses
-    backend = backend or Model1D()
-    grid = grid or make_grid(CurveSpec.circle(1.0), 64)
+    backend = Model1D()
+    grid = make_grid(CurveSpec.circle(1.0), 64)
 
     # jump relation: uniform density on the unit circle has zero interior
     # Neumann trace, which forces the +1/2 jump for this kernel.
@@ -375,14 +322,12 @@ def sign_witnesses(grid=None, backend=None) -> dict:
     return out
 
 
-def resolve_sign_conventions(grid=None, backend=None, witnesses: dict | None = None) -> SignLedger:
-    """Sign ledger from the residuals of :func:`sign_witnesses`, run here unless
-    ``witnesses`` already holds them."""
-    r = sign_witnesses(grid, backend) if witnesses is None else witnesses
+def resolve_sign_conventions(witnesses: dict) -> list:
+    """Sign-ledger rows from the residuals of :func:`sign_witnesses`, sorted by identity."""
+    r = witnesses
     jump, diff, two = r["jump-relation"], r["resolvent-difference"], r["two-extension"]
     ntd_min, res_bc = r["ntd-sign"], r["boundary-condition"]
-    ledger = SignLedger()
-    for entry in (
+    rows = (
         ("jump-relation", "-1/2", "+1/2" if jump["+1/2"] < jump["-1/2"] else "-1/2",
          "uniform density on the unit circle, static kernel", min(jump.values())),
         ("resolvent-difference", "+", min(diff, key=diff.get),
@@ -396,9 +341,9 @@ def resolve_sign_conventions(grid=None, backend=None, witnesses: dict | None = N
         ("boundary-condition", "tau = -L gamma",
          "tau = -L gamma" if res_bc < 1e-8 else "tau = +L gamma",
          "Neumann special case reduces to gamma_N = 0", res_bc),
-    ):
-        ledger.add(SignLedgerEntry(*entry))
-    return ledger
+    )
+    keys = ("identity", "stated_sign", "validated_sign", "witness", "residual")
+    return [dict(zip(keys, row)) for row in sorted(rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ together converge superalgebraically.
 
 The interior Neumann trace of the single layer is ``JUMP_SIGN/2 I + K#_z``.
 The sign is not assumed: it is forced by the uniform-density disk identity
-(see :func:`kreinlab.kreinformulas.resolve_sign_conventions`, entry
+(see :func:`kreinlab.kreinformulas.resolve_sign_conventions`, ledger row
 ``jump-relation``) and hard-coded here after validation.
 """
 

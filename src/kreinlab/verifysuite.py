@@ -23,7 +23,6 @@ from .kreinformulas import (
     mfunc,
     mfunc_direct,
     mfunc_symmetry_defect,
-    sign_witnesses,
     smoothing_factorization_check,
     transfer_alternative_form,
     transfer_variants,
@@ -179,9 +178,8 @@ def _projected(matrix, family, weights) -> np.ndarray:
     return half @ coef @ halfinv
 
 
-def _weyl_kite(nodes, rng, tol):
-    grid = make_grid(CurveSpec.kite(), nodes)
-    bem = BemBackend(grid)
+def _weyl_kite(bem, rng, tol):
+    grid = bem.grid
     items = []
     worst = max(float(np.max(np.abs(bem.ntd(z) @ bem.dtn(z) + np.eye(grid.n))))
                 for z in (-1.0, 2 + 1j))
@@ -197,7 +195,7 @@ def _weyl_kite(nodes, rng, tol):
     worst = max(float(np.max(_herm_eigs(bem.dtn(z), w))) for z in (0.0, -1.0))
     items.append(_item("dtn-sign-nonpositive", "herm dtn(z) <= 0 for z <= 0", max(worst, 0.0),
                        1e-10 * tol))
-    fine = BemBackend(make_grid(CurveSpec.kite(), 2 * nodes))
+    fine = BemBackend(make_grid(CurveSpec.kite(), 2 * grid.n))
     dens = lambda t: np.exp(np.cos(t)) + 1j * np.sin(2 * t)
     coarse_vals = bem.dtn(2 + 1j) @ dens(grid.t)
     fine_vals = fine.dtn(2 + 1j) @ dens(fine.grid.t)
@@ -276,10 +274,9 @@ def _traces_model(backend, rng, tol):
     return items
 
 
-def _traces_kite(nodes, rng, tol):
-    grid = make_grid(CurveSpec.kite(), nodes)
-    bem = BemBackend(grid)
-    f = np.cos(grid.t) - 0.4j * np.sin(2 * grid.t)
+def _traces_kite(bem, rng, tol):
+    t = bem.grid.t
+    f = np.cos(t) - 0.4j * np.sin(2 * t)
     h = solve_dirichlet(bem, -1.0, f)
     return [
         _item("tauN-kernel", "tau_N(z0) u = 0 for (-L - z0)-harmonic u",
@@ -293,18 +290,16 @@ def _traces_kite(nodes, rng, tol):
 # krein suite
 # ---------------------------------------------------------------------------
 
-def _sign_items(tol, flip=None, witnesses=None):
-    """Convention items shared by every krein suite, read from the residuals of
-    :func:`kreinlab.kreinformulas.sign_witnesses` (run here unless given)."""
-    r = sign_witnesses() if witnesses is None else witnesses
-    jump = "-1/2" if flip == "jump-relation" else "+1/2"
-    diff = "+" if flip == "resolvent-difference" else "-"
+def _sign_items(tol, witnesses):
+    """Convention items shared by every krein suite, evaluated with the validated
+    signs on the residuals of :func:`kreinlab.kreinformulas.sign_witnesses`."""
+    r = witnesses
     return [
         _item("jump-relation", "interior Neumann trace of S_0[1] = 0 on the unit circle",
-              r["jump-relation"][jump], 1e-10 * tol, sign_used=jump),
+              r["jump-relation"]["+1/2"], 1e-10 * tol, sign_used="+1/2"),
         _item("resolvent-difference",
               "R_ext(z) = R_D(z+z0) - [gamma_D R_ext(zbar)]^* tau_N R_D(z+z0)",
-              r["resolvent-difference"][diff], 1e-9 * tol, sign_used=diff),
+              r["resolvent-difference"]["-"], 1e-9 * tol, sign_used="-"),
         _item("krein-formula-matrix",
               "R_ext(z) = R_D + [tau_N R_D(zbar+z0)]^* B(z)^{-1} tau_N R_D(z+z0)",
               r["krein-formula"], 1e-9 * tol, sign_used="+"),
@@ -313,7 +308,7 @@ def _sign_items(tol, flip=None, witnesses=None):
     ]
 
 
-def _krein_model(backend, rng, tol, flip=None):
+def _krein_model(backend, rng, tol):
     items = []
     interval = isinstance(backend, Model1D)
     z0 = 0.0 if interval else -1.0
@@ -362,11 +357,9 @@ def _krein_model(backend, rng, tol, flip=None):
         L1 = np.zeros((2, 2), dtype=complex)
         L2 = -backend.dtn(-1.0)
         resid = two_extension_identity_residuals(L1, L2, -1.0, -1.0, backend)
-        key = "primary(z)" if flip == "two-extension" else "primary(zbar)"
         items.append(_item("two-extension-identity",
                            "R_2 - R_1 = [gamma_D R_1(zbar)]^* T(z) [gamma_D R_1(z)]",
-                           resid[key], 1e-9 * tol,
-                           sign_used=key))
+                           resid["primary(zbar)"], 1e-9 * tol, sign_used="primary(zbar)"))
         var = transfer_variants(L1, L2, -1.0, -1.0, backend)["primary"]
         alt = transfer_alternative_form(L1, L2, -1.0, -1.0, backend)
         items.append(_item("two-extension-alternative", "T(z) = M_1^{-1}(M_2 - M_1)M_1^{-1}",
@@ -422,14 +415,12 @@ def _probe_for(backend):
     return {0: (lambda r: 1.0 + 0.0 * r), 1: (lambda r: r**2)}
 
 
-def _krein_kite(nodes, rng, tol):
-    grid = make_grid(CurveSpec.kite(), nodes)
-    bem = BemBackend(grid)
+def _krein_kite(bem, rng, tol):
     items = []
     z0 = -1.0
     krein = make_extension(ExtensionSpec("dirichlet", z0, "krein", "full"), bem)
     w = bem.boundary_weights
-    fam = _mode_family(grid, 16)
+    fam = _mode_family(bem.grid, 16)
 
     def md(z):
         # compress the smoothing bracket to the resolved subspace, then invert
@@ -505,53 +496,36 @@ def default_nodes(backend_name: str) -> int:
     return {"interval": 0, "disk": 192, "kite": 192}[backend_name]
 
 
-def build_suite(suite: str, backend_name: str, nodes: int = 0, seed: int = 0, tol: float = 1.0,
-                flip: str | None = None, witnesses: dict | None = None) -> list:
+def build_suite(suite: str, backend_name: str, witnesses: dict, nodes: int = 0, seed: int = 0,
+                tol: float = 1.0) -> list:
     """Assemble and evaluate the requested suite; returns sorted item dicts.
 
-    ``witnesses`` holds the residuals of :func:`kreinlab.kreinformulas.sign_witnesses`
-    when the caller already ran them; otherwise a krein suite runs them itself.
+    ``witnesses`` holds the residuals of :func:`kreinlab.kreinformulas.sign_witnesses`,
+    which the krein suite's sign items read.
     """
     if suite not in SUITES:
         raise KreinlabError(f"unknown suite {suite!r}")
     if backend_name not in BACKENDS:
         raise KreinlabError(f"unknown backend {backend_name!r}")
     nodes = nodes or default_nodes(backend_name)
-    wanted = ["weyl", "traces", "krein", "abstract"] if suite == "all" else [suite]
-
-    raw = []
+    # one plan per backend; every task is called as task(backend, rng, tol)
+    signs = lambda _, rng, tol: _sign_items(tol, witnesses)
     if backend_name == "interval":
         backend = Model1D()
-        if "weyl" in wanted:
-            raw.append(lambda rng: _weyl_interval(backend, rng, tol))
-        if "traces" in wanted:
-            raw.append(lambda rng: _traces_model(backend, rng, tol))
-        if "krein" in wanted:
-            raw.append(lambda rng: _sign_items(tol, flip, witnesses))
-            raw.append(lambda rng: _krein_model(backend, rng, tol, flip))
-        if "abstract" in wanted:
-            raw.append(lambda rng: _abstract_items(rng, tol))
+        plan = {"weyl": [_weyl_interval], "traces": [_traces_model], "krein": [signs, _krein_model],
+                "abstract": [lambda _, rng, tol: _abstract_items(rng, tol)]}
     elif backend_name == "disk":
-        model = DiskModel()
-        if "weyl" in wanted:
-            raw.append(lambda rng: _weyl_disk(nodes, rng, tol))
-        if "traces" in wanted:
-            raw.append(lambda rng: _traces_model(model, rng, tol))
-        if "krein" in wanted:
-            raw.append(lambda rng: _sign_items(tol, flip, witnesses))
-            raw.append(lambda rng: _krein_model(model, rng, tol, flip))
+        backend = DiskModel()
+        plan = {"weyl": [lambda _, rng, tol: _weyl_disk(nodes, rng, tol)],
+                "traces": [_traces_model], "krein": [signs, _krein_model]}
     else:
-        if "weyl" in wanted:
-            raw.append(lambda rng: _weyl_kite(nodes, rng, tol))
-        if "traces" in wanted:
-            raw.append(lambda rng: _traces_kite(nodes, rng, tol))
-        if "krein" in wanted:
-            raw.append(lambda rng: _sign_items(tol, flip, witnesses))
-            raw.append(lambda rng: _krein_kite(nodes, rng, tol))
+        backend = BemBackend(make_grid(CurveSpec.kite(), nodes))
+        plan = {"weyl": [_weyl_kite], "traces": [_traces_kite], "krein": [signs, _krein_kite]}
+    tasks = [task for name, group in plan.items() if suite in (name, "all") for task in group]
 
     # one child generator per task, so a task's draws do not depend on the others
     items: list = []
-    for idx, fn in enumerate(raw):
-        items.extend(fn(np.random.default_rng([seed, idx])))
+    for idx, task in enumerate(tasks):
+        items.extend(task(backend, np.random.default_rng([seed, idx]), tol))
     items.sort(key=lambda it: it["identity"])
     return items

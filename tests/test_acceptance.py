@@ -27,6 +27,7 @@ from kreinlab.kreinformulas import (
     hermitian_part,
     mfunc_symmetry_defect,
     resolve_sign_conventions,
+    sign_witnesses,
     transfer_alternative_form,
     transfer_variants,
     two_extension_identity_residuals,
@@ -51,6 +52,12 @@ def interval():
 @pytest.fixture(scope="module")
 def disk8():
     return DiskModel(radius=1.0, mode_cutoff=8)
+
+
+@pytest.fixture(scope="module")
+def ledger():
+    """Sign-ledger rows by identity, from one witness pass."""
+    return {row["identity"]: row for row in resolve_sign_conventions(sign_witnesses())}
 
 
 def test_criterion_01_interval_dtn_exactness(interval):
@@ -102,17 +109,16 @@ def test_criterion_03_ntd_dtn_identity():
     _report(3, f"operator-norm defect {worst:.1e} on disk and kite")
 
 
-def test_criterion_04_jump_relation_resolved_sign():
+def test_criterion_04_jump_relation_resolved_sign(ledger):
     grid = make_grid(CurveSpec.circle(1.0), 128)
     ks = assemble_adjoint_double_layer(grid, 0.0)
     trace = (0.5 * JUMP_SIGN * np.eye(grid.n) + ks) @ np.ones(grid.n)
     resid = float(np.max(np.abs(trace)))
     assert resid <= 1e-10
-    ledger = resolve_sign_conventions(grid=grid)
-    entry = ledger.get("jump-relation")
-    assert entry.validated_sign == "+1/2"
-    assert entry.stated_sign == "-1/2"  # validated against the printed sign
-    _report(4, f"uniform-density trace {resid:.1e}, ledger sign {entry.validated_sign}")
+    entry = ledger["jump-relation"]
+    assert entry["validated_sign"] == "+1/2"
+    assert entry["stated_sign"] == "-1/2"  # validated against the printed sign
+    _report(4, f"uniform-density trace {resid:.1e}, ledger sign {entry['validated_sign']}")
 
 
 def test_criterion_05_symmetry_residuals(interval, disk8):
@@ -139,7 +145,7 @@ def test_criterion_05_symmetry_residuals(interval, disk8):
     _report(5, f"worst starred-operator symmetry residual {worst:.1e}")
 
 
-def test_criterion_06_sign_properties(interval):
+def test_criterion_06_sign_properties(interval, ledger):
     bem = BemBackend(make_grid(CurveSpec.circle(1.3), 160))
     worst_dtn = 0.0
     for backend in (interval, bem):
@@ -155,8 +161,7 @@ def test_criterion_06_sign_properties(interval):
         eigs = np.linalg.eigvalsh(hermitian_part(backend.ntd(-1.0), backend.boundary_weights))
         worst_ntd = max(worst_ntd, float(-np.min(eigs)))
         assert float(np.min(eigs)) > -1e-10
-    ledger = resolve_sign_conventions(backend=interval)
-    assert ledger.get("ntd-sign").validated_sign == "positive"
+    assert ledger["ntd-sign"]["validated_sign"] == "positive"
     assert worst_ntd <= 1e-10
     _report(6, f"dtn He part <= {worst_dtn:.1e}, ntd definite (validated +) {worst_ntd:.1e}")
 
@@ -199,7 +204,7 @@ def test_criterion_08_krein_resolvent_formula(interval, disk8):
     _report(8, f"interval {worst_i:.1e}, disk {worst_d:.1e}, {elapsed:.1f}s")
 
 
-def test_criterion_09_two_extension_formula(interval):
+def test_criterion_09_two_extension_formula(interval, ledger):
     z0 = -1.0
     L1 = np.zeros((2, 2), dtype=complex)  # Krein
     L2 = -interval.dtn(z0)  # Neumann
@@ -209,10 +214,10 @@ def test_criterion_09_two_extension_formula(interval):
     alt = transfer_alternative_form(L1, L2, z0, -1.0, interval)
     cross = float(np.max(np.abs(T - alt)))
     assert cross <= 1e-9
-    ledger = resolve_sign_conventions(backend=interval)
-    assert ledger.get("two-extension").validated_sign == "primary(zbar)"
+    variant = ledger["two-extension"]["validated_sign"]
+    assert variant == "primary(zbar)"
     _report(9, f"identity {resid['primary(zbar)']:.1e}, alternative-form {cross:.1e}, "
-               f"variant {ledger.get('two-extension').validated_sign}")
+               f"variant {variant}")
 
 
 def _bisect(fun, lo, hi, iters=200):
@@ -276,18 +281,19 @@ def test_criterion_12_abstract_formulas(interval):
 def test_criterion_13_full_verify_all_backends():
     t0 = time.monotonic()
     failures = []
+    witnesses = sign_witnesses()
     for backend in ("interval", "disk", "kite"):
-        items = build_suite("all", backend, seed=0)
+        items = build_suite("all", backend, witnesses, seed=0)
         failures.extend((backend, it["identity"]) for it in items if not it["pass"])
-    ledger = resolve_sign_conventions()
+    rows = resolve_sign_conventions(witnesses)
     elapsed = time.monotonic() - t0
     assert failures == []
     assert elapsed < 180.0
     # one consistent convention set: every witness residual is tiny and the
     # validated signs form the single set used across the package
-    for entry in ledger.entries:
-        assert entry.residual < 1e-8
-    validated = {e.identity: e.validated_sign for e in ledger.entries}
+    for row in rows:
+        assert row["residual"] < 1e-8
+    validated = {row["identity"]: row["validated_sign"] for row in rows}
     assert validated == {
         "jump-relation": "+1/2",
         "resolvent-difference": "-",

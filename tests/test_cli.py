@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import ast
+import collections
 import glob
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import kreinlab
+from kreinlab import kreinformulas
 from kreinlab.cli import main, read_complex_csv, write_complex_matrix_csv
 from kreinlab.oracles import DiskModel, Model1D, disk_mode_dtn, interval_dtn
 
@@ -215,6 +217,16 @@ def test_spectrum_empty_window(runner, tmp_path):
     assert lines[0].startswith("#") and len(lines) == 1
 
 
+VERIFY_BAD_INPUT = [
+    (["verify", "--tol", "nan"], "bad_tol"),
+    (["verify", "--tol", "-1"], "bad_tol"),
+    (["verify", "--tol", "inf"], "bad_tol"),
+    (["verify", "--backend", "interval", "--nodes", "15"], "bad_node_count"),
+    (["verify", "--backend", "interval", "--nodes", "64"], "bad_node_count"),
+    (["verify", "--seed", "-1"], "bad_seed"),
+]
+
+
 @pytest.mark.parametrize("args, error", [
     (["spectrum", "--spec", "@spec", "--window", "1"], "bad_window"),
     (["spectrum", "--spec", "@spec", "--window", "1;60"], "bad_window"),
@@ -271,6 +283,8 @@ def test_spectrum_empty_window(runner, tmp_path):
     (["spectrum", "--spec", "@spec", "--window", "1,60", "--tol", "nan"], "bad_tol"),
     (["spectrum", "--spec", "@spec", "--window", "1,60", "--tol", "inf"], "bad_tol"),
     (["spectrum", "--spec", "@spec", "--window", "1,60", "--count", "-1"], "bad_count"),
+    # verify checks its tolerance scale, node count and seed before any work
+    *VERIFY_BAD_INPUT,
 ])
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
     (tmp_path / "spec.json").write_text(
@@ -375,15 +389,44 @@ def test_extension_spec_matrix_csv(tmp_path):
     assert np.max(np.abs(ext.L - L)) == 0.0
 
 
-def test_verify_injected_sign_flip_fails(runner, tmp_path):
+@pytest.mark.parametrize("args, error", VERIFY_BAD_INPUT + [
+    (["verify", "--backend", "kite", "--nodes", "15"], "bad_node_count"),
+    (["verify", "--backend", "disk", "--nodes", "17"], "bad_node_count"),
+])
+def test_verify_rejects_bad_input_before_the_witness_pass(runner, tmp_path, monkeypatch, args,
+                                                          error):
+    from kreinlab import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "sign_witnesses", lambda: calls.append(1))
+    res = _run(runner, args + ["--out", str(tmp_path / "report.json")])
+    assert res.exit_code == 2
+    assert json.loads(res.output)["error"] == error
+    assert calls == []
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_verify_injected_sign_flip_fails(runner, tmp_path, monkeypatch):
+    from kreinlab import cli
+
+    def swapped():  # the witness pass favours the other jump sign
+        witnesses = kreinformulas.sign_witnesses()
+        jump = witnesses["jump-relation"]
+        jump["+1/2"], jump["-1/2"] = jump["-1/2"], jump["+1/2"]
+        return witnesses
+
+    monkeypatch.setattr(cli, "sign_witnesses", swapped)
     out = tmp_path / "report.json"
     res = runner.invoke(main, ["verify", "--suite", "krein", "--backend", "disk",
-                               "--inject-sign-flip", "jump-relation", "--out", str(out)])
+                               "--out", str(out)])
     assert res.exit_code == 1
     report = json.loads(out.read_text())
     failing = [it for it in report["results"] if not it["pass"]]
     assert [it["identity"] for it in failing] == ["jump-relation"]
-    assert failing[0]["sign_used"] == "-1/2"
+    ledger = {e["identity"]: e for e in report["sign_ledger"]}
+    # the item keeps the validated sign, so it reads the wrong candidate's residual
+    assert failing[0]["sign_used"] == "+1/2"
+    assert ledger["jump-relation"]["validated_sign"] == "-1/2"
 
 
 def test_verify_runs_the_sign_witnesses_once(runner, tmp_path, monkeypatch):
@@ -413,7 +456,8 @@ def test_suite_tasks_keep_their_random_streams():
     from kreinlab.oracles import DiskModel
     from kreinlab.verifysuite import _krein_model, build_suite
 
-    items = {it["identity"]: it for it in build_suite("krein", "disk", seed=3)}
+    witnesses = kreinformulas.sign_witnesses()
+    items = {it["identity"]: it for it in build_suite("krein", "disk", witnesses, seed=3)}
     alone = _krein_model(DiskModel(radius=1.0, mode_cutoff=8), np.random.default_rng([3, 1]), 1.0)
     want = [it for it in alone if it["identity"] == "herglotz-random-L"]
     assert items["herglotz-random-L"]["residual"] == want[0]["residual"]
@@ -430,7 +474,7 @@ def test_verify_runs_every_suite_task_in_the_calling_thread(runner, tmp_path, mo
 
     for name in ("_weyl_kite", "_traces_kite", "_sign_items", "_krein_kite"):
         monkeypatch.setattr(verifysuite, name, task)
-    assert verifysuite.build_suite("all", "kite") == []
+    assert verifysuite.build_suite("all", "kite", {}) == []
     assert threads == [threading.get_ident()] * 4
     out = tmp_path / "report.json"
     res = _run(runner, ["verify", "--suite", "all", "--backend", "kite", "--out", str(out)])
@@ -438,6 +482,51 @@ def test_verify_runs_every_suite_task_in_the_calling_thread(runner, tmp_path, mo
     assert threads == [threading.get_ident()] * 8
     assert set(json.loads(out.read_text())) == {
         "suite", "backend", "seed", "nodes", "tolerance_scale", "results", "sign_ledger", "pass"}
+
+
+def test_kite_verify_assembles_each_z_once(runner, tmp_path, monkeypatch):
+    from kreinlab import layerpot
+
+    calls = collections.Counter()
+    assemble = layerpot._assemble
+
+    def counted(grid, z, *args):
+        calls[grid.n, z] += 1
+        return assemble(grid, z, *args)
+
+    monkeypatch.setattr(layerpot, "_assemble", counted)
+    res = _run(runner, ["verify", "--suite", "all", "--backend", "kite",
+                        "--out", str(tmp_path / "report.json")])
+    assert res.exit_code == 0
+    # the witness pass assembles on its own 64-node circle; every suite task shares one kite
+    # backend of 192 nodes, and the convergence check one of 384
+    assert {n for n, _ in calls} == {64, 192, 384}
+    assert max(calls.values()) == 1
+
+
+def test_no_cli_option_is_hidden():
+    hidden = [f"{name} {param.name}" for name, command in main.commands.items()
+              for param in command.params if getattr(param, "hidden", False)]
+    assert not hidden
+
+
+def test_no_library_module_keeps_an_unused_import():
+    unused = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(kreinlab.__file__), "*.py"))):
+        if os.path.basename(path) == "__init__.py":  # imports there are the package's names
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module",
+                                                                          None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{os.path.basename(path)}: line {line} imports {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused
 
 
 def _imported_names(node) -> list:
