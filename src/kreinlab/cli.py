@@ -29,6 +29,10 @@ from .verifysuite import BACKENDS, SUITES, build_suite
 from .weyl import BemBackend, inverse_and_condition, solve_neumann
 
 
+#: node count of a curve grid when ``dtn`` or ``solve`` is given no ``--nodes``
+CURVE_NODES = 256
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -49,11 +53,18 @@ def _parse_z(text: str) -> complex:
     return z
 
 
-def _load_domain(domain: str, nodes: int):
-    """Returns ("interval", Model1D) | ("disk", DiskModel) | ("bem", BemBackend)."""
+def _load_domain(domain: str, nodes: int | None):
+    """Returns ("interval", Model1D) | ("disk", DiskModel) | ("bem", BemBackend).
+
+    ``nodes`` is the node count of a curve grid, ``CURVE_NODES`` when None; the
+    model domains take none.
+    """
+    if nodes is not None and (domain == "interval" or domain.split(":")[0] == "disk"):
+        _fail({"error": "bad_node_count",
+               "detail": f"the model domain {domain!r} takes no node count, got {nodes}"}, 2)
     if domain == "interval":
         return "interval", Model1D()
-    if domain == "disk" or domain.startswith("disk:"):
+    if domain.split(":")[0] == "disk":
         try:  # disk[:radius[:mode cutoff]]
             return "disk", DiskModel(*(cast(part) for cast, part in zip((float, int),
                                                                        domain.split(":")[1:])))
@@ -66,7 +77,7 @@ def _load_domain(domain: str, nodes: int):
     except (json.JSONDecodeError, KeyError, KreinlabError) as exc:
         _fail({"error": "bad_curve_spec", "detail": str(exc)}, 2)
     try:
-        return "bem", BemBackend(make_grid(spec, nodes))
+        return "bem", BemBackend(make_grid(spec, CURVE_NODES if nodes is None else nodes))
     except BadNodeCount as exc:
         _fail({"error": "bad_node_count", "detail": str(exc)}, 2)
 
@@ -81,7 +92,28 @@ def _load_extension_spec(path: str) -> ExtensionSpec:
         _fail({"error": "bad_extension_spec", "detail": str(exc)}, 2)
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group.  Click's own argument errors (a bad type, an unknown
+    option or command, a value outside a choice) exit 2 with one JSON line, as
+    :func:`_fail` does; a bare ``kreinlab`` still prints the help."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        try:
+            return super().make_context(info_name, args, parent, **extra)
+        except click.exceptions.NoArgsIsHelpError:
+            raise
+        except click.UsageError as exc:
+            _fail({"error": "bad_argument", "detail": exc.format_message()}, 2)
+
+    def invoke(self, ctx):
+        # the subcommand's arguments are parsed here
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail({"error": "bad_argument", "detail": exc.format_message()}, 2)
+
+
+@click.group(cls=_Commands)
 def main():
     """Boundary-operator calculus on model domains."""
 
@@ -89,7 +121,8 @@ def main():
 @main.command("dtn")
 @click.option("--domain", required=True, help='"interval", "disk[:R[:K]]", or a curve JSON path')
 @click.option("--z", "z_text", default="0,0", show_default=True, help="spectral parameter re,im")
-@click.option("--nodes", default=256, show_default=True, type=int)
+@click.option("--nodes", type=int, help=f"node count of a curve grid [default: {CURVE_NODES}]; "
+              "the model domains take none")
 @click.option("--out", default="dtn.csv", show_default=True)
 def cmd_dtn(domain, z_text, nodes, out):
     """Emit the Dirichlet-to-Neumann matrix as CSV plus JSON metadata.
@@ -157,7 +190,8 @@ def _boundary_data(data: str, n: int, t: np.ndarray | None):
               show_default=True)
 @click.option("--data", default="ones", show_default=True,
               help='"ones", "mode:k", or a CSV path')
-@click.option("--nodes", default=256, show_default=True, type=int)
+@click.option("--nodes", type=int, help=f"node count of a curve grid [default: {CURVE_NODES}]; "
+              "the model domains take none")
 @click.option("--out", default="solution.csv", show_default=True)
 def cmd_solve(domain, z_text, bc, data, nodes, out):
     """Solve a boundary value problem; emit boundary traces of the solution."""

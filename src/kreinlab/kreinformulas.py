@@ -236,28 +236,24 @@ def smoothing_factorization_check(ext: Extension, z) -> float:
 # ---------------------------------------------------------------------------
 
 def _discretize_interval(ext: Extension, z):
-    """Matrices of R_ext(z), R_D(w), tau_N R_D(w), gamma_D R_ext(zbar) and tau_N R_D(wbar)."""
+    """Matrices of R_ext(z), R_D(w), tau_N R_D(w), gamma_D R_ext(zbar) and tau_N R_D(wbar).
+
+    Column j is the operator applied to the j-th cardinal function of the
+    quadrature nodes.  The n cardinal functions go in as one (n, n) stack of
+    samples, so each operator is one resolvent call: its values come out with
+    one row per source, and its traces with one column per source.
+    """
     backend = ext.backend
     z = as_complex(z)
     w = z + ext.z0
     nodes = backend.quad_nodes
-    n = len(nodes)
-    Rext = np.zeros((n, n), dtype=complex)
-    RD = np.zeros((n, n), dtype=complex)
-    TN = np.zeros((2, n), dtype=complex)
-    GD_zbar = np.zeros((2, n), dtype=complex)
-    TNb = np.zeros((2, n), dtype=complex)
-    # the cardinal functions, as samples at the nodes: the backend's one
-    # barycentric basis evaluates all of them
-    for j, fj in enumerate(np.eye(n, dtype=complex)):
-        u = apply_resolvent(ext, z, fj)
-        Rext[:, j] = u.value(nodes)
-        ud = backend.resolvent_dirichlet(w, fj)
-        RD[:, j] = ud.value(nodes)
-        TN[:, j] = tau_N(ext.z0, ud)
-        ub = apply_resolvent(ext, np.conj(z), fj)
-        GD_zbar[:, j] = gamma_D(ub)
-        TNb[:, j] = tau_N(ext.z0, backend.resolvent_dirichlet(np.conj(w), fj))
+    F = np.eye(len(nodes), dtype=complex)
+    Rext = apply_resolvent(ext, z, F).value(nodes).T
+    ud = backend.resolvent_dirichlet(w, F)
+    RD = ud.value(nodes).T
+    TN = tau_N(ext.z0, ud)
+    GD_zbar = gamma_D(apply_resolvent(ext, np.conj(z), F))
+    TNb = tau_N(ext.z0, backend.resolvent_dirichlet(np.conj(w), F))
     return nodes, Rext, RD, TN, GD_zbar, TNb
 
 
@@ -277,8 +273,7 @@ def interval_sign_witnesses(ext: Extension, z) -> dict:
     nodes, Rext, RD, TN, GD_zbar, TNb = _discretize_interval(ext, z)
     adj = weighted_adjoint(GD_zbar, backend.boundary_weights, backend.quad_weights)
     adjT = weighted_adjoint(TNb, backend.boundary_weights, backend.quad_weights)
-    HE = np.array([backend.harmonic_extension(w, e).value(nodes)
-                   for e in np.eye(2, dtype=complex)]).T
+    HE = backend.harmonic_extension(w, np.eye(2, dtype=complex)).value(nodes).T
     scale = float(np.max(np.abs(Rext)))
     return {
         "resolvent-difference": {

@@ -153,6 +153,11 @@ def _green_profile(left, right, scale, w, source, end: float, radial: bool) -> P
     and ``uL``, ``uR`` and the source are called once per half.  A sampled
     source is read through its backend's barycentric basis
     (:class:`BarycentricBasis`), which is built once per array of points.
+
+    The source may be a stack of p sources: it then returns shape
+    ``(p,) + x.shape`` for points x, and so does every part of the profile.
+    The Gauss sums run over the contiguous last axis, so each source of a
+    stack is summed in the order a single source is.
     """
     (uL, duL), (uR, duR) = left, right
 
@@ -173,8 +178,8 @@ def _green_profile(left, right, scale, w, source, end: float, radial: bool) -> P
             lower = ws1 * uL(xs1)
             if radial:
                 lower = lower * xs1
-            below[inside] = at_right(ti[:, 0]) * np.sum(lower * source(xs1), axis=-1)
-        out = ((below + above) / scale).reshape(x.shape)
+            below[..., inside] = at_right(ti[:, 0]) * np.sum(lower * source(xs1), axis=-1)
+        out = ((below + above) / scale).reshape(above.shape[:-1] + x.shape)
         return out if out.ndim else complex(out)
 
     val = lambda x: solve(x, uL, uR)
@@ -271,17 +276,25 @@ class BarycentricBasis:
         return B
 
     def interpolant(self, values):
-        """Polynomial through ``(nodes, values)``: ``x -> B(x) @ values``."""
+        """Polynomial through ``(nodes, values)``: ``x -> B(x) @ values``.
+
+        ``values`` holds the n node values of one source, or is a (p, n)
+        stack of p sources; the interpolant then returns shape
+        ``(p,) + x.shape``, contiguous, one source per leading index.
+        """
         values = np.asarray(values, dtype=complex)
-        if values.shape != self.nodes.shape:
-            raise DomainError("sampled data must match the backend quadrature nodes")
-        # one real product with the (n, 2) real/imaginary view, so B is never cast to complex
-        pairs = np.ascontiguousarray(values).view(float).reshape(-1, 2)
         n = len(self.nodes)
+        if values.ndim not in (1, 2) or values.shape[-1] != n:
+            raise DomainError("sampled data must match the backend quadrature nodes")
+        # real products with the (n, 2) real/imaginary views, so B is never cast to
+        # complex; a stack is one matmul over p such views, each source's product
+        # the one it has alone
+        pairs = np.ascontiguousarray(values).view(float).reshape(values.shape + (2,))
 
         def interp(x):
             B = self.matrix(x)
-            out = (B.reshape(-1, n) @ pairs).view(complex).reshape(B.shape[:-1])
+            out = (B.reshape(-1, n) @ pairs).view(complex)
+            out = out.reshape(values.shape[:-1] + B.shape[:-1])
             return out if out.ndim else complex(out)
 
         return interp
@@ -335,21 +348,34 @@ class Model1D:
         return self.field(lambda x: p(x) + 0j, lambda x: dp(x) + 0j, lambda x: d2p(x) + 0j)
 
     def harmonic_extension(self, w, g) -> IntervalField:
-        """Solution of (-u'' - w u) = 0 with Dirichlet data g = (u(0), u(1))."""
+        """Solution of (-u'' - w u) = 0 with Dirichlet data g = (u(0), u(1)).
+
+        ``g`` has shape (2,), or (2, p) for p data pairs; the field's values
+        then have shape ``(p,) + x.shape`` and its traces shape (2, p).
+        """
         w = as_complex(w)
-        g0, g1 = (as_complex(v) for v in np.asarray(g).ravel())
+        g = np.asarray(g, dtype=complex)
+        if g.ndim not in (1, 2) or len(g) != 2:
+            raise DomainError("interval boundary data must have shape (2,) or (2, p)")
+        if g.ndim == 1:  # one pair stays in Python scalars, whose rounding it has always had
+            pair = tuple(as_complex(v) for v in g)
+            end = lambda i, x: pair[i]
+        else:  # u(0) or u(1) of each pair, shaped to broadcast against the points
+            if not np.all(np.isfinite(g)):
+                raise DomainError("non-finite boundary data")
+            end = lambda i, x: g[i].reshape(g.shape[1:] + (1,) * np.ndim(x))
         if w == 0:
             return self.field(
-                lambda x: g0 * (1 - x) + g1 * x,
-                lambda x: (g1 - g0) * np.ones_like(x),
-                lambda x: np.zeros_like(x, dtype=complex),
+                lambda x: end(0, x) * (1 - x) + end(1, x) * x,
+                lambda x: (end(1, x) - end(0, x)) * np.ones_like(x),
+                lambda x: np.zeros(g.shape[1:] + np.shape(x), dtype=complex),
             )
         k = sqrt_upper(w)
         s = np.sin(k)
         if abs(s) < 1e-13 * max(1.0, abs(k)):
             raise NearEigenvalue(f"w = {w} is a Dirichlet eigenvalue; extension undefined")
-        fn = lambda x: (g0 * np.sin(k * (1 - x)) + g1 * np.sin(k * x)) / s
-        dfn = lambda x: (-g0 * k * np.cos(k * (1 - x)) + g1 * k * np.cos(k * x)) / s
+        fn = lambda x: (end(0, x) * np.sin(k * (1 - x)) + end(1, x) * np.sin(k * x)) / s
+        dfn = lambda x: (-end(0, x) * k * np.cos(k * (1 - x)) + end(1, x) * k * np.cos(k * x)) / s
         return self.field(fn, dfn, lambda x: -w * fn(x))
 
     def homogeneous_basis(self, w):
@@ -430,7 +456,10 @@ class Model1D:
 
     def sample(self, u) -> np.ndarray:
         """Values of a field (or a callable) at the quadrature nodes."""
-        return u.value(self.quad_nodes) if hasattr(u, "value") else u(self.quad_nodes)
+        values = u.value(self.quad_nodes) if hasattr(u, "value") else u(self.quad_nodes)
+        if np.ndim(values) > 1:  # a stack would broadcast into one summed product
+            raise DomainError("interior products take single fields, not a stack")
+        return values
 
     def sample_inner(self, su, sv) -> complex:
         """:meth:`inner` of two fields from their :meth:`sample`."""
@@ -666,6 +695,8 @@ class DiskModel:
             bessel_j_prime(ak, kap * np.asarray(r, dtype=float)) * a
             - bessel_y_prime(ak, kap * np.asarray(r, dtype=float)) * b
         )
+        if not callable(fk) and np.ndim(fk) != 1:
+            raise DomainError("a disk mode takes one array of samples, not a stack")
         source = fk if callable(fk) else self.basis.interpolant(fk)
         return _green_profile((uL, duL), (uR, duR), scale, w, source, R, radial=True)
 

@@ -283,8 +283,16 @@ VERIFY_BAD_INPUT = [
     (["spectrum", "--spec", "@spec", "--window", "1,60", "--tol", "nan"], "bad_tol"),
     (["spectrum", "--spec", "@spec", "--window", "1,60", "--tol", "inf"], "bad_tol"),
     (["spectrum", "--spec", "@spec", "--window", "1,60", "--count", "-1"], "bad_count"),
+    # the model domains take no node count
+    (["dtn", "--domain", "interval", "--nodes", "15"], "bad_node_count"),
+    (["solve", "--domain", "disk", "--nodes", "64"], "bad_node_count"),
+    (["dtn", "--domain", "disk:1.3:4", "--nodes", "256"], "bad_node_count"),
     # verify checks its tolerance scale, node count and seed before any work
     *VERIFY_BAD_INPUT,
+    # click's own argument errors
+    (["verify", "--seed", "abc"], "bad_argument"),
+    (["dtn", "--domain", "interval", "--nodes", "1.5"], "bad_argument"),
+    (["verify", "--backend", "square"], "bad_argument"),
 ])
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
     (tmp_path / "spec.json").write_text(
@@ -404,6 +412,26 @@ def test_verify_rejects_bad_input_before_the_witness_pass(runner, tmp_path, monk
     assert json.loads(res.output)["error"] == error
     assert calls == []
     assert not (tmp_path / "report.json").exists()
+
+
+def test_argument_errors_print_json_on_both_standalone_paths(tmp_path, capsys):
+    bad = ["verify", "--seed", "abc"]
+    for standalone in (True, False):
+        with pytest.raises(SystemExit) as exc:
+            main(bad, standalone_mode=standalone)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"error": "bad_argument",
+                                   "detail": "Invalid value for '--seed': 'abc' is not a valid integer."}
+        assert err == ""
+    # a valid request returns as before: standalone exits 0, the other returns
+    good = ["dtn", "--domain", "interval", "--out", str(tmp_path / "dtn.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(good, standalone_mode=True)
+    assert exc.value.code == 0
+    assert main(good, standalone_mode=False) is None
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and json.loads(lines[0]) == json.loads(lines[1])
 
 
 def test_verify_injected_sign_flip_fails(runner, tmp_path, monkeypatch):

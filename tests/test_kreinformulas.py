@@ -250,6 +250,22 @@ def test_sign_ledger_complete_and_consistent():
     assert agrees["boundary-condition"]
 
 
+def test_witness_pass_builds_each_operator_once(monkeypatch):
+    # each witness operator takes the n cardinal functions as one stack of
+    # sources: one resolvent per operator, not one per node
+    calls = []
+    original = Model1D._resolvent
+
+    def counted(self, w, f, reference):
+        calls.append(np.shape(f))
+        return original(self, w, f, reference)
+
+    monkeypatch.setattr(Model1D, "_resolvent", counted)
+    sign_witnesses()
+    assert 0 < len(calls) <= 16
+    assert (64, 64) in calls
+
+
 # -- abstract machinery ----------------------------------------------------------
 
 def test_abstract_deficiency_indices(model):

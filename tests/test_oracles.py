@@ -367,3 +367,104 @@ def test_witness_pass_leaves_no_basis_store(monkeypatch):
     del backend, ext
     gc.collect()
     assert store() is None
+
+
+# stacked sources: a (p, n) stack of samples, or (2, p) boundary data, gives the
+# p fields that the columns give one at a time.  The 2x2 boundary maps act on
+# (2, p) traces as one matrix product, which can round differently from p
+# products with (2,) traces; tau_N, a sum of two such terms, can cancel (it is 0
+# for the Krein extension), so reads are compared on each source's largest read.
+
+READS = ("value", "derivative", "laplacian", "gamma_D", "gamma_N", "tau_N")
+
+
+def _stack_reads(u, z0):
+    """Values, derivatives and Laplacians at the nodes, one row per source, and
+    gamma_D, gamma_N and tau_N transposed to one row per source."""
+    from kreinlab.traces import gamma_D, gamma_N, tau_N
+
+    x = u.backend.quad_nodes
+    reads = (u.value(x), u.derivative(x), u.laplacian(x),
+             gamma_D(u).T, gamma_N(u).T, tau_N(z0, u).T)
+    return dict(zip(READS, reads))
+
+
+def _assert_stack_matches_columns(stacked, columns, z0, bitwise=()):
+    """Each source's reads agree with its column's to 1e-15 of that source's
+    largest read; the reads named in ``bitwise`` agree bit for bit."""
+    together = _stack_reads(stacked, z0)
+    for j, u in enumerate(columns):
+        alone = _stack_reads(u, z0)
+        scale = max(np.max(np.abs(read)) for read in alone.values())
+        for name, want in alone.items():
+            got = together[name][j]
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * scale
+            if name in bitwise:
+                assert np.array_equal(got, want), name
+
+
+def _random_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("reference, bitwise", [
+    ("dirichlet", READS),  # gamma_D is exactly 0, so dtn(z0) gamma_D is too
+    ("neumann", READS[:-1]),
+])
+def test_resolvent_of_a_stack_matches_its_columns(reference, bitwise):
+    b = Model1D()
+    F = _random_stack(np.random.default_rng(5), (4, len(b.quad_nodes)))
+    resolvent = getattr(b, f"resolvent_{reference}")
+    for w in (-1.3, 0.4 + 0.9j):
+        _assert_stack_matches_columns(resolvent(w, F), [resolvent(w, f) for f in F], -1.0,
+                                      bitwise)
+
+
+def test_harmonic_extension_of_stacked_data_matches_its_columns():
+    b = Model1D()
+    G = _random_stack(np.random.default_rng(6), (2, 3))
+    for w in (0.0, -1.3, 0.4 + 0.9j):
+        stacked = b.harmonic_extension(w, G)
+        # one pair forms -g0 k in Python scalars, a stack in arrays
+        _assert_stack_matches_columns(stacked, [b.harmonic_extension(w, g) for g in G.T], -1.0,
+                                      ("value", "laplacian", "gamma_D"))
+        assert stacked.gamma_dirichlet().shape == (2, 3)
+
+
+@pytest.mark.parametrize("reference, boundary_operator", [
+    ("dirichlet", np.array([[1.0, 0.2 - 0.1j], [0.2 + 0.1j, 0.5]])),
+    ("dirichlet", ("robin", 0.7)),
+    ("dirichlet", "krein"),
+    ("neumann", np.array([[0.3, 0.1j], [-0.1j, -0.4]])),
+    ("neumann", "krein"),
+])
+def test_apply_resolvent_to_a_stack_matches_its_columns(reference, boundary_operator):
+    from kreinlab.extensions import ExtensionSpec, apply_resolvent, make_extension
+
+    b = Model1D()
+    ext = make_extension(ExtensionSpec(reference, -1.0, boundary_operator, "full"), b)
+    F = _random_stack(np.random.default_rng(7), (4, len(b.quad_nodes)))
+    for z in (0.3 + 0.8j, -0.5):
+        _assert_stack_matches_columns(apply_resolvent(ext, z, F),
+                                      [apply_resolvent(ext, z, f) for f in F], ext.z0)
+
+
+def test_misshapen_stacks_are_rejected():
+    b = Model1D()
+    n = len(b.quad_nodes)
+    for bad in (np.ones((3, n + 1)), np.ones((2, 3, n)), np.ones(n + 1)):
+        with pytest.raises(DomainError):
+            b.resolvent_dirichlet(-1.0, bad)
+        with pytest.raises(DomainError):
+            b.basis.interpolant(bad)
+    for bad in (np.ones(3), np.ones((3, 2)), np.ones((2, 2, 2)), np.full((2, 3), np.nan)):
+        with pytest.raises(DomainError):
+            b.harmonic_extension(-1.0, bad)
+    stacked = b.resolvent_dirichlet(-1.0, np.eye(n)[:3])
+    with pytest.raises(DomainError):
+        b.inner(stacked, stacked)
+    # a disk field holds one source per mode
+    d = DiskModel(radius=1.0, mode_cutoff=1)
+    with pytest.raises(DomainError):
+        d.resolvent_dirichlet(-1.0, {0: np.ones((2, len(d.quad_nodes)))})
