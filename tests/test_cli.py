@@ -283,12 +283,12 @@ VERIFY_BAD_INPUT = [
     (["spectrum", "--spec", "@spec", "--window", "1,60", "--tol", "nan"], "bad_tol"),
     (["spectrum", "--spec", "@spec", "--window", "1,60", "--tol", "inf"], "bad_tol"),
     (["spectrum", "--spec", "@spec", "--window", "1,60", "--count", "-1"], "bad_count"),
+    # verify checks its tolerance scale, node count and seed before any work
+    *VERIFY_BAD_INPUT,
     # the model domains take no node count
     (["dtn", "--domain", "interval", "--nodes", "15"], "bad_node_count"),
     (["solve", "--domain", "disk", "--nodes", "64"], "bad_node_count"),
     (["dtn", "--domain", "disk:1.3:4", "--nodes", "256"], "bad_node_count"),
-    # verify checks its tolerance scale, node count and seed before any work
-    *VERIFY_BAD_INPUT,
     # click's own argument errors
     (["verify", "--seed", "abc"], "bad_argument"),
     (["dtn", "--domain", "interval", "--nodes", "1.5"], "bad_argument"),
