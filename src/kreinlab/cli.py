@@ -275,6 +275,8 @@ def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
         _fail({"error": "bad_path", "value": path_text, "detail": "path must be finite"}, 2)
     if not step > 0:
         _fail({"error": "bad_path", "value": path_text, "detail": "step must be positive"}, 2)
+    if min(start.imag, end.imag) <= 0:
+        _fail({"error": "bad_path", "value": path_text, "detail": "Im z must be positive"}, 2)
     try:
         ext = make_extension(spec, backend)
         if ext.projector is not None:  # checked before the output file is opened

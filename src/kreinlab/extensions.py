@@ -40,7 +40,7 @@ import numpy as np
 from .csvtext import read_complex_csv
 from .errors import BackendUnsupported, NearEigenvalue, SpecInvalid
 from .specfun import as_complex
-from .traces import gamma_D, gamma_N, hermitian_part, tau_D, tau_N
+from .traces import gamma_D, gamma_N, half_weighted, herm, hermitian_part, tau_D, tau_N
 from .weyl import gated_inverse
 
 HERMITIAN_TOL = 1e-12
@@ -64,6 +64,8 @@ class ExtensionSpec:
     subspace: object = "full"
 
     def __post_init__(self):
+        if not np.isfinite(self.z0):
+            raise SpecInvalid(f"z0 must be finite, got {self.z0!r}")
         if self.reference not in ("dirichlet", "neumann"):
             raise SpecInvalid(f"unknown reference {self.reference!r}")
         bo = self.boundary_operator
@@ -92,6 +94,8 @@ class ExtensionSpec:
     @staticmethod
     def from_json(text: str) -> "ExtensionSpec":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise SpecInvalid("an extension spec is a JSON object")
         L = data.get("L", {"special": "krein"})
         if "special" in L:
             tag = L["special"]
@@ -193,6 +197,9 @@ def make_extension(spec: ExtensionSpec, backend) -> Extension:
     else:
         L = _as_matrix(bo, m)
 
+    # a NaN fails no tolerance test, so non-finite entries are rejected first
+    if not np.all(np.isfinite(L)):
+        raise SpecInvalid("boundary operator has a non-finite entry")
     if _weighted_herm_defect(L, w) > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(L)))):
         raise SpecInvalid("boundary operator is not Hermitian in the weighted inner product")
 
@@ -207,7 +214,8 @@ def make_extension(spec: ExtensionSpec, backend) -> Extension:
         P = np.asarray(subspace, dtype=complex)
         if P.shape != (m, m):
             raise SpecInvalid(f"projector must be {m}x{m}")
-        if np.max(np.abs(P @ P - P)) > HERMITIAN_TOL or _weighted_herm_defect(P, w) > HERMITIAN_TOL:
+        if not (np.all(np.isfinite(P)) and np.max(np.abs(P @ P - P)) <= HERMITIAN_TOL
+                and _weighted_herm_defect(P, w) <= HERMITIAN_TOL):
             raise SpecInvalid("subspace selector is not an orthogonal projector")
         projector = P
         L = P @ L @ P
@@ -309,12 +317,11 @@ def is_nonnegative(ext: Extension, rng=None):
     if ext.projector is not None and not np.any(ext.projector):
         lmin = 0.0
     else:
-        herm = hermitian_part(ext.L, w)
+        part = hermitian_part(ext.L, w)
         if ext.projector is not None:
-            s = np.sqrt(w)
-            P = (s[:, None] * ext.projector) / s[None, :]
-            herm = P @ herm @ P.conj().T
-        lmin = float(np.min(np.linalg.eigvalsh(herm)))
+            P = half_weighted(ext.projector, w)
+            part = P @ part @ P.conj().T
+        lmin = float(np.min(np.linalg.eigvalsh(part)))
     flag = lmin >= -1e-10
 
     rng = np.random.default_rng(0) if rng is None else rng
@@ -354,11 +361,10 @@ def _ritz_floor(ext: Extension, rng) -> float:
         for j in range(n):
             form[i, j] = backend.sample_inner(sampled[i], applied[j])
             mass[i, j] = backend.sample_inner(sampled[i], sampled[j])
-    form = 0.5 * (form + form.conj().T)
-    mass = 0.5 * (mass + mass.conj().T)
+    form, mass = herm(form), herm(mass)
     # drop near-null mass directions before the generalized eigenproblem
     evals, evecs = np.linalg.eigh(mass)
     keep = evals > 1e-10 * float(np.max(evals))
     basis = evecs[:, keep] / np.sqrt(evals[keep])
     reduced = basis.conj().T @ form @ basis
-    return float(np.min(np.linalg.eigvalsh(0.5 * (reduced + reduced.conj().T))))
+    return float(np.min(np.linalg.eigvalsh(herm(reduced))))

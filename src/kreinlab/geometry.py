@@ -38,6 +38,10 @@ class CurveSpec:
 
     def __post_init__(self):
         kind, p = self.kind, self.params
+        real = (int, float, np.integer, np.floating)
+        if not (isinstance(p, dict) and all(isinstance(v, real) and not isinstance(v, bool)
+                                            and np.isfinite(v) for v in p.values())):
+            raise DomainError(f"curve parameters must map names to finite real numbers, got {p!r}")
         if kind == "circle":
             if p.get("radius", 0.0) <= 0:
                 raise DomainError("circle radius must be positive")
@@ -83,7 +87,9 @@ class CurveSpec:
     @staticmethod
     def from_json(text: str) -> "CurveSpec":
         data = json.loads(text)
-        return CurveSpec(data["kind"], dict(data.get("params", {})))
+        if not isinstance(data, dict):
+            raise DomainError("a curve spec is a JSON object")
+        return CurveSpec(data["kind"], data.get("params", {}))
 
     # -- parametrization ---------------------------------------------------
     def point(self, t):

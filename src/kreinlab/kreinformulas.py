@@ -41,7 +41,7 @@ from .layerpot import assemble_adjoint_double_layer
 from .oracles import Model1D
 from .specfun import as_complex
 from .spectral import ordering_check
-from .traces import gamma_D, gamma_N, hermitian_part, tau_N, weighted_adjoint
+from .traces import gamma_D, gamma_N, half_weighted, herm, hermitian_part, tau_N, weighted_adjoint
 from .weyl import gated_inverse
 
 
@@ -69,12 +69,8 @@ def mfunc_direct(ext: Extension, z) -> np.ndarray:
 
 def imaginary_part_eigenvalues(ext: Extension, z) -> np.ndarray:
     """Eigenvalues of Im M(z) = (M - M^*)/(2i) in the weighted product."""
-    mat = mfunc(ext, z)
-    w = ext.backend.boundary_weights
-    s = np.sqrt(w)
-    sym = (s[:, None] * mat) / s[None, :]
-    im = (sym - sym.conj().T) / 2j
-    return np.linalg.eigvalsh(0.5 * (im + im.conj().T))
+    sym = half_weighted(mfunc(ext, z), ext.backend.boundary_weights)
+    return np.linalg.eigvalsh(herm((sym - sym.conj().T) / 2j))
 
 
 def herglotz_defect(ext: Extension, zs) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import BackendUnsupported, CountFailed, DomainError, NearEigenvalue
 from .extensions import Extension, ExtensionSpec, apply_resolvent, make_extension
-from .traces import hermitian_part
+from .traces import herm, hermitian_part
 
 STEP_OFF = 1e-7  # relative distance of every sample from the reference eigenvalues
 REFINE_TOL = 1e-10
@@ -199,4 +199,4 @@ def _galerkin_resolvent(ext: Extension, a: float, trial) -> np.ndarray:
     for i in range(n):
         for j in range(n):
             G[i, j] = complex(np.sum(w * conj_trial[i] * images[j]))
-    return 0.5 * (G + G.conj().T)
+    return herm(G)

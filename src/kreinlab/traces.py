@@ -12,7 +12,8 @@ them usable as boundary conditions on the maximal domain.
 
 Adjoints and Hermitian parts of boundary maps are taken in the weighted
 boundary inner product of :func:`boundary_pairing` and formed by
-:func:`weighted_adjoint` and :func:`hermitian_part`.  The sign witnesses of
+:func:`weighted_adjoint` and :func:`hermitian_part`; :func:`herm` is the one place a
+Hermitian part ``(A + A^*)/2`` is formed.  The sign witnesses of
 :mod:`kreinlab.kreinformulas` take their traces once per ``verify`` request:
 the sign ledger and the krein-suite sign items are read from the same pass.
 """
@@ -58,12 +59,21 @@ def weighted_adjoint(mat: np.ndarray, range_weights: np.ndarray, domain_weights:
     return (mat.conj().T * range_weights[None, :]) / domain_weights[:, None]
 
 
+def herm(mat: np.ndarray) -> np.ndarray:
+    """Hermitian part ``(A + A^*)/2`` in the plain product."""
+    return 0.5 * (mat + mat.conj().T)
+
+
+def half_weighted(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``W^{1/2} A W^{-1/2}``: the matrix in coordinates where the weighted product is plain."""
+    s = np.sqrt(weights)
+    return (s[:, None] * mat) / s[None, :]
+
+
 def hermitian_part(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Hermitian part in the weighted product, as a plain Hermitian matrix
     acting on half-weighted coordinates."""
-    s = np.sqrt(weights)
-    sym = (s[:, None] * mat) / s[None, :]
-    return 0.5 * (sym + sym.conj().T)
+    return herm(half_weighted(mat, weights))
 
 
 def _interior_inner(u, v, interior_quad):

@@ -293,6 +293,21 @@ VERIFY_BAD_INPUT = [
     (["verify", "--seed", "abc"], "bad_argument"),
     (["dtn", "--domain", "interval", "--nodes", "1.5"], "bad_argument"),
     (["verify", "--backend", "square"], "bad_argument"),
+    # non-finite or malformed extension specs
+    (["spectrum", "--spec", "@nan-matrix-spec", "--window", "1,60"], "bad_extension_spec"),
+    (["spectrum", "--spec", "@nan-robin-spec", "--window", "1,60"], "bad_extension_spec"),
+    (["spectrum", "--spec", "@nan-projector-spec", "--window", "1,60"], "bad_extension_spec"),
+    (["spectrum", "--spec", "@inf-z0-spec", "--window", "1,60"], "bad_extension_spec"),
+    (["mfunc-scan", "--spec", "@list-spec", "--path", "0.1+0.1i:0.1:1+0.1i"],
+     "bad_extension_spec"),
+    # malformed curve specs
+    (["dtn", "--domain", "@string-radius-curve"], "bad_curve_spec"),
+    (["dtn", "--domain", "@list-curve"], "bad_curve_spec"),
+    (["dtn", "--domain", "@list-params-curve"], "bad_curve_spec"),
+    (["dtn", "--domain", "@inf-radius-curve"], "bad_curve_spec"),
+    # the scan path must lie in the open upper half plane
+    (["mfunc-scan", "--spec", "@spec", "--path", "-1-0.5i:0.5:1-0.5i"], "bad_path"),
+    (["mfunc-scan", "--spec", "@spec", "--path", "0.1+0.1i:0.1:1+0i"], "bad_path"),
 ])
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
     (tmp_path / "spec.json").write_text(
@@ -320,6 +335,21 @@ def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
                        ("robin-projector", {"special": "robin", "theta": 1.0}, projector),
                        ("krein-zero", {"special": "krein"}, "zero")):
         (tmp_path / f"{name}-spec.json").write_text(json.dumps({"z0": -1.0, "L": L, "X": X}))
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    nan_matrix = {"matrix": [np.nan, 0, 0, 0, 0, 0, 1, 0], "shape": [2, 2]}
+    for name, spec in (("nan-matrix", {"z0": -1, "L": nan_matrix}),
+                       ("nan-robin", {"L": {"special": "robin", "theta": np.nan}}),
+                       ("nan-projector", {"L": {"matrix": [0.0] * 8, "shape": [2, 2]},
+                                          "X": {"projector": [np.nan] + [0.0] * 7,
+                                                "shape": [2, 2]}}),
+                       ("inf-z0", {"z0": np.inf}),
+                       ("list", [])):
+        (tmp_path / f"{name}-spec.json").write_text(json.dumps(spec))
+    for name, curve in (("string-radius", {"kind": "circle", "params": {"radius": "1"}}),
+                        ("list", [1, 2]),
+                        ("list-params", {"kind": "circle", "params": [1]}),
+                        ("inf-radius", {"kind": "circle", "params": {"radius": np.inf}})):
+        (tmp_path / f"{name}-curve.json").write_text(json.dumps(curve))
     argv = [str(tmp_path / (a[1:] if a.endswith(".csv") else a[1:] + ".json"))
             if a.startswith("@") else a for a in args]
     res = _run(runner, argv + ["--out", str(tmp_path / "out.csv")])
@@ -480,13 +510,73 @@ def test_verify_runs_the_sign_witnesses_once(runner, tmp_path, monkeypatch):
     assert items["krein-formula-matrix"]["residual"] == ledger["krein-formula"]["residual"]
 
 
+#: identity names of each task group, per backend; "all" runs every group
+SUITE_IDENTITIES = {
+    "interval": {
+        "weyl": ["dtn-shifted-closed-form", "dtn-sign-nonpositive", "dtn-static-closed-form",
+                 "dtn-symmetry", "ntd-dtn-inverse", "ntd-sign-definite"],
+        "traces": ["classical-green", "green-defect-generic", "green-defect-harmonic",
+                   "tauD-factorization", "tauD-kernel", "tauD-relation", "tauN-factorization",
+                   "tauN-kernel", "tauN-kernel-decomposition", "tauN-range"],
+        "krein": ["harmonic-adjoint", "herglotz-krein", "herglotz-random-L", "jump-relation",
+                  "krein-formula-matrix", "krein-resolvent-vs-direct", "mfunc-neumann-ntd",
+                  "mfunc-symmetry", "mfunc-vs-direct", "nonnegativity-krein",
+                  "resolvent-difference", "resolvent-ordering", "smoothing-factorization",
+                  "special-krein", "special-neumann", "special-robin",
+                  "two-extension-alternative", "two-extension-identity",
+                  "two-extension-symmetry"],
+        "abstract": ["deficiency-gram", "deficiency-indices", "domain-splitting",
+                     "donoghue-at-i", "donoghue-herglotz", "donoghue-symmetry",
+                     "friedrichs-is-dirichlet", "kernel-of-krein", "krein-formula-deficiency",
+                     "parametrized-ordering"],
+    },
+    "disk": {
+        "weyl": ["bem-dtn-helmholtz-modes", "bem-dtn-static-modes", "dtn-sign-nonpositive",
+                 "dtn-smoothing-decay", "dtn-symmetry", "ntd-dtn-inverse", "ntd-sign-definite",
+                 "solve-neumann-consistency"],
+        "traces": ["classical-green", "green-defect-generic", "green-defect-harmonic",
+                   "tauD-kernel", "tauN-kernel", "tauN-kernel-decomposition", "tauN-range"],
+        "krein": ["cross-factory-krein", "harmonic-adjoint", "herglotz-krein",
+                  "herglotz-random-L", "jump-relation", "krein-formula-matrix",
+                  "krein-resolvent-vs-direct", "mfunc-neumann-ntd", "mfunc-symmetry",
+                  "mfunc-vs-direct", "resolvent-difference", "smoothing-factorization",
+                  "special-krein", "special-neumann"],
+        "abstract": [],
+    },
+    "kite": {
+        "weyl": ["dirichlet-roundtrip", "dtn-self-convergence", "dtn-sign-nonpositive",
+                 "dtn-symmetry", "ntd-dtn-inverse"],
+        "traces": ["gamma-roundtrip", "tauN-kernel"],
+        "krein": ["harmonic-adjoint", "herglotz-krein", "jump-relation", "krein-formula-matrix",
+                  "mfunc-symmetry", "resolvent-difference"],
+        "abstract": [],
+    },
+}
+
+
+@pytest.mark.parametrize("backend", ["interval", "disk", "kite"])
+def test_each_suite_runs_its_pinned_identities(backend):
+    from kreinlab.verifysuite import build_suite
+
+    # the sign items only read these residuals
+    witnesses = {"jump-relation": {"+1/2": 0.0}, "resolvent-difference": {"-": 0.0},
+                 "krein-formula": 0.0, "harmonic-adjoint": 0.0}
+    want = dict(SUITE_IDENTITIES[backend])
+    want["all"] = sorted(name for names in want.values() for name in names)
+    nodes = 0 if backend == "interval" else 64
+    got = {suite: [it["identity"] for it in build_suite(suite, backend, witnesses, nodes=nodes)]
+           for suite in want}
+    assert got == want
+    assert len(want["all"]) == {"interval": 45, "disk": 29, "kite": 13}[backend]
+
+
 def test_suite_tasks_keep_their_random_streams():
-    from kreinlab.oracles import DiskModel
-    from kreinlab.verifysuite import _krein_model, build_suite
+    from kreinlab.verifysuite import _krein, _plan, build_suite
 
     witnesses = kreinformulas.sign_witnesses()
     items = {it["identity"]: it for it in build_suite("krein", "disk", witnesses, seed=3)}
-    alone = _krein_model(DiskModel(radius=1.0, mode_cutoff=8), np.random.default_rng([3, 1]), 1.0)
+    # the extension task follows the sign items, so it draws from stream [seed, 1]
+    alone = _krein(_plan("disk", 192), np.random.default_rng([3, 1]), 1.0)
     want = [it for it in alone if it["identity"] == "herglotz-random-L"]
     assert items["herglotz-random-L"]["residual"] == want[0]["residual"]
 
@@ -500,7 +590,7 @@ def test_verify_runs_every_suite_task_in_the_calling_thread(runner, tmp_path, mo
         threads.append(threading.get_ident())
         return []
 
-    for name in ("_weyl_kite", "_traces_kite", "_sign_items", "_krein_kite"):
+    for name in ("_weyl", "_traces", "_sign_items", "_krein"):
         monkeypatch.setattr(verifysuite, name, task)
     assert verifysuite.build_suite("all", "kite", {}) == []
     assert threads == [threading.get_ident()] * 4

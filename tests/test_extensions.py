@@ -86,6 +86,24 @@ def test_non_hermitian_rejected(interval):
         make_extension(ExtensionSpec("dirichlet", 0.0, bad), interval)
 
 
+@pytest.mark.parametrize("bo, X", [
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "full"),
+    (("robin", np.nan), "full"),
+    (("robin", np.inf), "full"),
+    (np.zeros((2, 2)), np.array([[np.nan, 0.0], [0.0, 0.0]])),
+])
+def test_non_finite_boundary_operator_or_projector_rejected(interval, bo, X):
+    # a NaN passes every tolerance comparison, so it must be caught as such
+    with pytest.raises(SpecInvalid):
+        make_extension(ExtensionSpec("dirichlet", 0.0, bo, X), interval)
+
+
+@pytest.mark.parametrize("text", ['{"z0": NaN}', '{"z0": -Infinity}', "[]", '"krein"'])
+def test_extension_spec_json_must_be_an_object_with_finite_z0(text):
+    with pytest.raises(SpecInvalid):
+        ExtensionSpec.from_json(text)
+
+
 def test_bad_projector_rejected(interval):
     with pytest.raises(SpecInvalid):
         make_extension(

@@ -85,6 +85,24 @@ def test_invalid_specs():
         CurveSpec("pentagon", {})
 
 
+@pytest.mark.parametrize("text", [
+    '{"kind": "circle", "params": {"radius": "1"}}',
+    '{"kind": "circle", "params": {"radius": true}}',
+    '{"kind": "circle", "params": {"radius": Infinity}}',
+    '{"kind": "ellipse", "params": {"a": 1.0, "b": NaN}}',
+    '{"kind": "circle", "params": [1]}',
+    '[1, 2]',
+])
+def test_curve_spec_needs_an_object_of_finite_real_parameters(text):
+    with pytest.raises(DomainError):
+        CurveSpec.from_json(text)
+
+
+def test_curve_spec_takes_numpy_scalars():
+    assert CurveSpec("star", {"amplitude": np.float64(0.25), "wavenumber": np.int64(7)}) \
+        == CurveSpec.star(0.25, 7)
+
+
 def test_json_roundtrip():
     spec = CurveSpec.star(0.25, 7)
     again = CurveSpec.from_json(spec.to_json())

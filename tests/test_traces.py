@@ -11,6 +11,8 @@ from kreinlab.traces import (
     gamma_D,
     gamma_N,
     green_defect,
+    half_weighted,
+    herm,
     hermitian_part,
     tau_D,
     tau_N,
@@ -185,6 +187,8 @@ def test_weighted_adjoint_and_hermitian_part_match_inline_forms():
     s = np.sqrt(bw)
     sym = (s[:, None] * square) / s[None, :]
     assert np.array_equal(hermitian_part(square, bw), 0.5 * (sym + sym.conj().T))
+    assert np.array_equal(half_weighted(square, bw), sym)
+    assert np.array_equal(herm(square), 0.5 * (square + square.conj().T))
     # the adjoint is the one of the weighted pairing
     x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
