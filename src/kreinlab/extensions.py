@@ -158,6 +158,8 @@ class Extension:
 def _as_matrix(value, m) -> np.ndarray:
     arr = np.asarray(value, dtype=complex)
     if arr.ndim == 0:
+        if not np.isfinite(arr):  # inf * 0 off the diagonal would warn before the check
+            raise SpecInvalid("boundary operator has a non-finite entry")
         return complex(arr) * np.eye(m, dtype=complex)
     if arr.shape != (m, m):
         raise SpecInvalid(f"boundary operator must be {m}x{m}, got {arr.shape}")

@@ -193,14 +193,22 @@ def check_node_count(n) -> int:
 def make_grid(spec: CurveSpec, n: int) -> BoundaryGrid:
     """Build an ``n``-node grid; ``n`` must be even and at least 16.
 
+    Node j has the parameter ``t_j = 2 pi j / n``, and the curve is evaluated at
+    the signed parameter ``s_j = 2 pi m_j / n``, with ``m_j = j`` for ``j <= n/2``
+    and ``j - n`` above: the same point of the 2 pi-periodic curve up to rounding.
+    ``s_(n-j) = -s_j`` exactly, and cos is even and sin odd bit for bit, so on a
+    curve symmetric about the x-axis node n - j is the exact mirror image of node
+    j, and :mod:`kreinlab.layerpot` evaluates each repeated distance once.
     Normals, speeds and curvatures are analytic, so doubling ``n`` refines
     the grid without moving existing nodes.
     """
     n = check_node_count(n)
-    t = 2.0 * np.pi * np.arange(n) / n
-    pts = spec.point(t)
-    vel = spec.velocity(t)
-    acc = spec.acceleration(t)
+    j = np.arange(n)
+    t = 2.0 * np.pi * j / n
+    s = 2.0 * np.pi * np.where(j <= n // 2, j, j - n) / n
+    pts = spec.point(s)
+    vel = spec.velocity(s)
+    acc = spec.acceleration(s)
     speed = np.sqrt(np.sum(vel**2, axis=1))
     normals = np.stack([vel[:, 1], -vel[:, 0]], axis=1) / speed[:, None]
     curvature = (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / speed**3

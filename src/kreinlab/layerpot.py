@@ -9,6 +9,13 @@ with M1, M2 analytic on analytic curves, the log part integrated by the
 trigonometric product rule and the smooth part by the trapezoid rule, which
 together converge superalgebraically.
 
+The four kernels depend on the node distance r alone, so each is evaluated
+once per distinct distance and gathered into its matrix.  The grids of
+:func:`kreinlab.geometry.make_grid` place node n - j at the exact mirror image
+of node j, so on a curve symmetric about the x-axis about half of the pairs
+repeat a distance.  Correctness never rests on that symmetry: a curve without
+repeated distances gets the same answer, with no saving.
+
 The interior Neumann trace of the single layer is ``JUMP_SIGN/2 I + K#_z``.
 The sign is not assumed: it is forced by the uniform-density disk identity
 (see :func:`kreinlab.kreinformulas.resolve_sign_conventions`, ledger row
@@ -169,8 +176,13 @@ def _check_wavenumber(grid: BoundaryGrid, z: complex, k: complex):
 
 def _assemble(grid: BoundaryGrid, z: complex, single: bool, adjoint: bool):
     """Matrices ``(V_z, K#_z)`` from one pairwise geometry; one not asked for is None.
-    Kernels are evaluated on the strict upper triangle and mirrored: ``r`` is
-    symmetric bit for bit, because ``p_i - p_j = -(p_j - p_i)`` exactly."""
+    Each kernel ufunc is evaluated once per distinct distance above the diagonal (on a
+    grid of :func:`kreinlab.geometry.make_grid`, about half of the pairs on a curve
+    symmetric about the x-axis), and one (n, n) index gathers the values into every
+    matrix; its diagonal is a sentinel that reads the diagonal value appended to them.
+    The lower triangle reads the upper one: ``r`` is symmetric bit for bit, because
+    ``p_i - p_j = -(p_j - p_i)`` exactly.  The ufuncs are elementwise, so each matrix
+    has the bits of an evaluation on every pair."""
     lane = _kernels(grid, z)
     n, sp = grid.n, grid.speed
     trap = 2.0 * np.pi / n
@@ -179,21 +191,20 @@ def _assemble(grid: BoundaryGrid, z: complex, single: bool, adjoint: bool):
     dn = np.sum(d * grid.normals[:, None, :], axis=-1) if adjoint else None
     del d
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    x = lane.scale * r[upper]
-
-    def mirror(values, diagonal):
-        out = np.empty((n, n), dtype=np.result_type(values))
-        out[upper] = values
-        out.T[upper] = values  # visits (j, i) in the order r[upper] visits (i, j)
-        np.fill_diagonal(out, diagonal)
-        return out
+    distinct, inverse = np.unique(r[upper], return_inverse=True)
+    x = lane.scale * distinct
+    index = np.full((n, n), distinct.size)
+    index[upper] = inverse
+    index.T[upper] = inverse  # visits (j, i) in the order r[upper] visits (i, j)
+    del upper, inverse, distinct
 
     def part(i, diagonal=0.0):
-        # ``c`` multiplies the fresh mirrored matrix within one expression: numpy then
+        # ``c`` multiplies the fresh gathered matrix within one expression: numpy then
         # reuses that temporary for large n and puts it first, and the operand order
         # of a complex product decides its last bit
         c, f = lane.parts[i]
-        return c * mirror(_apply(f, x) if callable(f) else f, diagonal)
+        values = _apply(f, x) if callable(f) else np.full(x.size, f)
+        return c * np.append(values, diagonal).take(index)
 
     V = K = None
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -203,6 +214,7 @@ def _assemble(grid: BoundaryGrid, z: complex, single: bool, adjoint: bool):
                 k1 = part(2) * dn / r * sp
                 K -= k1 * log4sin
                 np.fill_diagonal(k1, 0.0)
+            del dn  # the index outlives it, so V_z's peak holds one float matrix less
             np.fill_diagonal(K, -grid.curvature * sp / (4.0 * np.pi))
             K *= trap
             if lane.parts[2]:

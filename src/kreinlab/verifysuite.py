@@ -253,7 +253,7 @@ def _tau_factorizations(p, g, h, rng, tol):
 def _interior_traces(p, g, h, rng, tol):
     """Identities that need interior fields and the interior inner product."""
     b, z0, zn = p.backend, p.z0, -1.0
-    hn = b.harmonic_extension(zn, g)
+    hn = h if z0 == zn else b.harmonic_extension(zn, g)
     items = [_item("tauD-kernel", "tau_D(z) u = 0 for (-L - z)-harmonic u",
                    np.max(np.abs(tau_D(zn, hn))), 1e-8 * tol)]
     h2 = b.harmonic_extension(zn, p.data(rng))

@@ -581,6 +581,23 @@ def test_suite_tasks_keep_their_random_streams():
     assert items["herglotz-random-L"]["residual"] == want[0]["residual"]
 
 
+def test_disk_traces_task_builds_its_harmonic_field_once(monkeypatch):
+    from kreinlab.oracles import DiskModel
+    from kreinlab.verifysuite import build_suite
+
+    calls = []
+    extend = DiskModel.harmonic_extension
+
+    def counted(self, w, g):
+        calls.append(w)
+        return extend(self, w, g)
+
+    monkeypatch.setattr(DiskModel, "harmonic_extension", counted)
+    build_suite("traces", "disk", {})
+    # z0 = -1 on the disk, so the probe field at z0 is also the field at -1
+    assert calls == [-1.0, -1.0]
+
+
 def test_verify_runs_every_suite_task_in_the_calling_thread(runner, tmp_path, monkeypatch):
     from kreinlab import verifysuite
 

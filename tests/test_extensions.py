@@ -92,6 +92,7 @@ def test_non_hermitian_rejected(interval):
     (("robin", np.inf), "full"),
     (np.zeros((2, 2)), np.array([[np.nan, 0.0], [0.0, 0.0]])),
 ])
+@pytest.mark.filterwarnings("error")  # rejected before any arithmetic on the bad entry
 def test_non_finite_boundary_operator_or_projector_rejected(interval, bo, X):
     # a NaN passes every tolerance comparison, so it must be caught as such
     with pytest.raises(SpecInvalid):

@@ -61,8 +61,23 @@ def test_star_area_closed_form():
 def test_refinement_keeps_nodes():
     coarse = make_grid(CurveSpec.kite(), 32)
     fine = make_grid(CurveSpec.kite(), 64)
-    assert np.allclose(coarse.points, fine.points[::2])
-    assert np.allclose(coarse.normals, fine.normals[::2])
+    assert np.array_equal(coarse.points, fine.points[::2])
+    assert np.array_equal(coarse.normals, fine.normals[::2])
+
+
+@pytest.mark.parametrize("n", [64, 192, 1024])
+@pytest.mark.parametrize("spec", [CurveSpec.kite(), CurveSpec.star(0.3, 5),
+                                  CurveSpec.ellipse(1.5, 1.0), CurveSpec.circle(0.8)],
+                         ids=lambda spec: spec.kind)
+def test_nodes_are_exact_mirror_images(spec, n):
+    # node n - j is node j reflected in the x-axis, bit for bit
+    grid = make_grid(spec, n)
+    j, mirror = np.arange(1, n // 2), n - np.arange(1, n // 2)
+    assert np.array_equal(grid.points[mirror], grid.points[j] * [1.0, -1.0])
+    assert np.array_equal(grid.normals[mirror], grid.normals[j] * [1.0, -1.0])
+    assert np.array_equal(grid.speed[mirror], grid.speed[j])
+    assert np.array_equal(grid.curvature[mirror], grid.curvature[j])
+    assert np.array_equal(grid.t, 2.0 * np.pi * np.arange(n) / n)
 
 
 def test_curvature_on_circle():

@@ -203,22 +203,30 @@ def test_target_too_close_warning():
 
 
 def _full_matrix_reference(grid, z):
-    """V_z and K#_z with every Bessel/Hankel kernel evaluated on the full
-    n x n distance matrix, diagonal included."""
+    """V_z and K#_z with every kernel evaluated on the full n x n distance matrix,
+    diagonal included: Laplace at z = 0, Bessel/Hankel otherwise."""
     n = grid.n
     trap = 2.0 * np.pi / n
     R = log_quadrature_weights(n)
     d, r, log4sin = _pairwise(grid)
     sp = grid.speed
-    k = sqrt_upper(z)
     dn = np.sum(d * grid.normals[:, None, :], axis=-1)
+    c = 1.0 / (2.0 * np.pi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        m1 = -(1.0 / (4.0 * np.pi)) * special.jv(0, k * r) * sp[None, :]
-        m2 = 0.25j * special.hankel1(0, k * r) * sp[None, :] - m1 * log4sin
-        k1 = (k / (4.0 * np.pi)) * special.jv(1, k * r) * dn / r * sp[None, :]
-        k2 = -(0.25j * k) * special.hankel1(1, k * r) * dn / r * sp[None, :] - k1 * log4sin
-    np.fill_diagonal(
-        m2, (0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp)
+        if z == 0:
+            m1 = -(1.0 / (4.0 * np.pi)) * np.ones((n, n)) * sp[None, :]
+            m2 = -c * np.log(r) * sp[None, :] - m1 * log4sin
+            k1 = np.zeros((n, n))
+            k2 = -c * np.ones((n, n)) * dn / r**2 * sp[None, :]
+            diagonal = -c * np.log(sp) * sp
+        else:
+            k = sqrt_upper(z)
+            m1 = -(1.0 / (4.0 * np.pi)) * special.jv(0, k * r) * sp[None, :]
+            m2 = 0.25j * special.hankel1(0, k * r) * sp[None, :] - m1 * log4sin
+            k1 = (k / (4.0 * np.pi)) * special.jv(1, k * r) * dn / r * sp[None, :]
+            k2 = -(0.25j * k) * special.hankel1(1, k * r) * dn / r * sp[None, :] - k1 * log4sin
+            diagonal = (0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(k * sp / 2.0) * c) * sp
+    np.fill_diagonal(m2, diagonal)
     np.fill_diagonal(k1, 0.0)
     np.fill_diagonal(k2, -grid.curvature * sp / (4.0 * np.pi))
     return R * m1 + trap * m2, R * k1 + trap * k2
@@ -227,7 +235,7 @@ def _full_matrix_reference(grid, z):
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize("z", [2 + 1j, -1.5])
 def test_triangle_kernels_bit_identical_to_full_matrix(n, z):
-    # kernels evaluated on the upper triangle and mirrored equal the full
+    # kernels evaluated once per distinct distance and gathered equal the full
     # evaluation exactly, diagonals included
     grid = make_grid(CurveSpec.kite(), n)
     V_ref, K_ref = _full_matrix_reference(grid, z)
@@ -235,6 +243,38 @@ def test_triangle_kernels_bit_identical_to_full_matrix(n, z):
     K = assemble_adjoint_double_layer(grid, z)
     assert np.array_equal(V, V_ref)
     assert np.array_equal(K, K_ref)
+
+
+# not the unit circle, whose V_0 is singular (logarithmic capacity one)
+_SPLIT_CURVES = [CurveSpec.kite(), CurveSpec.star(0.3, 5), CurveSpec.ellipse(1.5, 1.0),
+                 CurveSpec.circle(0.8)]
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("z", [0.0, -1.0, 2 + 1j, -0.5 + 0.8j])
+@pytest.mark.parametrize("spec", _SPLIT_CURVES, ids=lambda spec: spec.kind)
+def test_distinct_distance_kernels_bit_identical_to_full_matrix(spec, z, n):
+    # one evaluation per distinct distance, gathered, has the bits of one per pair
+    grid = make_grid(spec, n)
+    V_ref, K_ref = _full_matrix_reference(grid, z)
+    V, K = assemble_single_layer_trace(grid, z, with_adjoint=True)
+    assert np.array_equal(V, V_ref)
+    assert np.array_equal(K, K_ref)
+
+
+@pytest.mark.parametrize("spec, share", [(CurveSpec.kite(), 0.55), (CurveSpec.circle(0.8), 0.05)],
+                         ids=["kite", "circle"])
+def test_each_distinct_distance_reaches_the_kernels_once(monkeypatch, spec, share):
+    points = []
+    apply = layerpot._apply
+    monkeypatch.setattr(layerpot, "_apply", lambda f, x: points.append(x.size) or apply(f, x))
+    grid = make_grid(spec, 192)
+    assemble_single_layer_trace(grid, 2 + 1j, with_adjoint=True)
+    pairs = 192 * 191 // 2  # 18,336: what an evaluation on the upper triangle sends
+    r = _pairwise(grid)[1]
+    distinct = np.unique(r[np.triu_indices(192, 1)]).size
+    assert points == [distinct] * 4  # one per kernel part
+    assert distinct <= share * pairs
 
 
 @pytest.mark.parametrize("n", [4, 16, 256, 1024])
@@ -260,29 +300,31 @@ def cores(monkeypatch):
     pool.shutdown()
 
 
-# not the unit circle, whose V_0 is singular (logarithmic capacity one)
-_SPLIT_CURVES = [CurveSpec.kite(), CurveSpec.star(0.3, 5), CurveSpec.ellipse(1.5, 1.0),
-                 CurveSpec.circle(0.8)]
-
-
 @pytest.mark.parametrize("z", [2 + 1j, -2.3, 0.0])
 @pytest.mark.parametrize("spec", _SPLIT_CURVES, ids=lambda spec: spec.kind)
-def test_split_kernels_equal_inline(cores, spec, z):
+def test_split_kernels_equal_inline(cores, monkeypatch, spec, z):
     grid = make_grid(spec, 512)
     rng = np.random.default_rng(5)
     density = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     targets = 0.3 * rng.uniform(-1.0, 1.0, (160, 2))  # 160 x 512 points: split too
+    points = []  # the size of each kernel argument
+    apply = layerpot._apply
+    monkeypatch.setattr(layerpot, "_apply", lambda f, x: points.append(x.size) or apply(f, x))
 
     def evaluate():
         # T = I/2 + K#: off the diagonal, which no kernel reaches, T and K# have equal bits
         backend = BemBackend(grid)
-        out = [backend.dtn(z), backend.single_layer(z), backend.neumann_trace(z),
-               evaluate_potential(grid, density, z, targets),
-               evaluate_potential_gradient(grid, density, z, targets)]
+        out = [backend.dtn(z), backend.single_layer(z), backend.neumann_trace(z)]
+        # the kite's and the star's 512-node matrices have more than SPLIT_MIN distinct
+        # distances, so they are evaluated in slices; the ellipse's and the circle's fewer
+        assert (max(points) >= SPLIT_MIN) == (spec.kind in ("kite", "star"))
+        out += [evaluate_potential(grid, density, z, targets),
+                evaluate_potential_gradient(grid, density, z, targets)]
         return out + [backend.ntd(z)] if z != 0 else out  # 0 is a Neumann eigenvalue
 
     cores(1)
     inline = evaluate()
+    points.clear()
     cores(3)
     for got, want in zip(evaluate(), inline):
         assert (got == want).all()
