@@ -178,6 +178,9 @@ def _boundary_data(data: str, n: int, t: np.ndarray | None):
         vec = read_complex_csv(data).ravel()
         if len(vec) != n:
             raise ValueError(f"{len(vec)} values for a boundary of {n}")
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if len(bad):
+            raise ValueError(f"value at index {bad[0]} is not finite")
     except ValueError as exc:
         _fail({"error": "bad_boundary_data", "detail": f"{data}: {exc}"}, 2)
     return vec

@@ -308,7 +308,19 @@ VERIFY_BAD_INPUT = [
     # the scan path must lie in the open upper half plane
     (["mfunc-scan", "--spec", "@spec", "--path", "-1-0.5i:0.5:1-0.5i"], "bad_path"),
     (["mfunc-scan", "--spec", "@spec", "--path", "0.1+0.1i:0.1:1+0i"], "bad_path"),
+    # boundary data must be finite on every domain (2, 17 and 16 boundary values)
+    (["solve", "--domain", "interval", "--data", "@nan-re-2.csv"], "bad_boundary_data"),
+    (["solve", "--domain", "interval", "--data", "@inf-im-2.csv"], "bad_boundary_data"),
+    (["solve", "--domain", "disk", "--data", "@nan-re-17.csv"], "bad_boundary_data"),
+    (["solve", "--domain", "disk", "--data", "@inf-im-17.csv"], "bad_boundary_data"),
+    (["solve", "--domain", "@circle", "--nodes", "16", "--data", "@nan-re-16.csv"],
+     "bad_boundary_data"),
+    (["solve", "--domain", "@circle", "--nodes", "16", "--data", "@inf-im-16.csv"],
+     "bad_boundary_data"),
+    (["solve", "--domain", "@circle", "--nodes", "16", "--bc", "neumann",
+      "--data", "@inf-im-16.csv"], "bad_boundary_data"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
     (tmp_path / "spec.json").write_text(
         '{"reference": "dirichlet", "z0": 0.0, "L": {"special": "krein"}, "X": "full"}')
@@ -320,6 +332,9 @@ def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
         (tmp_path / f"{name}.csv").write_text(text)
         (tmp_path / f"{name}-spec.json").write_text(
             json.dumps({"L": {"matrix_csv": str(tmp_path / f"{name}.csv")}}))
+    for n in (2, 16, 17):
+        (tmp_path / f"nan-re-{n}.csv").write_text('"1,0"\n' * (n - 1) + '"nan,0"\n')
+        (tmp_path / f"inf-im-{n}.csv").write_text('"1,0"\n' * (n - 1) + '"1,-inf"\n')
     # a 3 x 3 boundary operator or projector: the interval has 2 boundary points, the disk 17 modes
     (tmp_path / "three-by-three.csv").write_text('"1,0","0,0","0,0"\n' * 3)
     (tmp_path / "three-by-three-spec.json").write_text(json.dumps(

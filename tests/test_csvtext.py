@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from kreinlab.cli import write_complex_matrix_csv
-from kreinlab.csvtext import BLOCK_CELLS, format_g17
+from kreinlab.cli import read_complex_csv, write_complex_matrix_csv
+from kreinlab.csvtext import BLOCK_CELLS, complex_rows
+from kreinlab.geometry import CurveSpec, make_grid
+from kreinlab.weyl import BemBackend
 
 
 def _texts(x):
-    text, length = format_g17(np.asarray(x, dtype=np.float64))
-    return [bytes(row[:n]).decode() for row, n in zip(text, length)]
+    """The text of each number of the float64 ``x``, read from the cells of a one-column
+    complex matrix whose real and imaginary parts are ``x`` in turn."""
+    x = np.append(np.asarray(x, dtype=np.float64), 0.0)
+    cells = x[:len(x) - len(x) % 2].view(complex).reshape(-1, 1)
+    lines = complex_rows(cells).tobytes().decode().splitlines()
+    return [t for line in lines for t in line.strip('"').split(",")][:len(x) - 1]
 
 
 def _samples(rng):
@@ -44,6 +50,37 @@ def _reference_csv(path, matrix, header):
             fh.write(row_format % tuple(row.tolist()))
 
 
+def _layout(text):
+    """``(layout, significant digits)`` of a ``%.17g`` text: its decimal exponent, or
+    "e2"/"e3" for an exponent of two or three digits."""
+    text = text.lstrip("-")
+    if "e" in text:
+        mantissa, exponent = text.split("e")
+        return f"e{len(exponent) - 1}", len(mantissa.replace(".", ""))
+    whole, _, fraction = text.partition(".")
+    if whole == "0" and fraction:
+        return len(fraction.lstrip("0")) - len(fraction) - 1, len(fraction.lstrip("0"))
+    return len(whole) - 1, len((whole + fraction).rstrip("0") or "0")
+
+
+def _layout_values():
+    """Numbers of every layout and of 1 to 17 significant digits, both signs, and +-0."""
+    digits = "98765432123456789"  # no prefix ends in 0
+    values = [float(f"{digits[:n]}e{k - n + 1}") for n in range(1, 18)
+              for k in (-5, -4, -3, -2, -1, 0, 1, 5, 15, 16, 17, -20, 25, -99, 99,
+                        -100, 100, -200, 200)]
+    values += [(2 * m + 1) * 2.0**j for m in range(4) for j in range(-70, 70)]
+    values += [m * 10.0**j for m in (1, 2, 5, 25, 125) for j in range(-3, 23)]
+    values += [1e-200, 1e200]  # the ends of the numbers not formatted by Python
+    return np.array(values + [-v for v in values] + [0.0, -0.0])
+
+
+def test_layout_values_cover_every_layout_and_digit_count():
+    layouts = {_layout("%.17g" % v) for v in _layout_values().tolist()}
+    assert {k for k, _ in layouts} >= {*range(-4, 17), "e2", "e3"}
+    assert {n for _, n in layouts} == set(range(1, 18))
+
+
 def test_csv_writer_is_the_row_format_byte_for_byte(tmp_path):
     rng = np.random.default_rng(1)
     matrices = [
@@ -54,9 +91,37 @@ def test_csv_writer_is_the_row_format_byte_for_byte(tmp_path):
         rng.standard_normal((BLOCK_CELLS + 5, 1)) * 1e-7,
         np.zeros((3, 0)),
         np.zeros((0, 2)),
+        # real-z-like: real parts from 1e-3 to 1e2, imaginary parts around 1e-20
+        (rng.choice([-1, 1], (67, 45)) * 10.0 ** rng.uniform(-3, 2, (67, 45))
+         + 1j * rng.standard_normal((67, 45)) * 1e-20),
     ]
+    cols = 64  # BLOCK_CELLS // cols rows per block
+    # a first block of Python texts only (non-finite, out of range, ties at 17 digits),
+    # whose template bytes every later block must write anew
+    fallback = [np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-201, 1.01e200, -1.01e200,
+                2.0**-25, -3 * 2.0**-25]
+    layouts = _layout_values()
+    first = np.resize(np.array(fallback), 2 * BLOCK_CELLS)
+    rest = np.resize(rng.permutation(layouts), 4 * BLOCK_CELLS + 2 * cols)
+    matrices.append(np.concatenate([first, rest]).view(complex).reshape(-1, cols))
     for i, matrix in enumerate(matrices):
         want, got = tmp_path / f"want{i}.csv", tmp_path / f"got{i}.csv"
         _reference_csv(str(want), matrix, f"matrix {i}")
         write_complex_matrix_csv(str(got), matrix, f"matrix {i}")
         assert got.read_bytes() == want.read_bytes(), i
+
+
+@pytest.mark.parametrize("z", [-1.16, 2 + 1j])
+def test_kite_dtn_csv_is_the_row_format_byte_for_byte(tmp_path, z):
+    matrix = BemBackend(make_grid(CurveSpec("kite"), 256)).dtn(z)
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    _reference_csv(str(want), matrix, "dtn")
+    write_complex_matrix_csv(str(got), matrix, "dtn")
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_ragged_row_names_its_line(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text('# header\n"1,0","2,0"\n"3,0"\n')
+    with pytest.raises(ValueError, match="line 3: 1 cells, the first row has 2"):
+        read_complex_csv(str(path))
