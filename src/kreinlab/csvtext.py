@@ -190,7 +190,7 @@ def _fill(x, buf):
     quads = np.take(_QUADS, groups)
     buf[:, _ZEROS:_POINT].view("<u4")[:] = quads.T  # "000" and the first digit, then 16
     buf[:, _FRACTION:_E].view("<u4")[:] = quads[1:].T
-    k -= _KMIN
+    k -= _KMIN  # the row of k in the tables by exponent
     buf[:, _EXPONENT:_EXPONENT + 4].view("<u4")[:, 0] = np.take(_EXP, k)
     z1, z2, z3, z4 = np.take(_TRAILING_ZEROS, groups[1:])
     zeros = z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1))  # 16 for 0 or 10**j
@@ -205,7 +205,7 @@ def _fill(x, buf):
     return row
 
 
-def complex_rows(matrix: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+def complex_rows(matrix: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """CSV lines of a complex C-contiguous matrix as ASCII bytes: ``"re,im"`` cells
     joined by commas, each row ending in a newline.  ``buf`` is a template of
     :func:`_template` with at least the matrix's cells, in rows of its width."""
@@ -213,10 +213,10 @@ def complex_rows(matrix: np.ndarray, buf: np.ndarray | None = None) -> np.ndarra
     if not cols:
         return np.full(rows, ord("\n"), dtype=np.uint8)
     x = matrix.view(np.float64).ravel()
-    if buf is None:
-        buf = _template(rows * cols, cols)
     buf = buf[:len(x)]
     keep = np.take(_KEEP, _fill(x, buf), axis=0)
+    # a text is two to five runs of kept bytes, which a boolean index copies faster
+    # than np.extract (which gathers through an index array)
     return buf[keep]
 
 

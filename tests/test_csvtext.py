@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kreinlab.cli import read_complex_csv, write_complex_matrix_csv
-from kreinlab.csvtext import BLOCK_CELLS, complex_rows
+from kreinlab.csvtext import BLOCK_CELLS, _template, complex_rows
 from kreinlab.geometry import CurveSpec, make_grid
 from kreinlab.weyl import BemBackend
 
@@ -12,7 +12,7 @@ def _texts(x):
     complex matrix whose real and imaginary parts are ``x`` in turn."""
     x = np.append(np.asarray(x, dtype=np.float64), 0.0)
     cells = x[:len(x) - len(x) % 2].view(complex).reshape(-1, 1)
-    lines = complex_rows(cells).tobytes().decode().splitlines()
+    lines = complex_rows(cells, _template(len(cells), 1)).tobytes().decode().splitlines()
     return [t for line in lines for t in line.strip('"').split(",")][:len(x) - 1]
 
 
