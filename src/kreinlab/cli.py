@@ -106,11 +106,14 @@ class _Commands(click.Group):
             _fail({"error": "bad_argument", "detail": exc.format_message()}, 2)
 
     def invoke(self, ctx):
-        # the subcommand's arguments are parsed here
+        # the subcommand's arguments are parsed here; a typed error of the
+        # computation exits 1 with its class name
         try:
             return super().invoke(ctx)
         except click.UsageError as exc:
             _fail({"error": "bad_argument", "detail": exc.format_message()}, 2)
+        except KreinlabError as exc:
+            _fail({"error": type(exc).__name__, "detail": str(exc)}, 1)
 
 
 @click.group(cls=_Commands)
@@ -133,21 +136,18 @@ def cmd_dtn(domain, z_text, nodes, out):
     """
     z = _parse_z(z_text)
     kind, backend = _load_domain(domain, nodes)
-    try:
-        matrix = backend.dtn(z)
-        if kind == "interval":
-            meta = {"backend": "interval", "n": 2}
-        elif kind == "disk":
-            meta = {"backend": "disk", "radius": backend.radius, "modes": backend.nboundary}
-        else:
-            meta = {
-                "backend": backend.name,
-                "n": backend.grid.n,
-                "condition_single_layer": backend.single_layer_condition(z),
-                "condition_dtn": inverse_and_condition(matrix)[1],
-            }
-    except KreinlabError as exc:
-        _fail({"error": type(exc).__name__, "detail": str(exc)}, 1)
+    matrix = backend.dtn(z)
+    if kind == "interval":
+        meta = {"backend": "interval", "n": 2}
+    elif kind == "disk":
+        meta = {"backend": "disk", "radius": backend.radius, "modes": backend.nboundary}
+    else:
+        meta = {
+            "backend": backend.name,
+            "n": backend.grid.n,
+            "condition_single_layer": backend.single_layer_condition(z),
+            "condition_dtn": inverse_and_condition(matrix)[1],
+        }
     meta.update({"z": [z.real, z.imag], "out": out})
     write_complex_matrix_csv(out, matrix, f"dtn matrix at z = {z}")
     with open(out + ".meta.json", "w") as fh:
@@ -200,17 +200,14 @@ def cmd_solve(domain, z_text, bc, data, nodes, out):
     """Solve a boundary value problem; emit boundary traces of the solution."""
     z = _parse_z(z_text)
     kind, backend = _load_domain(domain, nodes)
-    try:
-        vec = _boundary_data(data, backend.nboundary, backend.grid.t if kind == "bem" else None)
-        if bc == "dirichlet":
-            u = backend.harmonic_extension(z, vec)
-        elif kind == "bem":
-            u = solve_neumann(backend, z, vec)
-        else:
-            u = backend.harmonic_extension(z, backend.ntd(z) @ vec)
-        rows = np.stack([gamma_D(u), gamma_N(u)], axis=1)
-    except KreinlabError as exc:
-        _fail({"error": type(exc).__name__, "detail": str(exc)}, 1)
+    vec = _boundary_data(data, backend.nboundary, backend.grid.t if kind == "bem" else None)
+    if bc == "dirichlet":
+        u = backend.harmonic_extension(z, vec)
+    elif kind == "bem":
+        u = solve_neumann(backend, z, vec)
+    else:
+        u = backend.harmonic_extension(z, backend.ntd(z) @ vec)
+    rows = np.stack([gamma_D(u), gamma_N(u)], axis=1)
     write_complex_matrix_csv(out, rows, f"columns gamma_D, gamma_N of the {bc} solution at z = {z}")
     click.echo(json.dumps({"written": out, "n": len(rows)}, sort_keys=True))
 
@@ -248,8 +245,6 @@ def cmd_spectrum(spec_path, backend_name, window, count, tol, out):
         roots = eigenvalues(SpectrumRequest(spec, (a, b), count, tol), backend)
     except SpecInvalid as exc:  # raised only by the user's spec, e.g. a matrix of the wrong size
         _fail({"error": "bad_extension_spec", "detail": str(exc)}, 2)
-    except KreinlabError as exc:
-        _fail({"error": type(exc).__name__, "detail": str(exc)}, 1)
     with open(out, "w") as fh:
         fh.write("# eigenvalues of the realized Laplacian extension\n")
         for lam in roots:
@@ -295,8 +290,6 @@ def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
                 fh.write(",".join([_fmt(z.real), _fmt(z.imag)] + [_fmt(v) for v in eigs]) + "\n")
     except SpecInvalid as exc:  # raised only by the user's spec, e.g. a matrix of the wrong size
         _fail({"error": "bad_extension_spec", "detail": str(exc)}, 2)
-    except KreinlabError as exc:
-        _fail({"error": type(exc).__name__, "detail": str(exc)}, 1)
     click.echo(json.dumps({"written": out, "points": npts}, sort_keys=True))
 
 
@@ -323,13 +316,10 @@ def cmd_verify(suite, backend_name, nodes, seed, tol, out):
             check_node_count(nodes)
         except BadNodeCount as exc:
             _fail({"error": "bad_node_count", "detail": str(exc)}, 2)
-    try:
-        # one witness pass feeds both the krein-suite sign items and the ledger
-        witnesses = sign_witnesses()
-        items = build_suite(suite, backend_name, witnesses, nodes=nodes, seed=seed, tol=tol)
-        ledger = resolve_sign_conventions(witnesses)
-    except KreinlabError as exc:
-        _fail({"error": type(exc).__name__, "detail": str(exc)}, 1)
+    # one witness pass feeds both the krein-suite sign items and the ledger
+    witnesses = sign_witnesses()
+    items = build_suite(suite, backend_name, witnesses, nodes=nodes, seed=seed, tol=tol)
+    ledger = resolve_sign_conventions(witnesses)
     passed = all(it["pass"] for it in items)
     report = {
         "suite": suite,

@@ -233,9 +233,12 @@ def write_complex_matrix_csv(path: str, matrix: np.ndarray, header: str):
             fh.write(complex_rows(matrix[i:i + step], buf))
 
 
-def _complex_cell(cell: str) -> complex:
-    re_s, im_s = cell.split(",")
-    return complex(float(re_s), float(im_s))
+def _complex_cell(cell: str, number: int) -> complex:
+    try:
+        re_s, im_s = cell.split(",")
+        return complex(float(re_s), float(im_s))
+    except ValueError:
+        raise ValueError(f"line {number}: cell {cell!r} is not a \"re,im\" pair") from None
 
 
 def read_complex_csv(path: str) -> np.ndarray:
@@ -252,5 +255,5 @@ def read_complex_csv(path: str) -> np.ndarray:
             if rows and len(cells) != len(rows[0]):
                 raise ValueError(f"line {number}: {len(cells)} cells, the first row has "
                                  f"{len(rows[0])}")
-            rows.append([_complex_cell(c) for c in cells])
+            rows.append([_complex_cell(c, number) for c in cells])
     return np.array(rows, dtype=complex)

@@ -353,17 +353,8 @@ def _ritz_floor(ext: Extension, rng) -> float:
             q = backend.h2n_field(-(ext.L @ a))
             u = u + h + q
         members.append(u)
-    n = len(members)
-    form = np.zeros((n, n), dtype=complex)
-    mass = np.zeros((n, n), dtype=complex)
-    # each member and each image sampled once; the pairs sum as backend.inner does
-    sampled = [backend.sample(u) for u in members]
-    applied = [backend.sample(u.helmholtz_apply(ext.z0)) for u in members]
-    for i in range(n):
-        for j in range(n):
-            form[i, j] = backend.sample_inner(sampled[i], applied[j])
-            mass[i, j] = backend.sample_inner(sampled[i], sampled[j])
-    form, mass = herm(form), herm(mass)
+    form = herm(backend.gram(members, [u.helmholtz_apply(ext.z0) for u in members]))
+    mass = herm(backend.gram(members, members))
     # drop near-null mass directions before the generalized eigenproblem
     evals, evecs = np.linalg.eigh(mass)
     keep = evals > 1e-10 * float(np.max(evals))

@@ -355,8 +355,8 @@ class Abstract1D:
         lam_minus = np.exp(1j * np.pi / 4)
         self.basis_plus = [self._exp_field(lam_plus), self._exp_field(-lam_plus)]
         self.basis_minus = [self._exp_field(lam_minus), self._exp_field(-lam_minus)]
-        self.gram_plus = self._gram(self.basis_plus)
-        self.gram_minus = self._gram(self.basis_minus)
+        self.gram_plus = self.backend.gram(self.basis_plus, self.basis_plus)
+        self.gram_minus = self.backend.gram(self.basis_minus, self.basis_minus)
         evals, evecs = np.linalg.eigh(self.gram_plus)
         coef = evecs @ np.diag(evals**-0.5)
         self.onb_plus = [
@@ -371,16 +371,12 @@ class Abstract1D:
             lambda x: lam * lam * np.exp(lam * x),
         )
 
-    def _gram(self, basis):
-        b = self.backend
-        return np.array([[b.inner(u, v) for v in basis] for u in basis])
-
     def deficiency_indices(self):
         return (len(self.basis_plus), len(self.basis_minus))
 
     def project_plus(self, u) -> np.ndarray:
         """Coefficients of the orthogonal projection onto N_+ in the ONB."""
-        return np.array([self.backend.inner(n, u) for n in self.onb_plus])
+        return self.backend.gram(self.onb_plus, [u])[:, 0]
 
     def onb_combination(self, coeffs):
         return coeffs[0] * self.onb_plus[0] + coeffs[1] * self.onb_plus[1]
@@ -526,8 +522,8 @@ def _domain_split_residual(backend: Model1D, u) -> float:
     # split the source of u_B into a kernel part h and its complement
     one = backend.constant(1.0)
     xf = backend.polynomial([0.0, 1.0])
-    G = np.array([[backend.inner(a, b) for b in (one, xf)] for a in (one, xf)])
-    rhs = np.array([backend.inner(one, src), backend.inner(xf, src)])
+    G = backend.gram([one, xf], [one, xf])
+    rhs = backend.gram([one, xf], [src])[:, 0]
     hc = np.linalg.solve(G, rhs)
     h = hc[0] * one + hc[1] * xf
     u0 = backend.resolvent_dirichlet(0.0, lambda x: src.value(x) - h.value(x))
@@ -547,6 +543,4 @@ def _kernel_gram_boundary_operator(backend: Model1D) -> np.ndarray:
     """
     e0 = backend.harmonic_extension(0.0, np.array([1.0, 0.0]))
     e1 = backend.harmonic_extension(0.0, np.array([0.0, 1.0]))
-    return np.array(
-        [[backend.inner(e0, e0), backend.inner(e0, e1)], [backend.inner(e1, e0), backend.inner(e1, e1)]]
-    )
+    return backend.gram([e0, e1], [e0, e1])

@@ -87,8 +87,8 @@ def disk_mode_dtn(k, z, radius: float = 1.0):
     """
     ks = np.abs(np.atleast_1d(np.asarray(k, dtype=int)))
     z = as_complex(z)
-    if radius <= 0:
-        raise DomainError("disk radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise DomainError(f"disk radius must be positive and finite, got {radius}")
     if z == 0:
         values = -ks / radius + 0j
     else:
@@ -109,17 +109,52 @@ def disk_mode_dtn(k, z, radius: float = 1.0):
 # profiles and Green solutions shared by both model backends
 # ---------------------------------------------------------------------------
 
+class PointStore:
+    """A function of points that keeps its values for the last ``SIZE`` arrays
+    of points asked for, the least recently read going first.  A stored array
+    is read-only, so no caller can change what a later read returns."""
+
+    SIZE = 8
+    __slots__ = ("fn", "_values")
+
+    def __init__(self, fn):
+        self.fn = fn
+        # (type, shape, bytes) of the points -> value, oldest first; the type keeps a
+        # Python float apart from a numpy scalar or array, whose arithmetic can differ
+        self._values = {}
+
+    def __len__(self):
+        return len(self._values)
+
+    def __call__(self, x):
+        key = (type(x), np.shape(x), np.asarray(x, dtype=float).tobytes())
+        out = self._values.pop(key, None)
+        if out is None:
+            out = self.fn(x)
+            if isinstance(out, np.ndarray):
+                out.flags.writeable = False
+            if len(self._values) >= self.SIZE:
+                del self._values[next(iter(self._values))]
+        self._values[key] = out
+        return out
+
+
+def _stored(fn):
+    return fn if fn is None or isinstance(fn, PointStore) else PointStore(fn)
+
+
 class Profile:
-    """Callables for a value, its x (interval) or r (disk) derivative and its
-    Laplacian part; a source made by ``helmholtz_apply`` has only a value.
+    """A value, its x (interval) or r (disk) derivative and its Laplacian part,
+    each a :class:`PointStore`, so a part is evaluated once per array of points
+    while it is kept; a source made by ``helmholtz_apply`` has only a value.
     Sums, scalar multiples and the Helmholtz action are built termwise."""
 
     __slots__ = ("val", "dval", "lap")
 
     def __init__(self, val, dval=None, lap=None):
-        self.val = val
-        self.dval = dval
-        self.lap = lap
+        self.val = _stored(val)
+        self.dval = _stored(dval)
+        self.lap = _stored(lap)
 
     def __add__(self, other):
         return Profile(
@@ -135,6 +170,32 @@ class Profile:
 
     def helmholtz_apply(self, z):
         return Profile(lambda x: -self.lap(x) - z * self.val(x))
+
+
+def _green_solve(x, at_left, at_right, green):
+    """One Green-quadrature evaluation of :func:`_green_profile` at points x:
+    its value where ``(at_left, at_right) = (uL, uR)``, its derivative where
+    they are ``(uL', uR')``."""
+    uL, uR, scale, source, end, radial = green
+    x = np.asarray(x, dtype=float)
+    t = x.reshape(-1, 1)
+    xs2, ws2 = _gauss(t, end)
+    upper = ws2 * uR(xs2)
+    if radial:
+        upper = upper * xs2
+    above = at_left(t[:, 0]) * np.sum(upper * source(xs2), axis=-1)
+    below = np.zeros(above.shape, dtype=complex)
+    # the integral over (0, 0) is empty, and the disk's uR is singular at r = 0
+    inside = t[:, 0] != 0
+    if np.any(inside):
+        ti = t[inside]
+        xs1, ws1 = _gauss(0.0, ti)
+        lower = ws1 * uL(xs1)
+        if radial:
+            lower = lower * xs1
+        below[..., inside] = at_right(ti[:, 0]) * np.sum(lower * source(xs1), axis=-1)
+    out = ((below + above) / scale).reshape(above.shape[:-1] + x.shape)
+    return out if out.ndim else complex(out)
 
 
 def _green_profile(left, right, scale, w, source, end: float, radial: bool) -> Profile:
@@ -160,30 +221,9 @@ def _green_profile(left, right, scale, w, source, end: float, radial: bool) -> P
     stack is summed in the order a single source is.
     """
     (uL, duL), (uR, duR) = left, right
-
-    def solve(x, at_left, at_right):
-        x = np.asarray(x, dtype=float)
-        t = x.reshape(-1, 1)
-        xs2, ws2 = _gauss(t, end)
-        upper = ws2 * uR(xs2)
-        if radial:
-            upper = upper * xs2
-        above = at_left(t[:, 0]) * np.sum(upper * source(xs2), axis=-1)
-        below = np.zeros(above.shape, dtype=complex)
-        # the integral over (0, 0) is empty, and the disk's uR is singular at r = 0
-        inside = t[:, 0] != 0
-        if np.any(inside):
-            ti = t[inside]
-            xs1, ws1 = _gauss(0.0, ti)
-            lower = ws1 * uL(xs1)
-            if radial:
-                lower = lower * xs1
-            below[..., inside] = at_right(ti[:, 0]) * np.sum(lower * source(xs1), axis=-1)
-        out = ((below + above) / scale).reshape(above.shape[:-1] + x.shape)
-        return out if out.ndim else complex(out)
-
-    val = lambda x: solve(x, uL, uR)
-    dval = lambda x: solve(x, duL, duR)
+    green = (uL, uR, scale, source, end, radial)
+    val = PointStore(lambda x: _green_solve(x, uL, uR, green))
+    dval = lambda x: _green_solve(x, duL, duR, green)
     return Profile(val, dval, lambda x: -w * val(x) - source(np.asarray(x, dtype=float)))
 
 
@@ -232,15 +272,14 @@ class BarycentricBasis:
     """Barycentric Lagrange basis on one node set (Berrut & Trefethen,
     "Barycentric Lagrange Interpolation", SIAM Rev. 46, 2004).
 
-    The weights are computed once.  :meth:`matrix` returns ``B(x)``, whose row
-    for a point x is ``(w_k / (x - x_k)) / sum_k w_k / (x - x_k)``, or the unit
-    row of node k where x equals x_k exactly; it is kept for the last
-    ``STORE_SIZE`` arrays of points asked for, so the interpolants of many
-    samples on the same nodes share one basis.  Capacity scaling keeps the
-    weight products in floating range for the Gauss grids used here.
+    The weights are computed once.  :attr:`matrix` returns ``B(x)``, of shape
+    ``x.shape + (n,)``, whose row for a point x is ``(w_k / (x - x_k)) /
+    sum_k w_k / (x - x_k)``, or the unit row of node k where x equals x_k
+    exactly; it is a :class:`PointStore`, so the interpolants of many samples
+    on the same nodes share one read-only basis per array of points.  Capacity
+    scaling keeps the weight products in floating range for the Gauss grids
+    used here.
     """
-
-    STORE_SIZE = 8
 
     def __init__(self, nodes):
         self.nodes = np.asarray(nodes, dtype=float)
@@ -250,29 +289,21 @@ class BarycentricBasis:
             self.weights[j] = 1.0 / np.prod((self.nodes[j] - np.delete(self.nodes, j)) / cap)
         self._order = np.argsort(self.nodes)
         self._sorted = self.nodes[self._order]
-        self._store = {}  # (shape, bytes) of the points -> B, oldest first
+        self.matrix = PointStore(self._matrix)
 
-    def matrix(self, x) -> np.ndarray:
-        """``B(x)`` of shape ``x.shape + (n,)``, read-only."""
+    def _matrix(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        B = self._store.pop(key, None)
-        if B is None:
-            n = len(self.nodes)
-            B = np.subtract.outer(x, self.nodes)
-            rows = B.reshape(-1, n)
-            flat = x.reshape(-1)
-            pos = np.minimum(np.searchsorted(self._sorted, flat), n - 1)
-            hit = self._sorted[pos] == flat
-            rows[hit] = 1.0
-            np.divide(self.weights, rows, out=rows)
-            rows /= rows.sum(axis=-1, keepdims=True)
-            rows[hit] = 0.0
-            rows[hit, self._order[pos[hit]]] = 1.0
-            B.flags.writeable = False
-            if len(self._store) >= self.STORE_SIZE:
-                del self._store[next(iter(self._store))]
-        self._store[key] = B
+        n = len(self.nodes)
+        B = np.subtract.outer(x, self.nodes)
+        rows = B.reshape(-1, n)
+        flat = x.reshape(-1)
+        pos = np.minimum(np.searchsorted(self._sorted, flat), n - 1)
+        hit = self._sorted[pos] == flat
+        rows[hit] = 1.0
+        np.divide(self.weights, rows, out=rows)
+        rows /= rows.sum(axis=-1, keepdims=True)
+        rows[hit] = 0.0
+        rows[hit, self._order[pos[hit]]] = 1.0
         return B
 
     def interpolant(self, values):
@@ -374,7 +405,7 @@ class Model1D:
         s = np.sin(k)
         if abs(s) < 1e-13 * max(1.0, abs(k)):
             raise NearEigenvalue(f"w = {w} is a Dirichlet eigenvalue; extension undefined")
-        fn = lambda x: (end(0, x) * np.sin(k * (1 - x)) + end(1, x) * np.sin(k * x)) / s
+        fn = PointStore(lambda x: (end(0, x) * np.sin(k * (1 - x)) + end(1, x) * np.sin(k * x)) / s)
         dfn = lambda x: (-end(0, x) * k * np.cos(k * (1 - x)) + end(1, x) * k * np.cos(k * x)) / s
         return self.field(fn, dfn, lambda x: -w * fn(x))
 
@@ -451,19 +482,20 @@ class Model1D:
         return out
 
     # -- inner products ------------------------------------------------------
-    def inner(self, u, v) -> complex:
-        return self.sample_inner(self.sample(u), self.sample(v))
-
-    def sample(self, u) -> np.ndarray:
-        """Values of a field (or a callable) at the quadrature nodes."""
-        values = u.value(self.quad_nodes) if hasattr(u, "value") else u(self.quad_nodes)
+    def _nodal(self, u) -> np.ndarray:
+        values = u.value(self.quad_nodes)
         if np.ndim(values) > 1:  # a stack would broadcast into one summed product
             raise DomainError("interior products take single fields, not a stack")
         return values
 
-    def sample_inner(self, su, sv) -> complex:
-        """:meth:`inner` of two fields from their :meth:`sample`."""
-        return complex(np.sum(self.quad_weights * np.conj(su) * sv))
+    def inner(self, u, v) -> complex:
+        return complex(np.sum(self.quad_weights * np.conj(self._nodal(u)) * self._nodal(v)))
+
+    def gram(self, left, right) -> np.ndarray:
+        """``G[i, j] = inner(left[i], right[j])``, bit for bit, as one reduction."""
+        S = np.array([self._nodal(u) for u in left])
+        T = np.array([self._nodal(v) for v in right])
+        return np.sum(self.quad_weights * np.conj(S)[:, None] * T[None], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +586,8 @@ class DiskModel:
     name = "disk"
 
     def __init__(self, radius: float = 1.0, mode_cutoff: int = 8):
-        if not radius > 0:
-            raise DomainError("disk radius must be positive")
+        if not (np.isfinite(radius) and radius > 0):
+            raise DomainError(f"disk radius must be positive and finite, got {radius}")
         if mode_cutoff < 0:
             raise DomainError("disk mode cutoff must be nonnegative")
         self.radius = float(radius)
@@ -627,7 +659,7 @@ class DiskModel:
         jR = bessel_j(ak, kap * R)
         if abs(jR) < 1e-290:
             raise NearEigenvalue(f"w = {w} is a Dirichlet eigenvalue of mode {k}")
-        val = lambda r: bessel_j(ak, kap * np.asarray(r, dtype=float)) / jR
+        val = PointStore(lambda r: bessel_j(ak, kap * np.asarray(r, dtype=float)) / jR)
         dval = lambda r: kap * bessel_j_prime(ak, kap * np.asarray(r, dtype=float)) / jR
         return Profile(val, dval, lambda r: -w * val(r))
 
@@ -755,16 +787,14 @@ class DiskModel:
 
     # -- inner products ---------------------------------------------------------
     def inner(self, u, v) -> complex:
-        return self.sample_inner(self.sample(u), self.sample(v))
-
-    def sample(self, u) -> dict:
-        """Radial profiles of a field at the quadrature nodes, by mode."""
-        if not isinstance(u, DiskField):
+        """Sum over the modes of u, in u's order, of the radial products."""
+        if not (isinstance(u, DiskField) and isinstance(v, DiskField)):
             raise DomainError("disk inner product needs DiskField arguments")
-        return {k: p.val(self.quad_nodes) for k, p in u.profiles.items()}
-
-    def sample_inner(self, su, sv) -> complex:
-        """:meth:`inner` of two fields from their :meth:`sample`."""
         w, r = self.quad_weights, self.quad_nodes
-        return complex(sum(2.0 * np.pi * np.sum(w * np.conj(pu) * sv[k] * r)
-                           for k, pu in su.items() if k in sv))
+        return complex(sum(2.0 * np.pi * np.sum(w * np.conj(p.val(r)) * v.profiles[k].val(r) * r)
+                           for k, p in u.profiles.items() if k in v.profiles))
+
+    def gram(self, left, right) -> np.ndarray:
+        """``G[i, j] = inner(left[i], right[j])``: each pair sums its modes in
+        the order of its left field, so the pairs are not one reduction."""
+        return np.array([[self.inner(u, v) for v in right] for u in left], dtype=complex)

@@ -188,15 +188,6 @@ def _trial_family(backend, count: int):
 
 
 def _galerkin_resolvent(ext: Extension, a: float, trial) -> np.ndarray:
-    """Hermitian part of ``G[i, j] = (phi_i, R_ext(-a) phi_j)`` on the interval;
-    each trial field and each image is sampled once at the quadrature nodes."""
-    n = len(trial)
-    backend = ext.backend
-    x, w = backend.quad_nodes, backend.quad_weights
-    conj_trial = [np.conj(f.value(x)) for f in trial]
-    images = [apply_resolvent(ext, -a - ext.z0, f).value(x) for f in trial]
-    G = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = complex(np.sum(w * conj_trial[i] * images[j]))
-    return herm(G)
+    """Hermitian part of ``G[i, j] = (phi_i, R_ext(-a) phi_j)`` on the interval."""
+    images = [apply_resolvent(ext, -a - ext.z0, f) for f in trial]
+    return herm(ext.backend.gram(trial, images))

@@ -319,6 +319,9 @@ VERIFY_BAD_INPUT = [
      "bad_boundary_data"),
     (["solve", "--domain", "@circle", "--nodes", "16", "--bc", "neumann",
       "--data", "@inf-im-16.csv"], "bad_boundary_data"),
+    # the disk radius must be finite
+    (["dtn", "--domain", "disk:inf", "--z", "0,0"], "bad_domain"),
+    (["dtn", "--domain", "disk:1e400"], "bad_domain"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
@@ -477,6 +480,20 @@ def test_argument_errors_print_json_on_both_standalone_paths(tmp_path, capsys):
     assert main(good, standalone_mode=False) is None
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and json.loads(lines[0]) == json.loads(lines[1])
+
+
+def test_typed_errors_print_json_on_both_standalone_paths(tmp_path, capsys):
+    # 0 is a Neumann eigenvalue of the interval, so its ntd(0) raises NearEigenvalue
+    args = ["solve", "--domain", "interval", "--bc", "neumann", "--z", "0,0",
+            "--out", str(tmp_path / "out.csv")]
+    for standalone in (True, False):
+        with pytest.raises(SystemExit) as exc:
+            main(args, standalone_mode=standalone)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] == "NearEigenvalue"
+        assert err == ""
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_verify_injected_sign_flip_fails(runner, tmp_path, monkeypatch):

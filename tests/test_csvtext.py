@@ -125,3 +125,11 @@ def test_ragged_row_names_its_line(tmp_path):
     path.write_text('# header\n"1,0","2,0"\n"3,0"\n')
     with pytest.raises(ValueError, match="line 3: 1 cells, the first row has 2"):
         read_complex_csv(str(path))
+
+
+@pytest.mark.parametrize("cell", ["1,abc", "1", "1,2,3", ","])
+def test_malformed_cell_names_its_line(tmp_path, cell):
+    path = tmp_path / "malformed.csv"
+    path.write_text(f'# header\n"1,0","2,0"\n"3,0","{cell}"\n')
+    with pytest.raises(ValueError, match=f"line 3: cell '{cell}' is not a"):
+        read_complex_csv(str(path))

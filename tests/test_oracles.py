@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kreinlab.errors import DomainError, NearEigenvalue
-from kreinlab.oracles import DiskModel, Model1D, disk_mode_dtn, interval_dtn
+from kreinlab.oracles import DiskModel, Model1D, PointStore, disk_mode_dtn, interval_dtn
 
 # frozen oracle constants (40-digit series/quadrature computation)
 J0_1 = 0.7651976865579666
@@ -329,9 +329,9 @@ def test_barycentric_basis_is_exact_at_nodes_and_agrees_with_the_former_formula(
     B = backend.basis.matrix(x)
     assert np.max(np.abs(B.sum(axis=-1) - 1.0)) < 1e-13
     assert backend.basis.matrix(x) is B  # memoized per array of points
-    for _ in range(2 * backend.basis.STORE_SIZE):
+    for _ in range(2 * PointStore.SIZE):
         backend.basis.matrix(rng.uniform(0.0, 1.0, 3))
-    assert len(backend.basis._store) == backend.basis.STORE_SIZE
+    assert len(backend.basis.matrix) == PointStore.SIZE
 
 
 def test_barycentric_basis_rejects_samples_off_the_nodes():
@@ -362,11 +362,102 @@ def test_witness_pass_leaves_no_basis_store(monkeypatch):
     backend = Recording()
     ext = kreinformulas._extension_from_matrix(np.array([[1.0, 0.2], [0.2, 0.5]]), 0.0, backend)
     kreinformulas.interval_sign_witnesses(ext, -1.0 + 0.7j)
-    assert 0 < len(backend.basis._store) <= backend.basis.STORE_SIZE
+    assert 0 < len(backend.basis.matrix) <= PointStore.SIZE
     store = weakref.ref(backend.basis)
     del backend, ext
     gc.collect()
     assert store() is None
+
+
+def _count_green_solves(monkeypatch):
+    """Counts of the Green-quadrature evaluations that follow, by (field, part,
+    points); the left solutions are kept alive so that their ids stay unique."""
+    from kreinlab import oracles
+
+    counts, alive = {}, []
+    original = oracles._green_solve
+
+    def counted(x, at_left, at_right, green):
+        alive.append(at_left)
+        pts = np.asarray(x, dtype=float)
+        key = (id(at_left), type(x), pts.shape, pts.tobytes())
+        counts[key] = counts.get(key, 0) + 1
+        return original(x, at_left, at_right, green)
+
+    monkeypatch.setattr(oracles, "_green_solve", counted)
+    return counts
+
+
+@pytest.mark.parametrize("backend, most", [(None, 32), ("interval", 805), ("disk", 32)])
+def test_no_green_solve_repeats_a_field_part_and_points(monkeypatch, backend, most):
+    # None is the witness pass alone; a backend is its "all" suite after the pass
+    from kreinlab.kreinformulas import sign_witnesses
+    from kreinlab.verifysuite import build_suite
+
+    witnesses = sign_witnesses()
+    counts = _count_green_solves(monkeypatch)
+    if backend is None:
+        sign_witnesses()
+    else:
+        build_suite("all", backend, witnesses, nodes=0, seed=0, tol=1.0)
+    assert 0 < sum(counts.values()) <= most
+    assert max(counts.values()) == 1
+
+
+@pytest.mark.parametrize("backend", [Model1D(), DiskModel(radius=1.3, mode_cutoff=2)])
+def test_profile_parts_are_stored_read_only_and_bounded(backend):
+    rng = np.random.default_rng(8)
+    if isinstance(backend, Model1D):
+        u = backend.resolvent_dirichlet(-1.3, lambda x: np.cos(3 * x) + 0j)
+        profile = u.profile
+    else:
+        u = backend.resolvent_dirichlet(-1.3, {1: lambda r: np.exp(-r) + 0j})
+        profile = u.profiles[1]
+    x = backend.quad_nodes
+    for part in ("val", "dval", "lap"):
+        stored = getattr(profile, part)
+        first = stored(x)
+        assert stored(x) is first and not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        for _ in range(2 * PointStore.SIZE):
+            stored(rng.uniform(0.0, x[-1], 3))
+        assert len(stored) == PointStore.SIZE
+        assert np.array_equal(stored(x), first)  # read again once it has left the store
+
+
+@pytest.mark.parametrize("backend", [Model1D(), DiskModel(radius=1.3, mode_cutoff=3)])
+def test_gram_is_per_pair_inner_bit_for_bit(backend):
+    rng = np.random.default_rng(9)
+    m = backend.nboundary
+    fields = backend.h20_family(3, rng)
+    for w in (-1.0, 0.4 + 0.9j):
+        g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        g[rng.integers(m)] = 0.0  # a disk field without one of the modes
+        h = backend.harmonic_extension(w, g)
+        fields += [h, h.helmholtz_apply(-0.3) + fields[0], backend.resolvent_dirichlet(w, h)]
+    left, right = fields[::2], fields[1::2] + fields[:2]
+    G = backend.gram(left, right)
+    want = np.array([[backend.inner(u, v) for v in right] for u in left])
+    assert G.shape == (len(left), len(right))
+    assert np.array_equal(G, want)
+
+
+def test_gram_rejects_a_stacked_interval_field():
+    b = Model1D()
+    stacked = b.resolvent_dirichlet(-1.0, np.eye(len(b.quad_nodes))[:3])
+    single = b.constant(1.0)
+    for left, right in (([stacked], [single]), ([single], [single, stacked])):
+        with pytest.raises(DomainError):
+            b.gram(left, right)
+
+
+@pytest.mark.parametrize("radius", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_disk_rejects_a_radius_that_is_not_positive_and_finite(radius):
+    with pytest.raises(DomainError):
+        DiskModel(radius=radius)
+    with pytest.raises(DomainError):
+        disk_mode_dtn(2, 0.0, radius)
 
 
 # stacked sources: a (p, n) stack of samples, or (2, p) boundary data, gives the
