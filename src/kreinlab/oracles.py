@@ -21,6 +21,8 @@ pins the cut on the positive real axis from both sides.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import special
 
@@ -122,9 +124,6 @@ class PointStore:
         # (type, shape, bytes) of the points -> value, oldest first; the type keeps a
         # Python float apart from a numpy scalar or array, whose arithmetic can differ
         self._values = {}
-
-    def __len__(self):
-        return len(self._values)
 
     def __call__(self, x):
         key = (type(x), np.shape(x), np.asarray(x, dtype=float).tobytes())
@@ -268,6 +267,25 @@ class IntervalField:
         return IntervalField(self.backend, self.profile * as_complex(c))
 
 
+def _barycentric_matrix(nodes, weights, x) -> np.ndarray:
+    """``B(x)`` of :class:`BarycentricBasis`, shape ``x.shape + (n,)``."""
+    x = np.asarray(x, dtype=float)
+    n = len(nodes)
+    order = np.argsort(nodes)
+    ordered = nodes[order]
+    B = np.subtract.outer(x, nodes)
+    rows = B.reshape(-1, n)
+    flat = x.reshape(-1)
+    pos = np.minimum(np.searchsorted(ordered, flat), n - 1)
+    hit = ordered[pos] == flat
+    rows[hit] = 1.0
+    np.divide(weights, rows, out=rows)
+    rows /= rows.sum(axis=-1, keepdims=True)
+    rows[hit] = 0.0
+    rows[hit, order[pos[hit]]] = 1.0
+    return B
+
+
 class BarycentricBasis:
     """Barycentric Lagrange basis on one node set (Berrut & Trefethen,
     "Barycentric Lagrange Interpolation", SIAM Rev. 46, 2004).
@@ -287,24 +305,10 @@ class BarycentricBasis:
         self.weights = np.ones(len(self.nodes))
         for j in range(len(self.nodes)):
             self.weights[j] = 1.0 / np.prod((self.nodes[j] - np.delete(self.nodes, j)) / cap)
-        self._order = np.argsort(self.nodes)
-        self._sorted = self.nodes[self._order]
-        self.matrix = PointStore(self._matrix)
-
-    def _matrix(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = len(self.nodes)
-        B = np.subtract.outer(x, self.nodes)
-        rows = B.reshape(-1, n)
-        flat = x.reshape(-1)
-        pos = np.minimum(np.searchsorted(self._sorted, flat), n - 1)
-        hit = self._sorted[pos] == flat
-        rows[hit] = 1.0
-        np.divide(self.weights, rows, out=rows)
-        rows /= rows.sum(axis=-1, keepdims=True)
-        rows[hit] = 0.0
-        rows[hit, self._order[pos[hit]]] = 1.0
-        return B
+        # not a bound method: a store that refers back to the basis would make a
+        # reference cycle, and its matrices would outlive the backend until the
+        # garbage collector ran
+        self.matrix = PointStore(functools.partial(_barycentric_matrix, self.nodes, self.weights))
 
     def interpolant(self, values):
         """Polynomial through ``(nodes, values)``: ``x -> B(x) @ values``.
