@@ -522,9 +522,8 @@ def _domain_split_residual(backend: Model1D, u) -> float:
     # split the source of u_B into a kernel part h and its complement
     one = backend.constant(1.0)
     xf = backend.polynomial([0.0, 1.0])
-    G = backend.gram([one, xf], [one, xf])
-    rhs = backend.gram([one, xf], [src])[:, 0]
-    hc = np.linalg.solve(G, rhs)
+    G = backend.gram([one, xf], [one, xf, src])
+    hc = np.linalg.solve(G[:, :2], G[:, 2])
     h = hc[0] * one + hc[1] * xf
     u0 = backend.resolvent_dirichlet(0.0, lambda x: src.value(x) - h.value(x))
     # u0 must be in H^2_0: both traces vanish

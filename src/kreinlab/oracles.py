@@ -138,10 +138,6 @@ class PointStore:
         return out
 
 
-def _stored(fn):
-    return fn if fn is None or isinstance(fn, PointStore) else PointStore(fn)
-
-
 class Profile:
     """A value, its x (interval) or r (disk) derivative and its Laplacian part,
     each a :class:`PointStore`, so a part is evaluated once per array of points
@@ -151,9 +147,9 @@ class Profile:
     __slots__ = ("val", "dval", "lap")
 
     def __init__(self, val, dval=None, lap=None):
-        self.val = _stored(val)
-        self.dval = _stored(dval)
-        self.lap = _stored(lap)
+        # a part given as a store (one that ``lap`` reads, say) is kept as it is
+        self.val, self.dval, self.lap = (
+            f if f is None or isinstance(f, PointStore) else PointStore(f) for f in (val, dval, lap))
 
     def __add__(self, other):
         return Profile(
@@ -305,9 +301,8 @@ class BarycentricBasis:
         self.weights = np.ones(len(self.nodes))
         for j in range(len(self.nodes)):
             self.weights[j] = 1.0 / np.prod((self.nodes[j] - np.delete(self.nodes, j)) / cap)
-        # not a bound method: a store that refers back to the basis would make a
-        # reference cycle, and its matrices would outlive the backend until the
-        # garbage collector ran
+        # not a bound method: a store referring back to the basis would be a cycle,
+        # and keep its matrices after the backend is gone until a collection ran
         self.matrix = PointStore(functools.partial(_barycentric_matrix, self.nodes, self.weights))
 
     def interpolant(self, values):
