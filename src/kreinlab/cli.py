@@ -26,7 +26,7 @@ from .oracles import DiskModel, Model1D
 from .spectral import SpectrumRequest, eigenvalues
 from .traces import gamma_D, gamma_N
 from .verifysuite import BACKENDS, SUITES, build_suite
-from .weyl import BemBackend, inverse_and_condition, solve_neumann
+from .weyl import BemBackend, solve_neumann
 
 
 #: node count of a curve grid when ``dtn`` or ``solve`` is given no ``--nodes``
@@ -132,7 +132,8 @@ def cmd_dtn(domain, z_text, nodes, out):
 
     On Nystrom grids the metadata holds ``condition_single_layer`` and
     ``condition_dtn``, the exact 1-norm condition numbers
-    ``||A||_1 ||A^{-1}||_1`` of ``V_z`` and of the map.
+    ``||A||_1 ||A^{-1}||_1`` of ``V_z`` and of the map, formed from their mirror
+    blocks.
     """
     z = _parse_z(z_text)
     kind, backend = _load_domain(domain, nodes)
@@ -146,7 +147,7 @@ def cmd_dtn(domain, z_text, nodes, out):
             "backend": backend.name,
             "n": backend.grid.n,
             "condition_single_layer": backend.single_layer_condition(z),
-            "condition_dtn": inverse_and_condition(matrix)[1],
+            "condition_dtn": backend.dtn_condition(z),
         }
     meta.update({"z": [z.real, z.imag], "out": out})
     write_complex_matrix_csv(out, matrix, f"dtn matrix at z = {z}")

@@ -17,6 +17,10 @@ from .errors import BadNodeCount, DomainError
 
 MIN_NODES = 16
 
+#: largest y-component of a point (relative to the curve's size) or unit normal at
+#: nodes 0 and n/2 that counts as zero; sin at 2 pi m / n rounds in proportion to m
+AXIS_TOLERANCE = 1e-12
+
 #: shape parameters of the bean-shaped test curve
 KITE_BEND = 0.65
 KITE_HEIGHT = 1.5
@@ -198,9 +202,12 @@ def make_grid(spec: CurveSpec, n: int) -> BoundaryGrid:
     and ``j - n`` above: the same point of the 2 pi-periodic curve up to rounding.
     ``s_(n-j) = -s_j`` exactly, and cos is even and sin odd bit for bit, so on a
     curve symmetric about the x-axis node n - j is the exact mirror image of node
-    j, and :mod:`kreinlab.layerpot` evaluates each repeated distance once.
-    Normals, speeds and curvatures are analytic, so doubling ``n`` refines
-    the grid without moving existing nodes.
+    j.  Nodes 0 and n/2 are their own images: the y-components of their points and
+    normals, zero up to rounding, are set to zero.  Every matrix of
+    :mod:`kreinlab.layerpot` rests on that mirror, so a grid that is not an exact
+    mirror image of itself raises :class:`DomainError`.  Normals, speeds and
+    curvatures are analytic, so doubling ``n`` refines the grid without moving
+    existing nodes.
     """
     n = check_node_count(n)
     j = np.arange(n)
@@ -212,6 +219,14 @@ def make_grid(spec: CurveSpec, n: int) -> BoundaryGrid:
     speed = np.sqrt(np.sum(vel**2, axis=1))
     normals = np.stack([vel[:, 1], -vel[:, 0]], axis=1) / speed[:, None]
     curvature = (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / speed**3
+    _put_on_axis(spec, pts, normals, n)
+    mirror = -j % n
+    flip = np.array([1.0, -1.0])
+    if not (np.array_equal(pts[mirror], pts * flip) and np.array_equal(normals[mirror], normals * flip)
+            and np.array_equal(speed[mirror], speed)
+            and np.array_equal(curvature[mirror], curvature)):
+        raise DomainError(f"the {n}-node grid on the {spec.kind} is not its own mirror image "
+                          "in the x-axis (node n - j must mirror node j bit for bit)")
     weights = np.full(n, 2.0 * np.pi / n)
     return BoundaryGrid(
         spec=spec,
@@ -222,3 +237,17 @@ def make_grid(spec: CurveSpec, n: int) -> BoundaryGrid:
         curvature=curvature,
         weights=weights,
     )
+
+
+def _put_on_axis(spec: CurveSpec, pts: np.ndarray, normals: np.ndarray, n: int):
+    """Set the y-components of the points and normals of nodes 0 and n/2 to zero, their
+    value on a curve symmetric about the x-axis; raise :class:`DomainError` where a
+    computed one is not zero up to rounding."""
+    ends = [0, n // 2]
+    scale = max(1.0, float(np.max(np.abs(pts))))
+    if (np.any(np.abs(pts[ends, 1]) > AXIS_TOLERANCE * scale)
+            or np.any(np.abs(normals[ends, 1]) > AXIS_TOLERANCE)):
+        raise DomainError(f"nodes 0 and {n // 2} of the {spec.kind} grid are not on the x-axis: "
+                          f"points {pts[ends].tolist()}, normals {normals[ends].tolist()}")
+    pts[ends, 1] = 0.0
+    normals[ends, 1] = 0.0

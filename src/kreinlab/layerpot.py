@@ -9,12 +9,14 @@ with M1, M2 analytic on analytic curves, the log part integrated by the
 trigonometric product rule and the smooth part by the trapezoid rule, which
 together converge superalgebraically.
 
-The four kernels depend on the node distance r alone, so each is evaluated
-once per distinct distance and gathered into its matrix.  The grids of
-:func:`kreinlab.geometry.make_grid` place node n - j at the exact mirror image
-of node j, so on a curve symmetric about the x-axis about half of the pairs
-repeat a distance.  Correctness never rests on that symmetry: a curve without
-repeated distances gets the same answer, with no saving.
+The grids of :func:`kreinlab.geometry.make_grid` place node n - j at the exact
+mirror image of node j, and every factor of an entry (distance, normal
+component, speed, curvature, the log factor and the log weights) is mirrored
+bit for bit, so every matrix here commutes with the reflection J: j -> -j mod n,
+``A[n - i, n - j] = A[i, j]``.  Only the rows 0..n/2 are assembled; the others
+are their mirror images (:func:`mirror_rows`).  The four kernels depend on the
+node distance r alone, and every distance occurs in those rows, so each kernel
+is evaluated once per distinct distance and gathered into its rows.
 
 The interior Neumann trace of the single layer is ``JUMP_SIGN/2 I + K#_z``.
 The sign is not assumed: it is forced by the uniform-density disk identity
@@ -75,16 +77,34 @@ def log_quadrature_weights(n_nodes: int) -> np.ndarray:
     if n_nodes % 2 != 0:
         raise DomainError("log quadrature needs an even node count")
     half = n_nodes // 2
-    # the weight depends only on the node-index difference
-    angles = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+    # the weight depends only on the node-index difference k, and is even in it: it is
+    # evaluated for k <= n/2 and mirrored, so that R commutes with the grid mirror
+    angles = 2.0 * np.pi * np.arange(half + 1) / n_nodes
     m = np.arange(1, half)
     profile = -(2.0 * np.pi / half) * (np.cos(np.outer(angles, m)) / m).sum(axis=1) - (
         np.pi / half**2
     ) * np.cos(half * angles)
-    # R_ij = profile[(i - j) % n] = e[i - j + n - 1]: a read-only circulant view of the
-    # 2n - 1 values e, whose column j is the window of e starting at n - 1 - j
-    e = np.concatenate([profile[1:], profile])
-    return np.lib.stride_tricks.sliding_window_view(e, n_nodes)[:, ::-1]
+    return _circulant(profile)
+
+
+def _circulant(profile: np.ndarray) -> np.ndarray:
+    """Read-only n x n view ``C_ij = c[(i - j) % n]`` of the even profile ``c`` given for
+    k = 0..n/2 (``c[n - k] = c[k]``): the window of the 2n - 1 values
+    ``e = c[1], ..., c[n - 1], c[0], ..., c[n - 1]`` starting at n - 1 - j is column j."""
+    c = np.concatenate([profile, profile[-2:0:-1]])
+    e = np.concatenate([c[1:], c])
+    return np.lib.stride_tricks.sliding_window_view(e, c.size)[:, ::-1]
+
+
+def mirror_rows(rows: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose rows 0..n/2 are ``rows`` and which commutes with the grid
+    mirror J: j -> -j mod n, that is ``A[n - i, n - j] = A[i, j]``."""
+    half, n = rows.shape[0] - 1, rows.shape[1]
+    full = np.empty((n, n), dtype=rows.dtype)
+    full[:half + 1] = rows
+    full[half + 1:, 0] = rows[half - 1:0:-1, 0]
+    full[half + 1:, 1:] = rows[half - 1:0:-1, :0:-1]
+    return full
 
 
 def _cores() -> int:
@@ -123,13 +143,16 @@ def _apply(f, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pairwise(grid: BoundaryGrid):
-    d = grid.points[:, None, :] - grid.points[None, :, :]
+def _pairwise(grid: BoundaryGrid, rows: int | None = None):
+    """Offsets ``p_i - p_j``, distances and ``ln(4 sin^2((t_i - t_j)/2))`` for the first
+    ``rows`` rows (all by default).  The log factor depends on the index difference
+    alone, so it is a circulant of n/2 + 1 values."""
+    half = grid.n // 2
+    d = grid.points[:rows, None, :] - grid.points[None, :, :]
     r = np.sqrt(np.sum(d**2, axis=-1))
-    dt = grid.t[:, None] - grid.t[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log4sin = np.log(4.0 * np.sin(dt / 2.0) ** 2)
-    return d, r, log4sin
+    with np.errstate(divide="ignore"):
+        log4sin = np.log(4.0 * np.sin(np.pi * np.arange(half + 1) / grid.n) ** 2)
+    return d, r, _circulant(log4sin)[:rows]
 
 
 _Kernels = namedtuple("_Kernels", "scale parts power diagonal potential radial")
@@ -175,28 +198,30 @@ def _check_wavenumber(grid: BoundaryGrid, z: complex, k: complex):
 
 
 def _assemble(grid: BoundaryGrid, z: complex, single: bool, adjoint: bool):
-    """Matrices ``(V_z, K#_z)`` from one pairwise geometry; one not asked for is None.
-    Each kernel ufunc is evaluated once per distinct distance above the diagonal (on a
-    grid of :func:`kreinlab.geometry.make_grid`, about half of the pairs on a curve
-    symmetric about the x-axis), and one (n, n) index gathers the values into every
-    matrix; its diagonal is a sentinel that reads the diagonal value appended to them.
-    The lower triangle reads the upper one: ``r`` is symmetric bit for bit, because
-    ``p_i - p_j = -(p_j - p_i)`` exactly.  The ufuncs are elementwise, so each matrix
-    has the bits of an evaluation on every pair."""
+    """Rows 0..n/2 of ``(V_z, K#_z)`` from one pairwise geometry; one not asked for is
+    None.  Each kernel ufunc is evaluated once per distinct distance above the diagonal
+    of those rows (every distance of the grid occurs there), and one (n/2 + 1, n) index
+    gathers the values into every matrix; its diagonal is a sentinel that reads the
+    diagonal value appended to them.  Left of the diagonal a row reads the index of the
+    transposed pair, which lies above it: ``r`` is symmetric bit for bit, because
+    ``p_i - p_j = -(p_j - p_i)`` exactly."""
     lane = _kernels(grid, z)
     n, sp = grid.n, grid.speed
+    rows = n // 2 + 1
     trap = 2.0 * np.pi / n
-    R = log_quadrature_weights(n)
-    d, r, log4sin = _pairwise(grid)
-    dn = np.sum(d * grid.normals[:, None, :], axis=-1) if adjoint else None
+    R = log_quadrature_weights(n)[:rows]
+    d, r, log4sin = _pairwise(grid, rows)
+    dn = np.sum(d * grid.normals[:rows, None, :], axis=-1) if adjoint else None
     del d
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    upper = np.triu(np.ones((rows, n), dtype=bool), 1)
     distinct, inverse = np.unique(r[upper], return_inverse=True)
     x = lane.scale * distinct
-    index = np.full((n, n), distinct.size)
+    index = np.full((rows, n), distinct.size)
     index[upper] = inverse
-    index.T[upper] = inverse  # visits (j, i) in the order r[upper] visits (i, j)
-    del upper, inverse, distinct
+    square = index[:, :rows]
+    lower = np.tril_indices(rows, -1)
+    square[lower] = square.T[lower]
+    del upper, inverse, distinct, square
 
     def part(i, diagonal=0.0):
         # ``c`` multiplies the fresh gathered matrix within one expression: numpy then
@@ -215,7 +240,7 @@ def _assemble(grid: BoundaryGrid, z: complex, single: bool, adjoint: bool):
                 K -= k1 * log4sin
                 np.fill_diagonal(k1, 0.0)
             del dn  # the index outlives it, so V_z's peak holds one float matrix less
-            np.fill_diagonal(K, -grid.curvature * sp / (4.0 * np.pi))
+            np.fill_diagonal(K, -grid.curvature[:rows] * sp[:rows] / (4.0 * np.pi))
             K *= trap
             if lane.parts[2]:
                 k1 *= R
@@ -224,7 +249,7 @@ def _assemble(grid: BoundaryGrid, z: complex, single: bool, adjoint: bool):
         if single:
             m1 = part(0, 1.0) * sp  # J_0(0) = 1
             V = part(1) * sp - m1 * log4sin
-            np.fill_diagonal(V, lane.diagonal(sp))
+            np.fill_diagonal(V, lane.diagonal(sp[:rows]))
             m1 *= R
             V *= trap
             V += m1
@@ -232,13 +257,17 @@ def _assemble(grid: BoundaryGrid, z: complex, single: bool, adjoint: bool):
     return V, K
 
 
-def assemble_single_layer_trace(grid: BoundaryGrid, z, *, with_adjoint: bool = False):
+def assemble_single_layer_trace(grid: BoundaryGrid, z, *, with_adjoint: bool = False,
+                                full: bool = True):
     """Matrix of g -> boundary trace of the single layer potential S_z g.
 
     With ``with_adjoint`` the result is the pair ``(V_z, K#_z)``, both from one
-    pairwise geometry.
+    pairwise geometry.  Without ``full`` each matrix is returned as its rows 0..n/2,
+    which :func:`mirror_rows` completes.
     """
     V, K = _assemble(grid, as_complex(z), True, with_adjoint)
+    if full:
+        V, K = mirror_rows(V), K if K is None else mirror_rows(K)
     return (V, K) if with_adjoint else V
 
 
@@ -248,7 +277,7 @@ def assemble_adjoint_double_layer(grid: BoundaryGrid, z) -> np.ndarray:
     The kernel is continuous on smooth curves; its diagonal is the curvature
     limit -kappa |x'| / (4 pi), independent of z.
     """
-    return _assemble(grid, as_complex(z), False, True)[1]
+    return mirror_rows(_assemble(grid, as_complex(z), False, True)[1])
 
 
 def neumann_trace_of_single_layer(grid: BoundaryGrid, z, ksharp=None) -> np.ndarray:

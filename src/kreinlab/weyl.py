@@ -7,31 +7,42 @@ from single-layer calculus as
     dtn(z) = -(1/2 I + K#_z) V_z^{-1},
     ntd(z) = -dtn(z)^{-1}.
 
+Every catalog curve is symmetric about the x-axis, and node n - j of its grid
+is the mirror image of node j, so ``V_z``, the Neumann trace ``T_z = 1/2 I +
+K#_z`` and both maps commute with the reflection J: j -> -j mod n.  A backend
+holds each of them as a :class:`Mirrored` matrix: an even block of size
+n/2 + 1 and an odd block of size n/2 - 1, folded from the rows 0..n/2 that
+:mod:`kreinlab.layerpot` assembles.  Every product and inverse is taken block
+by block, and full n x n matrices are unfolded only where a caller asks for one.
+
 Near the Dirichlet spectrum (or on curves of logarithmic capacity one at
 z = 0) the single-layer trace degenerates; operations then fail loudly with
 a conditioning diagnostic instead of continuing silently.  The diagnostic is
-the exact 1-norm condition number ``||A||_1 ||A^{-1}||_1``; an exactly
-singular matrix has condition ``inf``.  Every gated system is factored once,
-by :func:`gated_inverse`, and the answer is formed with the inverse that
-passed the gate.  The first time ``V_z`` or the Neumann trace ``1/2 I + K#_z``
-is needed, both are assembled from one pairwise geometry, so a request
-evaluates all its kernels before its first factorization.  Only the
-condition of ``V_z`` is cached per ``z``, never its inverse, and a backend
-keeps the matrices of its ``CACHED_PARAMETERS`` most recently stored ``z``
-only.
+the exact 1-norm condition number ``||A||_1 ||A^{-1}||_1`` of the full
+matrix, formed from the blocks; an exactly singular matrix (or block) has
+condition ``inf``.  Every gated system is factored once per block, by
+:func:`gated_inverse`, and the answer is formed with the inverse that passed
+the gate.  The first time ``V_z`` or ``T_z`` is needed, both are assembled
+from one pairwise geometry, so a request evaluates all its kernels before its
+first factorization.  Only the conditions of ``V_z`` and of the map are
+cached per ``z``, never an inverse, and a backend keeps the matrices of its
+``CACHED_PARAMETERS`` most recently stored ``z`` only.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NearSingular, QuadratureUnavailable
 from .geometry import BoundaryGrid
 from .layerpot import (
+    JUMP_SIGN,
     assemble_single_layer_trace,
     evaluate_potential,
     evaluate_potential_gradient,
-    neumann_trace_of_single_layer,
+    mirror_rows,
 )
 from .specfun import as_complex
 
@@ -41,16 +52,87 @@ COND_LIMIT = 1e12
 CACHED_PARAMETERS = 8
 
 
-def inverse_and_condition(A: np.ndarray):
-    """``(A^{-1}, ||A||_1 ||A^{-1}||_1)``; ``(None, inf)`` for an exactly singular A."""
+class Mirrored(NamedTuple):
+    """An n x n matrix A that commutes with the grid mirror J: j -> -j mod n, held as
+    its blocks on the even vectors (``x_j = x_(n-j)``, coordinates x_0..x_(n/2)) and on
+    the odd ones (``x_j = -x_(n-j)``, coordinates x_1..x_(n/2-1)):
+    ``even[:, a] = A[:n/2+1, a] + A[:n/2+1, n-a]`` and ``odd = A[1:n/2, a] - A[1:n/2, n-a]``
+    (a column of its own mirror, 0 or n/2, is taken once).  Products and inverses act
+    block by block."""
+
+    even: np.ndarray
+    odd: np.ndarray
+
+    @classmethod
+    def fold(cls, rows: np.ndarray) -> "Mirrored":
+        """The blocks of the matrix whose rows 0..n/2 are ``rows``."""
+        half = rows.shape[0] - 1
+        even = rows[:, :half + 1].copy()
+        even[:, 1:half] += rows[:, :half:-1]
+        return cls(even, rows[1:half, 1:half] - rows[1:half, :half:-1])
+
+    def rows(self) -> np.ndarray:
+        """Rows 0..n/2 of the full matrix."""
+        half = self.even.shape[0] - 1
+        rows = np.empty((half + 1, 2 * half), dtype=np.result_type(self.even, self.odd))
+        rows[:, [0, half]] = self.even[:, [0, half]]
+        rows[:, 1:half] = rows[:, :half:-1] = 0.5 * self.even[:, 1:half]
+        odd = 0.5 * self.odd
+        rows[1:half, 1:half] += odd
+        rows[1:half, :half:-1] -= odd
+        return rows
+
+    def full(self) -> np.ndarray:
+        return mirror_rows(self.rows())
+
+    def norm1(self) -> float:
+        """``||A||_1``, the largest column sum of |A|: rows 0..n/2, plus rows 1..n/2 - 1
+        read at the mirrored column for the rows above n/2."""
+        a = np.abs(self.rows())
+        half = a.shape[0] - 1
+        sums = a.sum(axis=0)
+        mirrored = a[1:half].sum(axis=0)
+        sums[0] += mirrored[0]
+        sums[1:] += mirrored[:0:-1]
+        return float(sums.max())
+
+    def inverse(self) -> "Mirrored":
+        return Mirrored(np.linalg.inv(self.even), np.linalg.inv(self.odd))
+
+    def __matmul__(self, other):
+        """The product with a :class:`Mirrored` matrix, or the action on an array of n
+        rows: its even and odd parts are mapped by their blocks and unfolded."""
+        if isinstance(other, Mirrored):
+            return Mirrored(self.even @ other.even, self.odd @ other.odd)
+        half = self.even.shape[0] - 1
+        x = np.asarray(other)
+        mirror = x[-np.arange(half + 1) % x.shape[0]]  # x_(n-a) for a = 0..n/2
+        even = self.even @ (0.5 * (x[:half + 1] + mirror))
+        odd = self.odd @ (0.5 * (x[1:half] - mirror[1:half]))
+        out = np.concatenate([even, even[half - 1:0:-1]])
+        out[1:half] += odd
+        out[half + 1:] -= odd[::-1]
+        return out
+
+    def __neg__(self) -> "Mirrored":
+        return Mirrored(-self.even, -self.odd)
+
+
+def _norm1(A) -> float:
+    return A.norm1() if isinstance(A, Mirrored) else float(np.linalg.norm(A, 1))
+
+
+def inverse_and_condition(A):
+    """``(A^{-1}, ||A||_1 ||A^{-1}||_1)`` for an array or a :class:`Mirrored` matrix A;
+    ``(None, inf)`` for an exactly singular A (or block)."""
     try:
-        inv = np.linalg.inv(A)
+        inv = A.inverse() if isinstance(A, Mirrored) else np.linalg.inv(A)
     except np.linalg.LinAlgError:
         return None, np.inf
-    return inv, float(np.linalg.norm(A, 1) * np.linalg.norm(inv, 1))
+    return inv, _norm1(A) * _norm1(inv)
 
 
-def gated_inverse(A: np.ndarray, error: type, what: str) -> np.ndarray:
+def gated_inverse(A, error: type, what: str):
     """``A^{-1}`` if the 1-norm condition of ``A`` is at most ``COND_LIMIT``; else raise
     ``error``, a :class:`KreinlabError` subclass, naming ``what`` and the condition."""
     inv, cond = inverse_and_condition(A)
@@ -76,10 +158,10 @@ class LayerField:
         return evaluate_potential_gradient(self.backend.grid, self.density, self.z, points)
 
     def gamma_dirichlet(self) -> np.ndarray:
-        return self.backend.single_layer(self.z) @ self.density
+        return self.backend._layers(self.z)[0] @ self.density
 
     def gamma_neumann(self) -> np.ndarray:
-        return self.backend.neumann_trace(self.z) @ self.density
+        return self.backend._layers(self.z)[1] @ self.density
 
     def helmholtz_apply(self, z) -> "LayerField":
         """(-Laplace - z) u = (self.z - z) u: the same layer with its density scaled."""
@@ -118,26 +200,29 @@ class BemBackend:
         return self.grid.weighted_measure
 
     def _layers(self, z: complex):
-        """``(V_z, T_z)``.  The first time either is needed both are assembled from one
-        pairwise geometry, so a request does all its kernel work before its first
-        factorization; K#_z is not kept once T_z is formed."""
+        """``(V_z, T_z)`` as :class:`Mirrored` matrices.  The first time either is needed
+        both are assembled from one pairwise geometry, so a request does all its kernel
+        work before its first factorization; K#_z is not kept once T_z is formed."""
         if ("V", z) not in self._cache:
-            V, K = assemble_single_layer_trace(self.grid, z, with_adjoint=True)
-            self._store(("V", z), V)
-            self._store(("T", z), neumann_trace_of_single_layer(self.grid, z, K))
+            V, K = assemble_single_layer_trace(self.grid, z, with_adjoint=True, full=False)
+            self._store(("V", z), Mirrored.fold(V))
+            del V
+            diagonal = np.arange(K.shape[0])
+            K[diagonal, diagonal] += 0.5 * JUMP_SIGN  # T_z = JUMP_SIGN/2 I + K#_z
+            self._store(("T", z), Mirrored.fold(K))
         return self._cache[("V", z)], self._cache[("T", z)]
 
     def single_layer(self, z) -> np.ndarray:
-        return self._layers(as_complex(z))[0]
+        return self._layers(as_complex(z))[0].full()
 
     def neumann_trace(self, z) -> np.ndarray:
-        return self._layers(as_complex(z))[1]
+        return self._layers(as_complex(z))[1].full()
 
-    def _single_layer_inverse(self, z: complex) -> np.ndarray:
-        V = self.single_layer(z)
+    def _single_layer_inverse(self, z: complex) -> Mirrored:
+        V = self._layers(z)[0]
         inv = gated_inverse(V, NearSingular, f"single-layer trace at z = {z} (near the "
                             "Dirichlet spectrum or a capacity degeneracy)")
-        self._store(("cond V", z), float(np.linalg.norm(V, 1) * np.linalg.norm(inv, 1)))
+        self._store(("cond V", z), V.norm1() * inv.norm1())
         return inv
 
     def single_layer_condition(self, z) -> float:
@@ -145,27 +230,41 @@ class BemBackend:
         z = as_complex(z)
         key = ("cond V", z)
         if key not in self._cache:
-            self._store(key, inverse_and_condition(self.single_layer(z))[1])
+            self._store(key, inverse_and_condition(self._layers(z)[0])[1])
         return self._cache[key]
 
     def single_layer_solve(self, z, rhs) -> np.ndarray:
         return self._single_layer_inverse(as_complex(z)) @ rhs
 
-    def dtn(self, z) -> np.ndarray:
-        z = as_complex(z)
+    def _dtn(self, z: complex):
+        """``(dtn(z), its Mirrored blocks)``, cached per ``z``."""
         key = ("dtn", z)
         if key not in self._cache:
-            T = self.neumann_trace(z)
+            T = self._layers(z)[1]
             inv = self._single_layer_inverse(z)
-            # every product T_ik (-inv_kj) equals (-T_ik) inv_kj, signed zeros too, so this
-            # is -T @ inv bit for bit, with no copy of T
-            self._store(key, T @ np.negative(inv, out=inv))
+            # every product T_ik (-inv_kj) equals (-T_ik) inv_kj, signed zeros too, so
+            # each block is -T @ inv bit for bit, with no copy of T
+            for block in inv:
+                np.negative(block, out=block)
+            blocks = T @ inv
+            self._store(key, (blocks.full(), blocks))
+        return self._cache[key]
+
+    def dtn(self, z) -> np.ndarray:
+        return self._dtn(as_complex(z))[0]
+
+    def dtn_condition(self, z) -> float:
+        """Exact 1-norm condition number of the map ``dtn(z)``, cached per ``z``."""
+        z = as_complex(z)
+        key = ("cond dtn", z)
+        if key not in self._cache:
+            self._store(key, inverse_and_condition(self._dtn(z)[1])[1])
         return self._cache[key]
 
     def ntd(self, z) -> np.ndarray:
         z = as_complex(z)
-        return -gated_inverse(self.dtn(z), NearSingular, f"Dirichlet-to-Neumann map at z = {z} "
-                              "(z is near the Neumann spectrum)")
+        return (-gated_inverse(self._dtn(z)[1], NearSingular, "Dirichlet-to-Neumann map at "
+                               f"z = {z} (z is near the Neumann spectrum)")).full()
 
     def harmonic_extension(self, w, g) -> LayerField:
         return LayerField(self, w, self.single_layer_solve(w, np.asarray(g, dtype=complex)))
@@ -183,7 +282,7 @@ def solve_dirichlet(backend: BemBackend, z, f) -> LayerField:
 def solve_neumann(backend: BemBackend, z, g) -> LayerField:
     """Field u with (-Laplace - z)u = 0 and gamma_N u = g."""
     z = as_complex(z)
-    inv = gated_inverse(backend.neumann_trace(z), NearSingular, f"interior Neumann trace at "
+    inv = gated_inverse(backend._layers(z)[1], NearSingular, f"interior Neumann trace at "
                         f"z = {z} (z is numerically a Neumann eigenvalue)")
     return LayerField(backend, z, inv @ np.asarray(g, dtype=complex))
 

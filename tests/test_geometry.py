@@ -70,14 +70,28 @@ def test_refinement_keeps_nodes():
                                   CurveSpec.ellipse(1.5, 1.0), CurveSpec.circle(0.8)],
                          ids=lambda spec: spec.kind)
 def test_nodes_are_exact_mirror_images(spec, n):
-    # node n - j is node j reflected in the x-axis, bit for bit
+    # node n - j (mod n) is node j reflected in the x-axis, bit for bit; nodes 0 and n/2
+    # are their own images, on the axis
     grid = make_grid(spec, n)
-    j, mirror = np.arange(1, n // 2), n - np.arange(1, n // 2)
+    j = np.arange(n)
+    mirror = -j % n
+    assert np.all(grid.points[[0, n // 2], 1] == 0.0) and np.all(grid.normals[[0, n // 2], 1] == 0.0)
     assert np.array_equal(grid.points[mirror], grid.points[j] * [1.0, -1.0])
     assert np.array_equal(grid.normals[mirror], grid.normals[j] * [1.0, -1.0])
     assert np.array_equal(grid.speed[mirror], grid.speed[j])
     assert np.array_equal(grid.curvature[mirror], grid.curvature[j])
     assert np.array_equal(grid.t, 2.0 * np.pi * np.arange(n) / n)
+
+
+@pytest.mark.parametrize("move", [
+    lambda p, t: p + [0.0, 0.1],  # symmetric about y = 0.1: nodes 0 and n/2 off the axis
+    lambda p, t: p + np.stack([0.1 * np.sin(t), 0.0 * t], axis=-1),  # on it, not a mirror
+], ids=["off-axis", "not-a-mirror"])
+def test_grid_that_is_not_its_own_mirror_image_raises(monkeypatch, move):
+    point = CurveSpec.point
+    monkeypatch.setattr(CurveSpec, "point", lambda self, t: move(point(self, t), np.asarray(t)))
+    with pytest.raises(DomainError, match="x-axis"):
+        make_grid(CurveSpec.ellipse(1.5, 1.0), 64)
 
 
 def test_curvature_on_circle():

@@ -13,7 +13,7 @@ from kreinlab.kreinformulas import (Abstract1D, abstract_krein_check, hermitian_
 from kreinlab.layerpot import (assemble_adjoint_double_layer, assemble_single_layer_trace,
                                neumann_trace_of_single_layer)
 from kreinlab.oracles import Model1D, disk_mode_dtn
-from kreinlab.traces import gamma_D
+from kreinlab.traces import gamma_D, gamma_N
 from kreinlab.weyl import (
     BemBackend,
     dtn,
@@ -110,13 +110,16 @@ def test_exactly_singular_matrix_is_near_singular():
         gated_inverse(A, NearSingular, "test matrix")
 
 
-def _factorizations(monkeypatch, call) -> dict:
-    """``np.linalg.inv`` and ``np.linalg.solve`` calls made from kreinlab by ``call()``."""
+def _factorizations(monkeypatch, call, sizes=None) -> dict:
+    """``np.linalg.inv`` and ``np.linalg.solve`` calls made from kreinlab by ``call()``;
+    the order of each factored matrix is appended to ``sizes`` if given."""
     counts = {"inv": 0, "solve": 0}
     for name in counts:
         def counted(*args, _name=name, _original=getattr(np.linalg, name)):
             if sys._getframe(1).f_globals.get("__name__", "").startswith("kreinlab"):
                 counts[_name] += 1
+                if sizes is not None:
+                    sizes.append(len(args[0]))
             return _original(*args)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -133,7 +136,8 @@ def _factorizations(monkeypatch, call) -> dict:
     ("solve_neumann", 1),
 ])
 def test_each_gated_system_is_factored_once(monkeypatch, name, systems):
-    # the inverse formed for the condition gate is the one the answer uses
+    # the inverse formed for the condition gate is the one the answer uses; a system on
+    # a curve is factored as its two mirror blocks, one inverse each
     interval = Model1D()
     krein = make_extension(ExtensionSpec("dirichlet", -1.0, "krein"), interval)
     kite = BemBackend(make_grid(CurveSpec.kite(), 64))
@@ -146,7 +150,8 @@ def test_each_gated_system_is_factored_once(monkeypatch, name, systems):
         "solve_dirichlet": lambda: solve_dirichlet(kite, -1.0, ones),
         "solve_neumann": lambda: solve_neumann(kite, -1.0, ones),
     }[name]
-    assert _factorizations(monkeypatch, call) == {"inv": systems, "solve": 0}
+    blocks = 2 if name in ("solve_dirichlet", "solve_neumann") else 1
+    assert _factorizations(monkeypatch, call) == {"inv": blocks * systems, "solve": 0}
 
 
 def test_single_layer_condition_is_exact_one_norm(kite_backend):
@@ -154,11 +159,76 @@ def test_single_layer_condition_is_exact_one_norm(kite_backend):
     V = kite_backend.single_layer(z)
     want = np.linalg.norm(V, 1) * np.linalg.norm(np.linalg.inv(V), 1)
     got = kite_backend.single_layer_condition(z)
-    assert got == want
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)  # formed from the mirror blocks
     # the 1- and 2-norm condition numbers agree to within a factor n
     n = kite_backend.grid.n
     cond2 = np.linalg.cond(V)
     assert cond2 / n <= got <= n * cond2
+
+
+def _relative(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _condition(A) -> float:
+    return float(np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1))
+
+
+_CURVES = [CurveSpec.kite(), CurveSpec.star(0.3, 5), CurveSpec.ellipse(1.5, 1.0),
+           CurveSpec.circle(0.8)]
+
+
+@pytest.mark.parametrize("z", [-1.0, 2 + 1j, -0.5 + 0.8j, 0.0])
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("spec", _CURVES, ids=lambda spec: spec.kind)
+def test_mirror_blocks_match_the_full_matrix_route(spec, n, z):
+    # the full route inverts the full arrays of assemble_single_layer_trace
+    grid = make_grid(spec, n)
+    V, K = assemble_single_layer_trace(grid, z, with_adjoint=True)
+    T = neumann_trace_of_single_layer(grid, z, K)
+    V_inv = np.linalg.inv(V)
+    M = -T @ V_inv
+    rng = np.random.default_rng(n)
+    data = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    backend = BemBackend(grid)
+    assert _relative(backend.dtn(z), M) < 1e-13
+    assert _relative(backend.single_layer_solve(z, data), V_inv @ data) < 1e-13
+    u = solve_dirichlet(backend, z, data)
+    assert _relative(gamma_D(u), V @ (V_inv @ data)) < 1e-13
+    assert _relative(gamma_N(u), T @ (V_inv @ data)) < 1e-13
+    cond = np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
+    assert backend.single_layer_condition(z) == pytest.approx(cond, rel=1e-13, abs=0.0)
+    if z == 0:
+        return  # a Neumann eigenvalue: T_0 and dtn(0) are singular
+    assert _relative(backend.ntd(z), -np.linalg.inv(M)) < 1e-13
+    T_inv = np.linalg.inv(T)
+    u = solve_neumann(backend, z, data)
+    assert _relative(gamma_D(u), V @ (T_inv @ data)) < 1e-13
+    assert _relative(gamma_N(u), T @ (T_inv @ data)) < 1e-13
+    # the condition of the map written out: the two routes' maps differ by rounding,
+    # which their inverses amplify by that condition (up to 2e3 here)
+    want = _condition(backend.dtn(z))
+    assert backend.dtn_condition(z) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_no_curve_system_is_factored_at_full_size(monkeypatch):
+    n = 64
+    backend = BemBackend(make_grid(CurveSpec.kite(), n))
+    ones = np.ones(n)
+    sizes = []
+
+    def call():
+        for z in (-1.0, 2 + 1j):
+            backend.dtn(z)
+            backend.ntd(z)
+            backend.single_layer_condition(z)
+            backend.dtn_condition(z)
+            solve_dirichlet(backend, z, ones)
+            solve_neumann(backend, z, ones)
+
+    counts = _factorizations(monkeypatch, call, sizes)
+    assert counts["solve"] == 0 and counts["inv"] == len(sizes) > 0
+    assert max(sizes) == n // 2 + 1 and sorted(set(sizes)) == [n // 2 - 1, n // 2 + 1]
 
 
 def test_dtn_static_modes(disk13_backend):
