@@ -170,10 +170,6 @@ def _relative(got, want) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def _condition(A) -> float:
-    return float(np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1))
-
-
 _CURVES = [CurveSpec.kite(), CurveSpec.star(0.3, 5), CurveSpec.ellipse(1.5, 1.0),
            CurveSpec.circle(0.8)]
 
@@ -207,7 +203,8 @@ def test_mirror_blocks_match_the_full_matrix_route(spec, n, z):
     assert _relative(gamma_N(u), T @ (T_inv @ data)) < 1e-13
     # the condition of the map written out: the two routes' maps differ by rounding,
     # which their inverses amplify by that condition (up to 2e3 here)
-    want = _condition(backend.dtn(z))
+    M = backend.dtn(z)
+    want = np.linalg.norm(M, 1) * np.linalg.norm(np.linalg.inv(M), 1)
     assert backend.dtn_condition(z) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
