@@ -112,26 +112,28 @@ def disk_mode_dtn(k, z, radius: float = 1.0):
 # ---------------------------------------------------------------------------
 
 class PointStore:
-    """A function of points that keeps its values for the last ``SIZE`` arrays
-    of points asked for, the least recently read going first.  A stored array
-    is read-only, so no caller can change what a later read returns."""
+    """A function of points, given to ``fn`` as a float array, that keeps its
+    values for the last ``SIZE`` arrays of points asked for, the least recently
+    read going first.  Stored arrays (each array of a stored tuple) are
+    read-only, so no caller can change what a later read returns.  Only costly
+    leaves hold one: Green pairs, disk Bessel profiles and barycentric bases."""
 
     SIZE = 8
     __slots__ = ("fn", "_values")
 
     def __init__(self, fn):
         self.fn = fn
-        # (type, shape, bytes) of the points -> value, oldest first; the type keeps a
-        # Python float apart from a numpy scalar or array, whose arithmetic can differ
-        self._values = {}
+        self._values = {}  # (shape, bytes) of the points -> value, oldest first
 
     def __call__(self, x):
-        key = (type(x), np.shape(x), np.asarray(x, dtype=float).tobytes())
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
         out = self._values.pop(key, None)
         if out is None:
             out = self.fn(x)
-            if isinstance(out, np.ndarray):
-                out.flags.writeable = False
+            for part in out if isinstance(out, tuple) else (out,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
             if len(self._values) >= self.SIZE:
                 del self._values[next(iter(self._values))]
         self._values[key] = out
@@ -140,16 +142,14 @@ class PointStore:
 
 class Profile:
     """A value, its x (interval) or r (disk) derivative and its Laplacian part,
-    each a :class:`PointStore`, so a part is evaluated once per array of points
-    while it is kept; a source made by ``helmholtz_apply`` has only a value.
-    Sums, scalar multiples and the Helmholtz action are built termwise."""
+    each a function of points; a source made by ``helmholtz_apply`` has only a
+    value.  Sums, multiples and the Helmholtz action are built termwise, so a
+    read is arithmetic on its leaves, of which only costly ones store values."""
 
     __slots__ = ("val", "dval", "lap")
 
     def __init__(self, val, dval=None, lap=None):
-        # a part given as a store (one that ``lap`` reads, say) is kept as it is
-        self.val, self.dval, self.lap = (
-            f if f is None or isinstance(f, PointStore) else PointStore(f) for f in (val, dval, lap))
+        self.val, self.dval, self.lap = val, dval, lap
 
     def __add__(self, other):
         return Profile(
@@ -167,30 +167,34 @@ class Profile:
         return Profile(lambda x: -self.lap(x) - z * self.val(x))
 
 
-def _green_solve(x, at_left, at_right, green):
-    """One Green-quadrature evaluation of :func:`_green_profile` at points x:
-    its value where ``(at_left, at_right) = (uL, uR)``, its derivative where
-    they are ``(uL', uR')``."""
-    uL, uR, scale, source, end, radial = green
-    x = np.asarray(x, dtype=float)
+def _green_solve(x, green):
+    """``(u(x), u'(x))`` of :func:`_green_profile` at points x from one Green-quadrature
+    pass: each one-sided integral is weighted by ``(uR, uL)`` and by ``(uR', uL')``."""
+    (uL, duL), (uR, duR), scale, source, end, radial = green
     t = x.reshape(-1, 1)
     xs2, ws2 = _gauss(t, end)
     upper = ws2 * uR(xs2)
     if radial:
         upper = upper * xs2
-    above = at_left(t[:, 0]) * np.sum(upper * source(xs2), axis=-1)
-    below = np.zeros(above.shape, dtype=complex)
+    hi = np.sum(upper * source(xs2), axis=-1)
     # the integral over (0, 0) is empty, and the disk's uR is singular at r = 0
     inside = t[:, 0] != 0
-    if np.any(inside):
-        ti = t[inside]
+    ti = t[inside]
+    if len(ti):
         xs1, ws1 = _gauss(0.0, ti)
         lower = ws1 * uL(xs1)
         if radial:
             lower = lower * xs1
-        below[..., inside] = at_right(ti[:, 0]) * np.sum(lower * source(xs1), axis=-1)
-    out = ((below + above) / scale).reshape(above.shape[:-1] + x.shape)
-    return out if out.ndim else complex(out)
+        lo = np.sum(lower * source(xs1), axis=-1)
+
+    def combine(at_left, at_right):
+        below = np.zeros(hi.shape, dtype=complex)
+        if len(ti):
+            below[..., inside] = at_right(ti[:, 0]) * lo
+        out = ((below + at_left(t[:, 0]) * hi) / scale).reshape(hi.shape[:-1] + x.shape)
+        return out if out.ndim else complex(out)
+
+    return combine(uL, uR), combine(duL, duR)
 
 
 def _green_profile(left, right, scale, w, source, end: float, radial: bool) -> Profile:
@@ -204,22 +208,22 @@ def _green_profile(left, right, scale, w, source, end: float, radial: bool) -> P
 
         u(x) = (uR(x) int_0^x uL f weight + uL(x) int_x^end uR f weight) / scale,
 
-    and the profile returned is (u, u', -w u - f).  One call evaluates all of
-    its targets in one array pass: the rules of m targets are (m, 64) arrays,
-    and ``uL``, ``uR`` and the source are called once per half.  A sampled
-    source is read through its backend's barycentric basis
-    (:class:`BarycentricBasis`), which is built once per array of points.
+    and the profile returned is (u, u', -w u - f).  One pass, whose result is
+    the profile's one :class:`PointStore`, gives u and u' at all of its
+    targets: the rules of m targets are (m, 64) arrays, and ``uL``, ``uR`` and
+    the source are called once per half.  A sampled source is read through its
+    backend's barycentric basis (:class:`BarycentricBasis`), which is built
+    once per array of points.
 
     The source may be a stack of p sources: it then returns shape
     ``(p,) + x.shape`` for points x, and so does every part of the profile.
     The Gauss sums run over the contiguous last axis, so each source of a
     stack is summed in the order a single source is.
     """
-    (uL, duL), (uR, duR) = left, right
-    green = (uL, uR, scale, source, end, radial)
-    val = PointStore(lambda x: _green_solve(x, uL, uR, green))
-    dval = lambda x: _green_solve(x, duL, duR, green)
-    return Profile(val, dval, lambda x: -w * val(x) - source(np.asarray(x, dtype=float)))
+    green = (left, right, scale, source, end, radial)
+    pair = PointStore(lambda x: _green_solve(x, green))
+    return Profile(lambda x: pair(x)[0], lambda x: pair(x)[1],
+                   lambda x: -w * pair(x)[0] - source(np.asarray(x, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +391,10 @@ class Model1D:
         g = np.asarray(g, dtype=complex)
         if g.ndim not in (1, 2) or len(g) != 2:
             raise DomainError("interval boundary data must have shape (2,) or (2, p)")
-        if g.ndim == 1:  # one pair stays in Python scalars, whose rounding it has always had
-            pair = tuple(as_complex(v) for v in g)
-            end = lambda i, x: pair[i]
-        else:  # u(0) or u(1) of each pair, shaped to broadcast against the points
-            if not np.all(np.isfinite(g)):
-                raise DomainError("non-finite boundary data")
-            end = lambda i, x: g[i].reshape(g.shape[1:] + (1,) * np.ndim(x))
+        if not np.all(np.isfinite(g)):
+            raise DomainError("non-finite boundary data")
+        # u(0) or u(1) of each pair, shaped to broadcast against the points
+        end = lambda i, x: g[i].reshape(g.shape[1:] + (1,) * np.ndim(x))
         if w == 0:
             return self.field(
                 lambda x: end(0, x) * (1 - x) + end(1, x) * x,
@@ -404,7 +405,7 @@ class Model1D:
         s = np.sin(k)
         if abs(s) < 1e-13 * max(1.0, abs(k)):
             raise NearEigenvalue(f"w = {w} is a Dirichlet eigenvalue; extension undefined")
-        fn = PointStore(lambda x: (end(0, x) * np.sin(k * (1 - x)) + end(1, x) * np.sin(k * x)) / s)
+        fn = lambda x: (end(0, x) * np.sin(k * (1 - x)) + end(1, x) * np.sin(k * x)) / s
         dfn = lambda x: (-end(0, x) * k * np.cos(k * (1 - x)) + end(1, x) * k * np.cos(k * x)) / s
         return self.field(fn, dfn, lambda x: -w * fn(x))
 
@@ -510,21 +511,20 @@ class DiskField:
         self.backend = backend
         self.profiles = dict(profiles)
 
-    def value(self, r, theta):
+    def _mode_sum(self, part: str, r, theta):
+        """sum_k part_k(r) e^(i k theta) for the profile part ``"val"`` or ``"lap"``."""
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
         out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
         for k, p in self.profiles.items():
-            out = out + p.val(r) * np.exp(1j * k * theta)
+            out = out + getattr(p, part)(r) * np.exp(1j * k * theta)
         return out
 
+    def value(self, r, theta):
+        return self._mode_sum("val", r, theta)
+
     def laplacian(self, r, theta):
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
-        for k, p in self.profiles.items():
-            out = out + p.lap(r) * np.exp(1j * k * theta)
-        return out
+        return self._mode_sum("lap", r, theta)
 
     def gradient(self, r, theta):
         """Cartesian gradient, shape (..., 2)."""
@@ -548,19 +548,19 @@ class DiskField:
         gy = gr * np.sin(theta) + gt * np.cos(theta)
         return np.stack([gx, gy], axis=-1)
 
-    def gamma_dirichlet(self) -> np.ndarray:
+    def _mode_trace(self, part: str) -> np.ndarray:
+        """Mode coefficients of the profile part ``"val"`` or ``"dval"`` at r = R."""
         b = self.backend
         out = np.zeros(b.nboundary, dtype=complex)
         for k, p in self.profiles.items():
-            out[b.mode_index(k)] = p.val(b.radius)
+            out[b.mode_index(k)] = getattr(p, part)(b.radius)
         return out
 
+    def gamma_dirichlet(self) -> np.ndarray:
+        return self._mode_trace("val")
+
     def gamma_neumann(self) -> np.ndarray:
-        b = self.backend
-        out = np.zeros(b.nboundary, dtype=complex)
-        for k, p in self.profiles.items():
-            out[b.mode_index(k)] = p.dval(b.radius)
-        return out
+        return self._mode_trace("dval")
 
     def helmholtz_apply(self, z):
         z = as_complex(z)
@@ -658,7 +658,7 @@ class DiskModel:
         jR = bessel_j(ak, kap * R)
         if abs(jR) < 1e-290:
             raise NearEigenvalue(f"w = {w} is a Dirichlet eigenvalue of mode {k}")
-        val = PointStore(lambda r: bessel_j(ak, kap * np.asarray(r, dtype=float)) / jR)
+        val = PointStore(lambda r: bessel_j(ak, kap * r) / jR)  # r reaches it as an array
         dval = lambda r: kap * bessel_j_prime(ak, kap * np.asarray(r, dtype=float)) / jR
         return Profile(val, dval, lambda r: -w * val(r))
 
@@ -674,10 +674,7 @@ class DiskModel:
         return DiskField(self, profiles)
 
     def homogeneous_basis(self, w):
-        out = []
-        for k in self.modes:
-            out.append(DiskField(self, {k: self.harmonic_profile(k, w)}))
-        return out
+        return [DiskField(self, {k: self.harmonic_profile(k, w)}) for k in self.modes]
 
     def mode_poly_field(self, k: int, povers: dict) -> DiskField:
         """Field c r^p e^(i k theta); radial Laplacian computed termwise."""
@@ -709,8 +706,9 @@ class DiskModel:
             raise NearEigenvalue("static disk resolvent not supported; shift the parameter")
         jR = bessel_j(ak, kap * R)
         jpR = bessel_j_prime(ak, kap * R)
-        uL = lambda r: bessel_j(ak, kap * np.asarray(r, dtype=float))
-        duL = lambda r: kap * bessel_j_prime(ak, kap * np.asarray(r, dtype=float))
+        # the Green solve reads these at float arrays only
+        uL = lambda r: bessel_j(ak, kap * r)
+        duL = lambda r: kap * bessel_j_prime(ak, kap * r)
         if reference == "dirichlet":
             if abs(jR) < 1e-250:
                 raise NearEigenvalue(f"w = {w} is a Dirichlet eigenvalue of mode {k}")
@@ -721,11 +719,8 @@ class DiskModel:
                 raise NearEigenvalue(f"w = {w} is a Neumann eigenvalue of mode {k}")
             a, b = bessel_y_prime(ak, kap * R), jpR
             scale = (2.0 / np.pi) * jpR
-        uR = lambda r: uL(r) * a - bessel_y(ak, kap * np.asarray(r, dtype=float)) * b
-        duR = lambda r: kap * (
-            bessel_j_prime(ak, kap * np.asarray(r, dtype=float)) * a
-            - bessel_y_prime(ak, kap * np.asarray(r, dtype=float)) * b
-        )
+        uR = lambda r: uL(r) * a - bessel_y(ak, kap * r) * b
+        duR = lambda r: kap * (bessel_j_prime(ak, kap * r) * a - bessel_y_prime(ak, kap * r) * b)
         if not callable(fk) and np.ndim(fk) != 1:
             raise DomainError("a disk mode takes one array of samples, not a stack")
         source = fk if callable(fk) else self.basis.interpolant(fk)
@@ -753,7 +748,7 @@ class DiskModel:
     def h2n_field(self, b) -> DiskField:
         """Field with zero Dirichlet trace and Neumann trace coefficients b."""
         b = np.asarray(b, dtype=complex)
-        field = None
+        field = DiskField(self, {})
         R = self.radius
         for k in self.modes:
             c = b[self.mode_index(k)]
@@ -762,10 +757,7 @@ class DiskModel:
             ak = abs(k)
             # r^ak (r^2 - R^2) e^(ik theta): smooth, vanishing Dirichlet trace
             scale = c / (2.0 * R ** (ak + 1))
-            mode_field = self.mode_poly_field(k, {ak + 2: scale, ak: -scale * R**2})
-            field = mode_field if field is None else field + mode_field
-        if field is None:
-            field = DiskField(self, {})
+            field = field + self.mode_poly_field(k, {ak + 2: scale, ak: -scale * R**2})
         return field
 
     def h20_family(self, count: int, rng) -> list:

@@ -19,14 +19,15 @@ Near the Dirichlet spectrum (or on curves of logarithmic capacity one at
 z = 0) the single-layer trace degenerates; operations then fail loudly with
 a conditioning diagnostic instead of continuing silently.  The diagnostic is
 the exact 1-norm condition number ``||A||_1 ||A^{-1}||_1`` of the full
-matrix, formed from the blocks; an exactly singular matrix (or block) has
-condition ``inf``.  Every gated system is factored once per block, by
-:func:`gated_inverse`, and the answer is formed with the inverse that passed
-the gate.  The first time ``V_z`` or ``T_z`` is needed, both are assembled
-from one pairwise geometry, so a request evaluates all its kernels before its
-first factorization.  Only the conditions of ``V_z`` and of the map are
-cached per ``z``, never an inverse, and a backend keeps the matrices of its
-``CACHED_PARAMETERS`` most recently stored ``z`` only.
+matrix, formed from the blocks; an exactly singular matrix (or block), and
+``dtn(0)``, which sends the constants to 0, have condition ``inf``.  Every
+gated system is factored once per block, by :func:`gated_inverse`, and the
+answer is formed with the inverse that passed the gate.  The first time
+``V_z`` or ``T_z`` is needed, both are assembled from one pairwise geometry,
+so a request evaluates all its kernels before its first factorization.  Only
+the conditions of ``V_z`` and of the map are cached per ``z``, never an
+inverse, and a backend keeps the matrices of its ``CACHED_PARAMETERS`` most
+recently stored ``z`` only.
 """
 
 from __future__ import annotations
@@ -254,17 +255,24 @@ class BemBackend:
         return self._dtn(as_complex(z))[0]
 
     def dtn_condition(self, z) -> float:
-        """Exact 1-norm condition number of the map ``dtn(z)``, cached per ``z``."""
+        """Exact 1-norm condition number of the map ``dtn(z)``, cached per ``z``; ``inf``
+        at z = 0 (:meth:`ntd`)."""
         z = as_complex(z)
         key = ("cond dtn", z)
         if key not in self._cache:
-            self._store(key, inverse_and_condition(self._dtn(z)[1])[1])
+            blocks = self._dtn(z)[1]
+            self._store(key, np.inf if z == 0 else inverse_and_condition(blocks)[1])
         return self._cache[key]
 
     def ntd(self, z) -> np.ndarray:
+        """``-dtn(z)^{-1}``.  dtn(0) is exactly singular (constants are harmonic with zero
+        Neumann data), so an inverse of its rounded blocks would be noise."""
         z = as_complex(z)
-        return (-gated_inverse(self._dtn(z)[1], NearSingular, "Dirichlet-to-Neumann map at "
-                               f"z = {z} (z is near the Neumann spectrum)")).full()
+        what = f"Dirichlet-to-Neumann map at z = {z} (z is near the Neumann spectrum)"
+        blocks = self._dtn(z)[1]
+        if z == 0:
+            raise NearSingular(f"{what} has condition inf")
+        return (-gated_inverse(blocks, NearSingular, what)).full()
 
     def harmonic_extension(self, w, g) -> LayerField:
         return LayerField(self, w, self.single_layer_solve(w, np.asarray(g, dtype=complex)))

@@ -81,6 +81,7 @@ def test_dtn_bem_disk_rayleigh_modes(runner, tmp_path):
         assert abs(ray - (-abs(k) / 1.3)) < 1e-8
     meta = json.loads((tmp_path / "dtn.csv.meta.json").read_text())
     assert meta["condition_single_layer"] > 1.0
+    assert meta["condition_dtn"] == np.inf  # dtn(0) annihilates the constants
 
 
 def test_missing_config_exit_code(runner):

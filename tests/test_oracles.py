@@ -370,25 +370,24 @@ def test_witness_pass_leaves_no_basis_store(monkeypatch):
 
 
 def _count_green_solves(monkeypatch):
-    """Counts of the Green-quadrature evaluations that follow, by (field, part,
-    points); the left solutions are kept alive so that their ids stay unique."""
+    """Counts of the Green-quadrature passes that follow, by (field, points); the
+    fields' Green data are kept alive so that their ids stay unique."""
     from kreinlab import oracles
 
     counts, alive = {}, []
     original = oracles._green_solve
 
-    def counted(x, at_left, at_right, green):
-        alive.append(at_left)
-        pts = np.asarray(x, dtype=float)
-        key = (id(at_left), type(x), pts.shape, pts.tobytes())
+    def counted(x, green):
+        alive.append(green)
+        key = (id(green), x.shape, x.tobytes())
         counts[key] = counts.get(key, 0) + 1
-        return original(x, at_left, at_right, green)
+        return original(x, green)
 
     monkeypatch.setattr(oracles, "_green_solve", counted)
     return counts
 
 
-@pytest.mark.parametrize("backend, most", [(None, 32), ("interval", 805), ("disk", 32)])
+@pytest.mark.parametrize("backend, most", [(None, 18), ("interval", 524), ("disk", 20)])
 def test_no_green_solve_repeats_a_field_part_and_points(monkeypatch, backend, most):
     # None is the witness pass alone; a backend is its "all" suite after the pass
     from kreinlab.kreinformulas import sign_witnesses
@@ -402,6 +401,66 @@ def test_no_green_solve_repeats_a_field_part_and_points(monkeypatch, backend, mo
         build_suite("all", backend, witnesses, nodes=0, seed=0, tol=1.0)
     assert 0 < sum(counts.values()) <= most
     assert max(counts.values()) == 1
+
+
+@pytest.mark.parametrize("backend", [Model1D(), DiskModel(radius=1.3, mode_cutoff=2)])
+def test_value_and_derivative_share_one_green_solve(monkeypatch, backend):
+    from kreinlab.traces import gamma_D, gamma_N
+
+    counts = _count_green_solves(monkeypatch)
+    if isinstance(backend, Model1D):
+        u = backend.resolvent_dirichlet(-1.3, lambda x: np.cos(3 * x) + 0j)
+        points = 2  # x = 0 and x = 1
+    else:
+        u = backend.resolvent_neumann(-1.3, {k: lambda r: np.exp(-r) + 0j for k in backend.modes})
+        points = backend.nboundary  # r = R, once per mode
+    gamma_D(u)
+    gamma_N(u)
+    assert sum(counts.values()) == points and max(counts.values()) == 1
+
+
+def test_interval_suite_keeps_no_source_grids():
+    # a trial field feeding a Green solve used to keep its values at the solve's Gauss grids
+    import tracemalloc
+
+    from kreinlab.kreinformulas import sign_witnesses
+    from kreinlab.verifysuite import build_suite
+
+    witnesses = sign_witnesses()
+    tracemalloc.start()
+    try:
+        build_suite("all", "interval", witnesses, nodes=0, seed=0, tol=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
+
+
+def test_only_costly_leaves_hold_a_store():
+    import gc
+
+    def stores():
+        return sum(isinstance(o, PointStore) for o in gc.get_objects())
+
+    b, d = Model1D(), DiskModel(radius=1.3, mode_cutoff=2)
+    x = b.quad_nodes
+    gc.collect()
+    gc.disable()
+    try:
+        before = stores()
+        h = b.harmonic_extension(-1.3, [1.0, 0.5j])
+        for u in (b.polynomial([1.0, 2.0]), h, 2.0 * h + b.constant(1.0), h.helmholtz_apply(0.4),
+                  *b.homogeneous_basis(0.7), b.h2n_field([1.0, 0.3])):
+            u.value(x)
+        for u in (d.h2n_field(np.ones(5)), d.harmonic_extension(0.0, np.ones(5))):
+            u.value(x, 0.3)
+        assert stores() == before
+        u = b.resolvent_dirichlet(-1.3, h) + h  # one Green pair
+        v = d.harmonic_extension(-1.3, np.ones(5))  # one Bessel profile per mode
+        u.value(x), u.derivative(x), v.value(x, 0.3), v.gamma_neumann()
+        assert stores() == before + 1 + 5
+    finally:
+        gc.enable()
 
 
 def test_no_store_outlives_the_witness_pass_waiting_for_the_garbage_collector():
@@ -426,6 +485,7 @@ def test_no_store_outlives_the_witness_pass_waiting_for_the_garbage_collector():
 
 @pytest.mark.parametrize("backend", [Model1D(), DiskModel(radius=1.3, mode_cutoff=2)])
 def test_profile_parts_are_stored_read_only_and_bounded(backend):
+    # a Green profile's value and derivative are the two arrays of its one stored pair
     rng = np.random.default_rng(8)
     if isinstance(backend, Model1D):
         u = backend.resolvent_dirichlet(-1.3, lambda x: np.cos(3 * x) + 0j)
@@ -433,17 +493,21 @@ def test_profile_parts_are_stored_read_only_and_bounded(backend):
     else:
         u = backend.resolvent_dirichlet(-1.3, {1: lambda r: np.exp(-r) + 0j})
         profile = u.profiles[1]
+    (pair,) = [c.cell_contents for c in profile.val.__closure__
+               if isinstance(c.cell_contents, PointStore)]
     x = backend.quad_nodes
-    for part in ("val", "dval", "lap"):
-        stored = getattr(profile, part)
-        first = stored(x)
-        assert stored(x) is first and not first.flags.writeable
+    first = pair(x)
+    assert profile.val(x) is first[0] and profile.dval(x) is first[1] and pair(x) is first
+    for part in first:
+        assert not part.flags.writeable
         with pytest.raises(ValueError):
-            first[0] = 0.0
-        for _ in range(2 * PointStore.SIZE):
-            stored(rng.uniform(0.0, x[-1], 3))
-        assert len(stored._values) == PointStore.SIZE
-        assert np.array_equal(stored(x), first)  # read again once it has left the store
+            part[0] = 0.0
+    for _ in range(2 * PointStore.SIZE):
+        pair(rng.uniform(0.0, x[-1], 3))
+    assert len(pair._values) == PointStore.SIZE
+    again = pair(x)  # read again once it has left the store
+    assert again is not first
+    assert all(np.array_equal(a, b) for a, b in zip(again, first))
 
 
 @pytest.mark.parametrize("backend", [Model1D(), DiskModel(radius=1.3, mode_cutoff=3)])
@@ -537,9 +601,10 @@ def test_harmonic_extension_of_stacked_data_matches_its_columns():
     G = _random_stack(np.random.default_rng(6), (2, 3))
     for w in (0.0, -1.3, 0.4 + 0.9j):
         stacked = b.harmonic_extension(w, G)
-        # one pair forms -g0 k in Python scalars, a stack in arrays
+        # gamma_N forms -g0 k as a 0-d product for one pair and as an array product for
+        # a stack, and numpy's loops for the two can round differently
         _assert_stack_matches_columns(stacked, [b.harmonic_extension(w, g) for g in G.T], -1.0,
-                                      ("value", "laplacian", "gamma_D"))
+                                      ("value", "derivative", "laplacian", "gamma_D"))
         assert stacked.gamma_dirichlet().shape == (2, 3)
 
 
@@ -569,7 +634,8 @@ def test_misshapen_stacks_are_rejected():
             b.resolvent_dirichlet(-1.0, bad)
         with pytest.raises(DomainError):
             b.basis.interpolant(bad)
-    for bad in (np.ones(3), np.ones((3, 2)), np.ones((2, 2, 2)), np.full((2, 3), np.nan)):
+    for bad in (np.ones(3), np.ones((3, 2)), np.ones((2, 2, 2)), np.full((2, 3), np.nan),
+                np.array([np.inf, 1.0])):
         with pytest.raises(DomainError):
             b.harmonic_extension(-1.0, bad)
     stacked = b.resolvent_dirichlet(-1.0, np.eye(n)[:3])

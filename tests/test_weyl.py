@@ -174,8 +174,13 @@ _CURVES = [CurveSpec.kite(), CurveSpec.star(0.3, 5), CurveSpec.ellipse(1.5, 1.0)
            CurveSpec.circle(0.8)]
 
 
-@pytest.mark.parametrize("z", [-1.0, 2 + 1j, -0.5 + 0.8j, 0.0])
-@pytest.mark.parametrize("n", [64, 256, 1024])
+_ZS = [-1.0, 2 + 1j, -0.5 + 0.8j, 0.0]
+
+
+# every z at n = 64 and 256; at n = 1024, whose z != 0 cases take 1-2 s each, one z != 0
+# and z = 0
+@pytest.mark.parametrize("n, z", [(n, z) for n in (64, 256) for z in _ZS]
+                         + [(1024, 2 + 1j), (1024, 0.0)])
 @pytest.mark.parametrize("spec", _CURVES, ids=lambda spec: spec.kind)
 def test_mirror_blocks_match_the_full_matrix_route(spec, n, z):
     # the full route inverts the full arrays of assemble_single_layer_trace
@@ -206,6 +211,17 @@ def test_mirror_blocks_match_the_full_matrix_route(spec, n, z):
     M = backend.dtn(z)
     want = np.linalg.norm(M, 1) * np.linalg.norm(np.linalg.inv(M), 1)
     assert backend.dtn_condition(z) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("spec", _CURVES, ids=lambda spec: spec.kind)
+def test_dtn_at_zero_is_exactly_singular(spec, n):
+    # constants are harmonic with zero Neumann data, so 0 is a Neumann eigenvalue
+    backend = BemBackend(make_grid(spec, n))
+    assert backend.dtn_condition(0.0) == np.inf
+    with pytest.raises(NearSingular):
+        backend.ntd(0.0)
+    assert np.isfinite(backend.dtn_condition(-1.0))
 
 
 def test_no_curve_system_is_factored_at_full_size(monkeypatch):
