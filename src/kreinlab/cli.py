@@ -65,9 +65,11 @@ def _load_domain(domain: str, nodes: int | None):
     if domain == "interval":
         return "interval", Model1D()
     if domain.split(":")[0] == "disk":
+        fields = domain.split(":")[1:]
         try:  # disk[:radius[:mode cutoff]]
-            return "disk", DiskModel(*(cast(part) for cast, part in zip((float, int),
-                                                                       domain.split(":")[1:])))
+            if len(fields) > 2:
+                raise ValueError("a disk takes at most a radius and a mode cutoff")
+            return "disk", DiskModel(*(cast(part) for cast, part in zip((float, int), fields)))
         except (ValueError, KreinlabError) as exc:
             _fail({"error": "bad_domain", "value": domain, "detail": str(exc)}, 2)
     if not os.path.exists(domain):

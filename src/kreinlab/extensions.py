@@ -2,28 +2,27 @@
 
 An extension is selected by a reference operator (Dirichlet or Neumann), a
 real shift ``z0`` off the reference spectrum, a Hermitian boundary operator
-``L`` and a subspace selector ``X``.  With the Dirichlet reference, the
-domain condition is
+``L`` and a subspace selector ``X``.  Each reference has one boundary map
+``m`` (:func:`reference_map`), ``dtn`` or ``-ntd``, which sends the reference
+trace ``gamma`` (``gamma_D`` or ``gamma_N``) of a harmonic field to minus its
+other trace.  ``m0 = m(z0)`` is evaluated once, by :func:`make_extension`, and
+both references share one domain condition,
 
-    gamma_D u in ran(X)   and   X (tau_N(z0) u + L gamma_D u) = 0,
+    gamma u in ran(X)   and   X (other u + m0 gamma u + L gamma u) = 0,
 
-and the distinguished cases translate as
-
-    Dirichlet:  X = {0},  L = 0
-    Neumann:    X = full, L = -dtn(z0)
-    Krein:      X = full, L = 0
-    Robin(T):   X = full, L = -dtn(z0) + T
-
-(The Neumann-reference factory mirrors this with tau_D and gamma_N, where
-Dirichlet corresponds to L = +ntd(z0).)  A special or Robin ``L`` fixes its
-subspace, so its ``X`` is "full" or that subspace; any other is rejected.
+where ``other u + m0 gamma u`` is tau_N(z0) u or tau_D(z0) u.  The reference's
+own tag is X = {0}, L = 0; the other reference's tag X = full, L = -m0 (Neumann
+is -dtn(z0), Dirichlet +ntd(z0)); Krein X = full, L = 0; and Robin(T), with the
+Dirichlet reference, X = full, L = -dtn(z0) + T.  A special or Robin ``L``
+fixes its subspace, so its ``X`` is "full" or that subspace; any other is
+rejected.
 
 Resolvents are computed by the shifted-reference formula
 
     u = R_ref(z + z0) f + (harmonic correction at z + z0)
 
 with the correction coefficient solved from the boundary condition through
-the bracket ``L - dtn(z + z0) + dtn(z0)`` (:meth:`Extension.bracket`); the
+the bracket ``L - m(z + z0) + m(z0)`` (:meth:`Extension.bracket`); the
 formula is cross-validated against independent direct solves in
 :mod:`kreinlab.kreinformulas`.  Each boundary system is inverted once, by
 :func:`kreinlab.weyl.gated_inverse`, which raises ``NearEigenvalue`` when its
@@ -40,7 +39,7 @@ import numpy as np
 from .csvtext import read_complex_csv
 from .errors import BackendUnsupported, NearEigenvalue, SpecInvalid
 from .specfun import as_complex
-from .traces import gamma_D, gamma_N, half_weighted, herm, hermitian_part, tau_D, tau_N
+from .traces import gamma_D, gamma_N, half_weighted, herm, hermitian_part
 from .weyl import gated_inverse
 
 HERMITIAN_TOL = 1e-12
@@ -121,38 +120,40 @@ def _weighted_herm_defect(mat: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(np.abs(wm - wm.conj().T)))
 
 
-class Extension:
-    """A realized self-adjoint extension bound to one backend."""
+def reference_map(backend, reference: str, w) -> np.ndarray:
+    """``m(w)``: ``dtn(w)`` (Dirichlet reference) or ``-ntd(w)`` (Neumann), which sends the
+    reference trace of a (-Laplace - w)-harmonic field to minus its other trace."""
+    return backend.dtn(w) if reference == "dirichlet" else -backend.ntd(w)
 
-    def __init__(self, spec: ExtensionSpec, backend, L: np.ndarray, projector):
+
+class Extension:
+    """A realized self-adjoint extension bound to one backend, with ``m0 = m(z0)``."""
+
+    def __init__(self, spec: ExtensionSpec, backend, L: np.ndarray, projector, m0):
         self.spec = spec
         self.backend = backend
         self.L = L
-        self.projector = projector  # None means full, 0-dim means zero subspace
+        self.projector = projector  # None means full
+        self.zero_subspace = projector is not None and not np.any(projector)
+        self.reference = spec.reference
         self.z0 = float(spec.z0)
-
-    @property
-    def reference(self) -> str:
-        return self.spec.reference
+        self.m0 = m0
 
     def bracket(self, w):
-        """Bracket ``L - dtn(w) + dtn(z0)`` (Neumann reference: ``L + ntd(w) - ntd(z0)``)
-        at the absolute spectral parameter ``w = z + z0``, compressed to the
-        subspace as ``P B P + (I - P)``."""
-        backend = self.backend
-        if self.reference == "dirichlet":
-            bracket = self.L - backend.dtn(w) + backend.dtn(self.z0)
-        else:
-            bracket = self.L + backend.ntd(w) - backend.ntd(self.z0)
+        """Bracket ``L - m(w) + m(z0)`` at the absolute spectral parameter ``w = z + z0``,
+        compressed to the subspace as ``P B P + (I - P)``."""
+        bracket = self.L - reference_map(self.backend, self.reference, w) + self.m0
         if self.projector is not None:
             P = self.projector
             bracket = P @ bracket @ P + (np.eye(len(P)) - P)
         return bracket
 
     def boundary_trace_parts(self, u):
-        if self.reference == "dirichlet":
-            return tau_N(self.z0, u), gamma_D(u)
-        return tau_D(self.z0, u), gamma_N(u)
+        """``(regularized trace, reference trace)``: ``(tau_N(z0) u, gamma_D u)`` for the
+        Dirichlet reference and ``(tau_D(z0) u, gamma_N u)`` for the Neumann one."""
+        gamma, other = (gamma_D, gamma_N) if self.reference == "dirichlet" else (gamma_N, gamma_D)
+        gam = gamma(u)
+        return other(u) + self.m0 @ gam, gam
 
 
 def _as_matrix(value, m) -> np.ndarray:
@@ -166,20 +167,18 @@ def _as_matrix(value, m) -> np.ndarray:
     return arr
 
 
-def _translate(spec: ExtensionSpec, ref_matrix: np.ndarray, m: int):
+def _translate(spec: ExtensionSpec, m0: np.ndarray, m: int):
     """``(L, subspace)`` of a special tag or a Robin tuple.  The reference's own tag is
-    ``(0, "zero")``, the other reference's tag ``(-dtn(z0), "full")`` (Dirichlet
-    reference) or ``(ntd(z0), "full")`` (Neumann reference), and "krein" ``(0, "full")``."""
+    ``(0, "zero")``, the other reference's tag ``(-m0, "full")``, "krein" ``(0, "full")``
+    and Robin ``(-m0 + theta, "full")``."""
     bo = spec.boundary_operator
     if isinstance(bo, tuple):
         if spec.reference != "dirichlet":
             raise SpecInvalid("Robin is expressed through the Dirichlet-reference factory")
-        return -ref_matrix + _as_matrix(bo[1], m), "full"
-    if bo == spec.reference:
-        return np.zeros((m, m), dtype=complex), "zero"
-    if bo == "krein":
-        return np.zeros((m, m), dtype=complex), "full"
-    return (-ref_matrix if spec.reference == "dirichlet" else +ref_matrix), "full"
+        return -m0 + _as_matrix(bo[1], m), "full"
+    if bo in (spec.reference, "krein"):
+        return np.zeros((m, m), dtype=complex), "zero" if bo == spec.reference else "full"
+    return -m0, "full"
 
 
 def make_extension(spec: ExtensionSpec, backend) -> Extension:
@@ -189,9 +188,9 @@ def make_extension(spec: ExtensionSpec, backend) -> Extension:
     w = backend.boundary_weights
     bo = spec.boundary_operator
     subspace = spec.subspace
-    ref_matrix = backend.dtn(spec.z0) if spec.reference == "dirichlet" else backend.ntd(spec.z0)
+    m0 = reference_map(backend, spec.reference, spec.z0)
     if isinstance(bo, (str, tuple)):
-        L, fixed = _translate(spec, ref_matrix, m)
+        L, fixed = _translate(spec, m0, m)
         if not (isinstance(subspace, str) and subspace in ("full", fixed)):
             tag = bo if isinstance(bo, str) else "robin"
             raise SpecInvalid(f"{tag!r} fixes the subspace {fixed!r}; X must be 'full' or {fixed!r}")
@@ -206,12 +205,9 @@ def make_extension(spec: ExtensionSpec, backend) -> Extension:
         raise SpecInvalid("boundary operator is not Hermitian in the weighted inner product")
 
     if isinstance(subspace, str):
-        if subspace == "full":
-            projector = None
-        elif subspace == "zero":
-            projector = np.zeros((m, m), dtype=complex)
-        else:
+        if subspace not in ("full", "zero"):
             raise SpecInvalid(f"unknown subspace selector {subspace!r}")
+        projector = None if subspace == "full" else np.zeros((m, m), dtype=complex)
     else:
         P = np.asarray(subspace, dtype=complex)
         if P.shape != (m, m):
@@ -222,7 +218,7 @@ def make_extension(spec: ExtensionSpec, backend) -> Extension:
         projector = P
         L = P @ L @ P
 
-    return Extension(spec, backend, L, projector)
+    return Extension(spec, backend, L, projector, m0)
 
 
 def boundary_residual(ext: Extension, u) -> float:
@@ -233,12 +229,9 @@ def boundary_residual(ext: Extension, u) -> float:
     """
     tau, gam = ext.boundary_trace_parts(u)
     w = ext.backend.boundary_weights
-    if ext.projector is not None and not np.any(ext.projector):
-        vec = gam
-    else:
-        vec = tau + ext.L @ gam
-        if ext.projector is not None:
-            vec = ext.projector @ vec
+    vec = gam if ext.zero_subspace else tau + ext.L @ gam
+    if ext.projector is not None and not ext.zero_subspace:
+        vec = ext.projector @ vec
     return float(np.sqrt(np.sum(w * np.abs(vec) ** 2).real))
 
 
@@ -250,40 +243,42 @@ def _model_backend(ext: Extension):
     return ext.backend
 
 
-def apply_resolvent(ext: Extension, z, f):
-    """Field u with (-Laplace - z0 - z) u = f in the extension's domain."""
+def _resolvent(ext: Extension, z, f, complete):
+    """``R_ref(z + z0) f``, the answer on the zero subspace, else ``complete(ext, z, it)``."""
     backend = _model_backend(ext)
     z = as_complex(z)
+    part = getattr(backend, f"resolvent_{ext.reference}")(z + ext.z0, f)
+    return part if ext.zero_subspace else complete(ext, z, part)
+
+
+def apply_resolvent(ext: Extension, z, f):
+    """Field u with (-Laplace - z0 - z) u = f in the extension's domain."""
+    return _resolvent(ext, z, f, _bracket_correction)
+
+
+def _bracket_correction(ext: Extension, z, part):
+    """``part = R_ref(w) f`` plus the harmonic field at ``w = z + z0`` that puts it in the
+    extension's domain, its data solved through the bracket at ``w``."""
+    backend = ext.backend
     w = z + ext.z0
-    part = getattr(backend, f"resolvent_{ext.reference}")(w, f)
-
-    if ext.projector is not None and not np.any(ext.projector):
-        return part
-
     tau, gam = ext.boundary_trace_parts(part)
     bracket_inv = gated_inverse(ext.bracket(w), NearEigenvalue, f"bracket at z = {z} (z is "
                                 "numerically an eigenvalue of the extension)")
     coef = -bracket_inv @ (tau + ext.L @ gam)
     if ext.projector is not None:
         coef = ext.projector @ coef
-    if ext.reference == "dirichlet":
-        corr = backend.harmonic_extension(w, coef)
-    else:
-        # harmonic field with prescribed Neumann data: Dirichlet data ntd(w) b
-        corr = backend.harmonic_extension(w, backend.ntd(w) @ coef)
-    return part + corr
+    # with the Neumann reference coef is Neumann data: the Dirichlet data are ntd(w) coef
+    data = coef if ext.reference == "dirichlet" else backend.ntd(w) @ coef
+    return part + backend.harmonic_extension(w, data)
 
 
 def direct_solve(ext: Extension, z, f):
     """Independent resolvent: explicit homogeneous basis + reference particular
-    solution, bypassing the bracket-inverse formula.  Full or zero subspace only.
-    """
-    backend = _model_backend(ext)
-    z = as_complex(z)
-    w = z + ext.z0
-    part = getattr(backend, f"resolvent_{ext.reference}")(w, f)
-    if ext.projector is not None and not np.any(ext.projector):
-        return part
+    solution, bypassing the bracket-inverse formula.  Full or zero subspace only."""
+    return _resolvent(ext, z, f, _basis_correction)
+
+
+def _basis_correction(ext: Extension, z, part):
     if ext.projector is not None:
         raise BackendUnsupported("direct solve implemented for full/zero subspace only")
     basis, A_inv, _ = homogeneous_system(ext, z)
@@ -316,7 +311,7 @@ def is_nonnegative(ext: Extension, rng=None):
     family of ``RITZ_TRIALS`` members drawn from its operator domain.
     """
     w = _model_backend(ext).boundary_weights
-    if ext.projector is not None and not np.any(ext.projector):
+    if ext.zero_subspace:
         lmin = 0.0
     else:
         part = hermitian_part(ext.L, w)
@@ -345,7 +340,7 @@ def _ritz_floor(ext: Extension, rng) -> float:
     h20 = backend.h20_family(RITZ_TRIALS, rng)
     for i in range(RITZ_TRIALS):
         u = h20[i]
-        if ext.projector is None or np.any(ext.projector):
+        if not ext.zero_subspace:
             a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             if ext.projector is not None:
                 a = ext.projector @ a

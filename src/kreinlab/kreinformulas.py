@@ -34,14 +34,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BracketSingular, DomainError, NearEigenvalue
-from .extensions import (Extension, ExtensionSpec, apply_resolvent, boundary_residual,
-                         homogeneous_system, make_extension)
+from .extensions import (Extension, ExtensionSpec, _bracket_correction, apply_resolvent,
+                         boundary_residual, homogeneous_system, make_extension, reference_map)
 from .geometry import CurveSpec, make_grid
 from .layerpot import assemble_adjoint_double_layer
 from .oracles import Model1D
 from .specfun import as_complex
 from .spectral import ordering_check
-from .traces import gamma_D, gamma_N, half_weighted, herm, hermitian_part, tau_N, weighted_adjoint
+from .traces import gamma_D, gamma_N, half_weighted, herm, hermitian_part, weighted_adjoint
 from .weyl import gated_inverse
 
 
@@ -222,8 +222,8 @@ def smoothing_factorization_check(ext: Extension, z) -> float:
         e = np.zeros(m, dtype=complex)
         e[j] = 1.0
         h = backend.harmonic_extension(w, MD @ e)
-        lhs[:, j] = tau_N(ext.z0, h)
-    rhs = (backend.dtn(ext.z0) - backend.dtn(w)) @ MD
+        lhs[:, j] = ext.boundary_trace_parts(h)[0]
+    rhs = (ext.m0 - reference_map(backend, ext.reference, w)) @ MD
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -237,20 +237,19 @@ def _discretize_interval(ext: Extension, z):
     Column j is the operator applied to the j-th cardinal function of the
     quadrature nodes.  The n cardinal functions go in as one (n, n) stack of
     samples, so each operator is one resolvent call: its values come out with
-    one row per source, and its traces with one column per source.
+    one row per source, and its traces with one column per source.  R_ext is R_D
+    plus its correction, so R_D(w) and R_D(wbar) are solved once each.
     """
     backend = ext.backend
     z = as_complex(z)
-    w = z + ext.z0
+    zb = z.conjugate()
     nodes = backend.quad_nodes
     F = np.eye(len(nodes), dtype=complex)
-    Rext = apply_resolvent(ext, z, F).value(nodes).T
-    ud = backend.resolvent_dirichlet(w, F)
-    RD = ud.value(nodes).T
-    TN = tau_N(ext.z0, ud)
-    GD_zbar = gamma_D(apply_resolvent(ext, np.conj(z), F))
-    TNb = tau_N(ext.z0, backend.resolvent_dirichlet(np.conj(w), F))
-    return nodes, Rext, RD, TN, GD_zbar, TNb
+    ud, udb = (backend.resolvent_dirichlet(v + ext.z0, F) for v in (z, zb))
+    Rext = _bracket_correction(ext, z, ud).value(nodes).T
+    GD_zbar = gamma_D(_bracket_correction(ext, zb, udb))
+    TN, TNb = (ext.boundary_trace_parts(u)[0] for u in (ud, udb))
+    return nodes, Rext, ud.value(nodes).T, TN, GD_zbar, TNb
 
 
 def interval_sign_witnesses(ext: Extension, z) -> dict:
@@ -262,8 +261,8 @@ def interval_sign_witnesses(ext: Extension, z) -> dict:
     ``harmonic-adjoint`` the identity [tau_N R_D(wbar)]^* = -HarmExt_w.
     """
     backend = ext.backend
-    if not isinstance(backend, Model1D):
-        raise DomainError("matrix witness implemented on the interval backend")
+    if not isinstance(backend, Model1D) or ext.reference != "dirichlet":
+        raise DomainError("matrix witness implemented for the Dirichlet reference on the interval")
     z = as_complex(z)
     w = z + ext.z0
     nodes, Rext, RD, TN, GD_zbar, TNb = _discretize_interval(ext, z)

@@ -234,6 +234,8 @@ class IntervalField:
     """Closed-form field on (0, 1), held as one profile in x."""
 
     __slots__ = ("backend", "profile")
+    # both ends are read at once, so a Green profile solves once for its traces
+    ENDS, OUTWARD = np.array([0.0, 1.0]), np.array([-1.0, 1.0])  # and the outward normals
 
     def __init__(self, backend, profile: Profile):
         self.backend = backend
@@ -249,11 +251,10 @@ class IntervalField:
         return self.profile.lap(np.asarray(x, dtype=float))
 
     def gamma_dirichlet(self) -> np.ndarray:
-        return np.array([self.profile.val(0.0), self.profile.val(1.0)], dtype=complex)
+        return np.asarray(self.profile.val(self.ENDS), dtype=complex).T  # a stack's (p, 2).T
 
     def gamma_neumann(self) -> np.ndarray:
-        # outward normals at the endpoints are -1 and +1
-        return np.array([-self.profile.dval(0.0), self.profile.dval(1.0)], dtype=complex)
+        return np.asarray(self.OUTWARD * self.profile.dval(self.ENDS), dtype=complex).T
 
     def helmholtz_apply(self, z):
         return IntervalField(self.backend, self.profile.helmholtz_apply(as_complex(z)))

@@ -7,19 +7,19 @@ with multiplicity, is
 
 where ``N_ref`` counts the eigenvalues of the reference operator below
 ``lambda`` (closed-form data of the backend, ``reference_eigenvalues``) and
-``nu`` counts the negative eigenvalues of the Hermitian part of the bracket
-``L - dtn(lambda) + dtn(z0)`` (Dirichlet reference) or the positive ones of
-``L + ntd(lambda) - ntd(z0)`` (Neumann reference).  The bracket is
-compressed to ``P B P + (I - P)``, so only ``ran X`` moves the count.  This
-is Friedlander's counting identity (ARMA 116, 1991; Arendt-Mazzeo, CPAA 11,
-2012) for the ``(L, X)`` parametrization.  With the Neumann reference it
-holds up to a constant that depends on the extension: below the spectrum the
-count reads the boundary dimension for the Dirichlet case ``L = ntd(z0)``
-and 0 for the Krein case.  Only the jumps of the count enter the spectrum,
-so the constant does not matter.  The eigenvalues in a window are
-located by bisecting this integer count until each jump is bracketed to
-width ``tol``, and each is returned repeated by its jump, that is, with its
-multiplicity; no eigenvalue in the window can be skipped.
+``nu`` the negative (Dirichlet reference) or positive (Neumann) eigenvalues of
+the Hermitian part of the bracket ``L - m(lambda) + m0`` of
+:meth:`Extension.bracket` (``m = dtn`` or ``-ntd``, ``m0 = m(z0)`` kept by the
+extension), compressed to ``P B P + (I - P)`` so that only ``ran X`` moves the
+count.  This is Friedlander's counting identity (ARMA 116, 1991;
+Arendt-Mazzeo, CPAA 11, 2012) for the ``(L, X)`` parametrization.  With the
+Neumann reference it holds up to a constant that depends on the extension:
+below the spectrum the count reads the boundary dimension for the Dirichlet
+case ``L = ntd(z0)`` and 0 for the Krein case.  Only the jumps of the count
+enter the spectrum, so the constant does not matter.  The eigenvalues in a
+window are located by bisecting this integer count until each jump is
+bracketed to width ``tol``, and each is returned repeated by its jump, that
+is, with its multiplicity; no eigenvalue in the window can be skipped.
 
 The boundary maps are singular at the reference eigenvalues, so samples stay
 a relative ``STEP_OFF`` away from them, and an eigenvalue inside that gap is

@@ -133,13 +133,17 @@ def inverse_and_condition(A):
     return inv, _norm1(A) * _norm1(inv)
 
 
-def gated_inverse(A, error: type, what: str):
-    """``A^{-1}`` if the 1-norm condition of ``A`` is at most ``COND_LIMIT``; else raise
-    ``error``, a :class:`KreinlabError` subclass, naming ``what`` and the condition."""
-    inv, cond = inverse_and_condition(A)
+def _gate(inv, cond, error: type, what: str):
+    """``(inv, cond)`` if ``cond`` is at most ``COND_LIMIT``; else raise ``error``, a
+    :class:`KreinlabError` subclass, naming ``what`` and the condition (every gated error)."""
     if not cond <= COND_LIMIT:
         raise error(f"{what} has condition {cond:.3e}")
-    return inv
+    return inv, cond
+
+
+def gated_inverse(A, error: type, what: str):
+    """``A^{-1}``, gated on the 1-norm condition of ``A`` by :func:`_gate`."""
+    return _gate(*inverse_and_condition(A), error, what)[0]
 
 
 class LayerField:
@@ -220,10 +224,10 @@ class BemBackend:
         return self._layers(as_complex(z))[1].full()
 
     def _single_layer_inverse(self, z: complex) -> Mirrored:
-        V = self._layers(z)[0]
-        inv = gated_inverse(V, NearSingular, f"single-layer trace at z = {z} (near the "
-                            "Dirichlet spectrum or a capacity degeneracy)")
-        self._store(("cond V", z), V.norm1() * inv.norm1())
+        inv, cond = _gate(*inverse_and_condition(self._layers(z)[0]), NearSingular,
+                          f"single-layer trace at z = {z} (near the Dirichlet spectrum or "
+                          "a capacity degeneracy)")
+        self._store(("cond V", z), cond)
         return inv
 
     def single_layer_condition(self, z) -> float:
@@ -270,9 +274,8 @@ class BemBackend:
         z = as_complex(z)
         what = f"Dirichlet-to-Neumann map at z = {z} (z is near the Neumann spectrum)"
         blocks = self._dtn(z)[1]
-        if z == 0:
-            raise NearSingular(f"{what} has condition inf")
-        return (-gated_inverse(blocks, NearSingular, what)).full()
+        inv_cond = (None, np.inf) if z == 0 else inverse_and_condition(blocks)
+        return (-_gate(*inv_cond, NearSingular, what)[0]).full()
 
     def harmonic_extension(self, w, g) -> LayerField:
         return LayerField(self, w, self.single_layer_solve(w, np.asarray(g, dtype=complex)))

@@ -323,6 +323,8 @@ VERIFY_BAD_INPUT = [
     # the disk radius must be finite
     (["dtn", "--domain", "disk:inf", "--z", "0,0"], "bad_domain"),
     (["dtn", "--domain", "disk:1e400"], "bad_domain"),
+    # a disk takes at most a radius and a mode cutoff
+    (["dtn", "--domain", "disk:1:2:3", "--z", "1,1"], "bad_domain"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):

@@ -15,7 +15,7 @@ from kreinlab.extensions import (
 from kreinlab.geometry import CurveSpec, make_grid
 from kreinlab.kreinformulas import mfunc, mfunc_direct
 from kreinlab.oracles import DiskModel, Model1D
-from kreinlab.traces import gamma_D, gamma_N, tau_N
+from kreinlab.traces import gamma_D, gamma_N, tau_D, tau_N
 from kreinlab.weyl import BemBackend, inverse_and_condition
 
 
@@ -27,6 +27,11 @@ def interval():
 @pytest.fixture(scope="module")
 def disk():
     return DiskModel(radius=1.0, mode_cutoff=4)
+
+
+@pytest.fixture(scope="module")
+def kite():
+    return BemBackend(make_grid(CurveSpec.kite(), 64))
 
 
 def _norm(backend, u):
@@ -342,11 +347,12 @@ def test_extension_spec_json_roundtrip():
     assert spec.boundary_operator == ("robin", 1.0)
 
 
-@pytest.mark.parametrize("name", ["interval", "disk"])
+@pytest.mark.parametrize("name", ["interval", "disk", "kite"])
 @pytest.mark.parametrize("reference", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("with_projector", [False, True])
-def test_bracket_matches_written_out_forms(interval, disk, name, reference, with_projector):
-    backend = {"interval": interval, "disk": disk}[name]
+def test_bracket_matches_written_out_forms(interval, disk, kite, name, reference,
+                                           with_projector):
+    backend = {"interval": interval, "disk": disk, "kite": kite}[name]
     m, wts = backend.nboundary, backend.boundary_weights
     rng = np.random.default_rng(3)
     A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -362,6 +368,61 @@ def test_bracket_matches_written_out_forms(interval, disk, name, reference, with
     if with_projector:
         want = P @ want @ P + (np.eye(m) - P)
     assert np.array_equal(ext.bracket(w), want)
+
+
+@pytest.mark.parametrize("name", ["interval", "disk"])
+def test_boundary_trace_parts_are_the_regularized_traces(interval, disk, name):
+    backend = {"interval": interval, "disk": disk}[name]
+    z0, w = -1.0, -0.7 + 0.4j
+    g = np.random.default_rng(4).standard_normal(backend.nboundary) + 0.5j
+    f = ((lambda x: np.cos(3 * x) + 0j) if name == "interval"
+         else {k: (lambda r: np.exp(-r) + 0j) for k in backend.modes})
+    fields = [backend.harmonic_extension(w, g), backend.resolvent_dirichlet(w, f),
+              backend.resolvent_neumann(w, f)]
+    dirichlet, neumann = (make_extension(ExtensionSpec(reference, z0, "krein"), backend)
+                          for reference in ("dirichlet", "neumann"))
+    for u in fields:
+        for got, want in ((dirichlet.boundary_trace_parts(u), (tau_N(z0, u), gamma_D(u))),
+                          (neumann.boundary_trace_parts(u), (tau_D(z0, u), gamma_N(u)))):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _outer_map_calls_at(monkeypatch, backend, z0) -> dict:
+    """Calls of ``backend.dtn`` and ``backend.ntd`` at ``z0`` that follow, by name; a call
+    made inside another (the disk's ``ntd`` forms its ``dtn``) is not counted."""
+    counts, depth = {"dtn": 0, "ntd": 0}, [0]
+    for name in counts:
+        def counted(z, _name=name, _original=getattr(backend, name)):
+            if depth[0] == 0 and complex(z) == z0:
+                counts[_name] += 1
+            depth[0] += 1
+            try:
+                return _original(z)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(backend, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["interval", "disk"])
+@pytest.mark.parametrize("reference", ["dirichlet", "neumann"])
+def test_each_extension_evaluates_its_map_at_z0_once(monkeypatch, name, reference):
+    from kreinlab.kreinformulas import imaginary_part_eigenvalues
+    from kreinlab.spectral import SpectrumRequest, eigenvalues
+
+    backend = Model1D() if name == "interval" else DiskModel(radius=1.0, mode_cutoff=4)
+    z0 = -1.0
+    spec = ExtensionSpec(reference, z0, "krein")
+    once = {"dtn": 0, "ntd": 0, ("dtn" if reference == "dirichlet" else "ntd"): 1}
+    counts = _outer_map_calls_at(monkeypatch, backend, z0)
+    assert eigenvalues(SpectrumRequest(spec, (0.5, 40.0)), backend)  # a scan of many samples
+    assert counts == once
+    counts.update(dtn=0, ntd=0)
+    ext = make_extension(spec, backend)
+    for z in (-0.5 + 0.5j, 0.5 + 0.6j, 1.5 + 0.7j, 2.5 + 0.8j):
+        imaginary_part_eigenvalues(ext, z)
+    assert counts == once
 
 
 def test_bracket_krein_on_nystrom_grid():

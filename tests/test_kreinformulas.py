@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kreinlab.errors import DomainError
 from kreinlab.extensions import ExtensionSpec, apply_resolvent, direct_solve, make_extension
 from kreinlab.kreinformulas import (
     Abstract1D,
@@ -162,6 +163,14 @@ def test_krein_formula_matrix_level(interval):
 def test_harmonic_adjoint_identity(interval):
     krein = make_extension(ExtensionSpec("dirichlet", 0.0, "krein"), interval)
     assert interval_sign_witnesses(krein, -1.0 + 0.7j)["harmonic-adjoint"] < 1e-12
+
+
+def test_matrix_witness_needs_the_dirichlet_reference_on_the_interval(interval, disk):
+    # its R_D fields are the reference fields of the extension's resolvent
+    for reference, backend in (("neumann", interval), ("dirichlet", disk)):
+        ext = make_extension(ExtensionSpec(reference, -1.0, "krein"), backend)
+        with pytest.raises(DomainError, match="Dirichlet reference on the interval"):
+            interval_sign_witnesses(ext, -1.0 + 0.7j)
 
 
 def test_two_extension_krein_neumann(interval):

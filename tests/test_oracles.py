@@ -387,7 +387,7 @@ def _count_green_solves(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("backend, most", [(None, 18), ("interval", 524), ("disk", 20)])
+@pytest.mark.parametrize("backend, most", [(None, 8), ("interval", 379), ("disk", 20)])
 def test_no_green_solve_repeats_a_field_part_and_points(monkeypatch, backend, most):
     # None is the witness pass alone; a backend is its "all" suite after the pass
     from kreinlab.kreinformulas import sign_witnesses
@@ -410,7 +410,7 @@ def test_value_and_derivative_share_one_green_solve(monkeypatch, backend):
     counts = _count_green_solves(monkeypatch)
     if isinstance(backend, Model1D):
         u = backend.resolvent_dirichlet(-1.3, lambda x: np.cos(3 * x) + 0j)
-        points = 2  # x = 0 and x = 1
+        points = 1  # x = 0 and x = 1, read as one array
     else:
         u = backend.resolvent_neumann(-1.3, {k: lambda r: np.exp(-r) + 0j for k in backend.modes})
         points = backend.nboundary  # r = R, once per mode
@@ -601,10 +601,8 @@ def test_harmonic_extension_of_stacked_data_matches_its_columns():
     G = _random_stack(np.random.default_rng(6), (2, 3))
     for w in (0.0, -1.3, 0.4 + 0.9j):
         stacked = b.harmonic_extension(w, G)
-        # gamma_N forms -g0 k as a 0-d product for one pair and as an array product for
-        # a stack, and numpy's loops for the two can round differently
         _assert_stack_matches_columns(stacked, [b.harmonic_extension(w, g) for g in G.T], -1.0,
-                                      ("value", "derivative", "laplacian", "gamma_D"))
+                                      ("value", "derivative", "laplacian", "gamma_D", "gamma_N"))
         assert stacked.gamma_dirichlet().shape == (2, 3)
 
 
