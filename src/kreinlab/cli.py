@@ -135,22 +135,24 @@ def cmd_dtn(domain, z_text, nodes, out):
     On Nystrom grids the metadata holds ``condition_single_layer`` and
     ``condition_dtn``, the exact 1-norm condition numbers
     ``||A||_1 ||A^{-1}||_1`` of ``V_z`` and of the map, formed from their mirror
-    blocks.
+    blocks before the full map is unfolded.
     """
     z = _parse_z(z_text)
     kind, backend = _load_domain(domain, nodes)
-    matrix = backend.dtn(z)
     if kind == "interval":
         meta = {"backend": "interval", "n": 2}
     elif kind == "disk":
         meta = {"backend": "disk", "radius": backend.radius, "modes": backend.nboundary}
     else:
+        condition_dtn = backend.dtn_condition(z)  # forms the map, and V_z's condition on the way
         meta = {
             "backend": backend.name,
             "n": backend.grid.n,
             "condition_single_layer": backend.single_layer_condition(z),
-            "condition_dtn": backend.dtn_condition(z),
+            "condition_dtn": condition_dtn,
         }
+    matrix = backend.dtn(z)
+    del backend  # its cached matrices are freed before the map is written
     meta.update({"z": [z.real, z.imag], "out": out})
     write_complex_matrix_csv(out, matrix, f"dtn matrix at z = {z}")
     with open(out + ".meta.json", "w") as fh:

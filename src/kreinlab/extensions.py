@@ -142,7 +142,11 @@ class Extension:
     def bracket(self, w):
         """Bracket ``L - m(w) + m(z0)`` at the absolute spectral parameter ``w = z + z0``,
         compressed to the subspace as ``P B P + (I - P)``."""
-        bracket = self.L - reference_map(self.backend, self.reference, w) + self.m0
+        return self._bracket(reference_map(self.backend, self.reference, w))
+
+    def _bracket(self, mw):
+        """:meth:`bracket` at the ``w`` whose map ``m(w)`` is ``mw``."""
+        bracket = self.L - mw + self.m0
         if self.projector is not None:
             P = self.projector
             bracket = P @ bracket @ P + (np.eye(len(P)) - P)
@@ -262,13 +266,15 @@ def _bracket_correction(ext: Extension, z, part):
     backend = ext.backend
     w = z + ext.z0
     tau, gam = ext.boundary_trace_parts(part)
-    bracket_inv = gated_inverse(ext.bracket(w), NearEigenvalue, f"bracket at z = {z} (z is "
+    mw = reference_map(backend, ext.reference, w)
+    bracket_inv = gated_inverse(ext._bracket(mw), NearEigenvalue, f"bracket at z = {z} (z is "
                                 "numerically an eigenvalue of the extension)")
     coef = -bracket_inv @ (tau + ext.L @ gam)
     if ext.projector is not None:
         coef = ext.projector @ coef
-    # with the Neumann reference coef is Neumann data: the Dirichlet data are ntd(w) coef
-    data = coef if ext.reference == "dirichlet" else backend.ntd(w) @ coef
+    # with the Neumann reference coef is Neumann data: the Dirichlet data are
+    # ntd(w) coef = -m(w) coef, the same bits, since negation is exact
+    data = coef if ext.reference == "dirichlet" else -mw @ coef
     return part + backend.harmonic_extension(w, data)
 
 

@@ -50,9 +50,16 @@ DECAY_LIMIT = float(np.log(1e-8 / np.finfo(float).eps))
 #: evaluation points closer than this many grid spacings trigger a warning
 SAFE_DISTANCE_FACTOR = 5.0
 
-#: kernel arguments with fewer points are evaluated in the calling thread: OpenBLAS's
-#: worker spins for 0.1-0.2 s after each LAPACK call and holds a core, so a split of a
-#: few milliseconds that follows a factorization gains nothing
+#: kernel arguments with fewer points are evaluated in the calling thread.  Two facts,
+#: measured on a 2-vCPU VM, bound a split from below:
+#: - a ufunc call on more than 8,192 points (numpy's buffer size) runs its loop without
+#:   the GIL; two threads ran 8,193-point ``hankel1`` calls at 1.7-1.9x of serial, and
+#:   8,192-point ones at 1.3-1.5x, so each slice must exceed 8,192 points;
+#: - an OpenBLAS worker spins for about 125 ms of CPU after each threaded call (complex
+#:   ``A @ v`` and ``A @ B`` from n = 64, ``inv`` from n = 128, ``eigh`` already at
+#:   n = 32) and holds a core, so a split of a few milliseconds that follows one gains
+#:   nothing.  At 32,768 (a 384-node kite splits, and a 512-node one, with 65,485
+#:   distinct distances) neither benchmark workload gained over this value.
 SPLIT_MIN = 65_536
 
 _pool = None  # runs the kernel slices past the caller's own; made on the first split
@@ -99,11 +106,18 @@ def _circulant(profile: np.ndarray) -> np.ndarray:
 def mirror_rows(rows: np.ndarray) -> np.ndarray:
     """The n x n matrix whose rows 0..n/2 are ``rows`` and which commutes with the grid
     mirror J: j -> -j mod n, that is ``A[n - i, n - j] = A[i, j]``."""
-    half, n = rows.shape[0] - 1, rows.shape[1]
+    n = rows.shape[1]
     full = np.empty((n, n), dtype=rows.dtype)
-    full[:half + 1] = rows
-    full[half + 1:, 0] = rows[half - 1:0:-1, 0]
-    full[half + 1:, 1:] = rows[half - 1:0:-1, :0:-1]
+    full[:rows.shape[0]] = rows
+    return complete_mirror(full)
+
+
+def complete_mirror(full: np.ndarray) -> np.ndarray:
+    """``full`` with its rows n/2 + 1..n - 1 written in place as the mirror images of its
+    rows n/2 - 1..1, ``A[n - i, n - j] = A[i, j]``."""
+    half = full.shape[0] // 2
+    full[half + 1:, 0] = full[half - 1:0:-1, 0]
+    full[half + 1:, 1:] = full[half - 1:0:-1, :0:-1]
     return full
 
 
@@ -117,8 +131,10 @@ def _cores() -> int:
 def _apply(f, x: np.ndarray) -> np.ndarray:
     """``f(x)`` for a kernel ufunc ``f`` of :func:`_kernels` (it maps the dtype of ``x``
     to itself).  From ``SPLIT_MIN`` points on, with more than one core, ``x`` is cut
-    into one contiguous slice per core: the calling thread evaluates the first and a
-    module pool the others, each writing with ``out=`` into its slice of one result and
+    into one interleaved slice per core, ``x[i::cores]``: the distances come sorted,
+    and the kernels cost more at large arguments, so contiguous slices would leave the
+    last one the slowest.  The calling thread evaluates the first slice and a module
+    pool the others, each writing with ``out=`` into its slice of one result and
     running in a copy of the caller's context, so ``np.errstate`` holds in every slice.
     The evaluation is elementwise, so the result has the bits of ``f(x)``."""
     cores = _cores()
@@ -131,11 +147,10 @@ def _apply(f, x: np.ndarray) -> np.ndarray:
         pool = _pool
     out = np.empty(x.shape, dtype=x.dtype)
     xs, outs = np.ravel(x), out.reshape(-1)
-    cuts = [xs.size * i // cores for i in range(cores + 1)]
-    jobs = [pool.submit(contextvars.copy_context().run, f, xs[a:b], out=outs[a:b])
-            for a, b in zip(cuts[1:-1], cuts[2:])]
+    jobs = [pool.submit(contextvars.copy_context().run, f, xs[i::cores], out=outs[i::cores])
+            for i in range(1, cores)]
     try:
-        f(xs[:cuts[1]], out=outs[:cuts[1]])
+        f(xs[::cores], out=outs[::cores])
     finally:
         wait(jobs)  # no slice outlives the call, whatever raised
     for job in jobs:
@@ -201,10 +216,11 @@ def _assemble(grid: BoundaryGrid, z: complex, single: bool, adjoint: bool):
     """Rows 0..n/2 of ``(V_z, K#_z)`` from one pairwise geometry; one not asked for is
     None.  Each kernel ufunc is evaluated once per distinct distance above the diagonal
     of those rows (every distance of the grid occurs there), and one (n/2 + 1, n) index
-    gathers the values into every matrix; its diagonal is a sentinel that reads the
-    diagonal value appended to them.  Left of the diagonal a row reads the index of the
-    transposed pair, which lies above it: ``r`` is symmetric bit for bit, because
-    ``p_i - p_j = -(p_j - p_i)`` exactly."""
+    gathers the values into every matrix.  Its diagonal reads the first value, which
+    every matrix but one overwrites; the log coefficient of V_z writes its own
+    (J_0(0) = 1).  Left of the diagonal a row reads the index of the transposed pair,
+    which lies above it: ``r`` is symmetric bit for bit, because ``p_i - p_j =
+    -(p_j - p_i)`` exactly."""
     lane = _kernels(grid, z)
     n, sp = grid.n, grid.speed
     rows = n // 2 + 1
@@ -216,39 +232,45 @@ def _assemble(grid: BoundaryGrid, z: complex, single: bool, adjoint: bool):
     upper = np.triu(np.ones((rows, n), dtype=bool), 1)
     distinct, inverse = np.unique(r[upper], return_inverse=True)
     x = lane.scale * distinct
-    index = np.full((rows, n), distinct.size)
+    index = np.zeros((rows, n), dtype=np.intp)
     index[upper] = inverse
     square = index[:, :rows]
     lower = np.tril_indices(rows, -1)
     square[lower] = square.T[lower]
     del upper, inverse, distinct, square
 
-    def part(i, diagonal=0.0):
+    def part(i, diagonal=None):
         # ``c`` multiplies the fresh gathered matrix within one expression: numpy then
         # reuses that temporary for large n and puts it first, and the operand order
-        # of a complex product decides its last bit
+        # of a complex product decides its last bit.  A diagonal that is kept is written
+        # as ``c * diagonal``, which for a diagonal of 1 is exact in either order
         c, f = lane.parts[i]
         values = _apply(f, x) if callable(f) else np.full(x.size, f)
-        return c * np.append(values, diagonal).take(index)
+        gathered = c * values.take(index)
+        if diagonal is not None:
+            np.fill_diagonal(gathered, c * diagonal)
+        return gathered
 
     V = K = None
     with np.errstate(divide="ignore", invalid="ignore"):
         if adjoint:  # first, and its log part freed before V_z: a lower peak resident set
             K = part(3) * dn / r**lane.power * sp
-            if lane.parts[2]:
-                k1 = part(2) * dn / r * sp
+            k1 = part(2) * dn / r * sp if lane.parts[2] else None
+            del dn, r  # V_z needs neither
+            if k1 is not None:  # its diagonal, like K's, is set below
                 K -= k1 * log4sin
                 np.fill_diagonal(k1, 0.0)
-            del dn  # the index outlives it, so V_z's peak holds one float matrix less
             np.fill_diagonal(K, -grid.curvature[:rows] * sp[:rows] / (4.0 * np.pi))
             K *= trap
-            if lane.parts[2]:
+            if k1 is not None:
                 k1 *= R
                 K += k1
                 del k1
         if single:
-            m1 = part(0, 1.0) * sp  # J_0(0) = 1
-            V = part(1) * sp - m1 * log4sin
+            m1 = part(0, 1.0) * sp  # J_0(0) = 1; V's own diagonal is set below
+            V = part(1) * sp
+            del index, x  # every part is gathered
+            V -= m1 * log4sin
             np.fill_diagonal(V, lane.diagonal(sp[:rows]))
             m1 *= R
             V *= trap

@@ -12,8 +12,11 @@ is the mirror image of node j, so ``V_z``, the Neumann trace ``T_z = 1/2 I +
 K#_z`` and both maps commute with the reflection J: j -> -j mod n.  A backend
 holds each of them as a :class:`Mirrored` matrix: an even block of size
 n/2 + 1 and an odd block of size n/2 - 1, folded from the rows 0..n/2 that
-:mod:`kreinlab.layerpot` assembles.  Every product and inverse is taken block
-by block, and full n x n matrices are unfolded only where a caller asks for one.
+:mod:`kreinlab.layerpot` assembles; the map too is cached as its blocks only.
+Every product and inverse is taken block by block, and a full n x n matrix is
+unfolded on each call that asks for one, written chunk by chunk into the array
+returned.  1-norms are summed over bounded chunks of rows as well, so after the
+assembly no n x n temporary is made.
 
 Near the Dirichlet spectrum (or on curves of logarithmic capacity one at
 z = 0) the single-layer trace degenerates; operations then fail loudly with
@@ -43,7 +46,7 @@ from .layerpot import (
     assemble_single_layer_trace,
     evaluate_potential,
     evaluate_potential_gradient,
-    mirror_rows,
+    complete_mirror,
 )
 from .specfun import as_complex
 
@@ -51,6 +54,9 @@ COND_LIMIT = 1e12
 
 #: distinct spectral parameters whose matrices a :class:`BemBackend` keeps
 CACHED_PARAMETERS = 8
+
+#: entries per chunk of rows in which :class:`Mirrored` unfolds a matrix or sums |A|
+CHUNK_ENTRIES = 16_384
 
 
 class Mirrored(NamedTuple):
@@ -72,27 +78,49 @@ class Mirrored(NamedTuple):
         even[:, 1:half] += rows[:, :half:-1]
         return cls(even, rows[1:half, 1:half] - rows[1:half, :half:-1])
 
-    def rows(self) -> np.ndarray:
-        """Rows 0..n/2 of the full matrix."""
+    def rows(self, start: int = 0, stop: int | None = None, out=None) -> np.ndarray:
+        """Rows ``start..stop - 1`` of the full matrix (by default all of its rows 0..n/2),
+        written into ``out`` if it is given."""
         half = self.even.shape[0] - 1
-        rows = np.empty((half + 1, 2 * half), dtype=np.result_type(self.even, self.odd))
-        rows[:, [0, half]] = self.even[:, [0, half]]
-        rows[:, 1:half] = rows[:, :half:-1] = 0.5 * self.even[:, 1:half]
-        odd = 0.5 * self.odd
-        rows[1:half, 1:half] += odd
-        rows[1:half, :half:-1] -= odd
-        return rows
+        stop = half + 1 if stop is None else stop
+        if out is None:
+            out = np.empty((stop - start, 2 * half), dtype=np.result_type(self.even, self.odd))
+        even = self.even[start:stop]
+        out[:, [0, half]] = even[:, [0, half]]
+        np.multiply(even[:, 1:half], 0.5, out=out[:, 1:half])
+        out[:, :half:-1] = out[:, 1:half]
+        first, last = max(start, 1), min(stop, half)  # the rows of the odd block
+        if first < last:
+            odd = 0.5 * self.odd[first - 1:last - 1]
+            out[first - start:last - start, 1:half] += odd
+            out[first - start:last - start, :half:-1] -= odd
+        return out
+
+    def _chunks(self):
+        """Bounds ``(start, stop)`` of rows 0..n/2 in chunks of about ``CHUNK_ENTRIES``."""
+        half = self.even.shape[0] - 1
+        step = max(1, CHUNK_ENTRIES // (2 * half))
+        return [(start, min(start + step, half + 1)) for start in range(0, half + 1, step)]
 
     def full(self) -> np.ndarray:
-        return mirror_rows(self.rows())
+        """The n x n matrix, its rows 0..n/2 written chunk by chunk in place."""
+        n = 2 * (self.even.shape[0] - 1)
+        full = np.empty((n, n), dtype=np.result_type(self.even, self.odd))
+        for start, stop in self._chunks():
+            self.rows(start, stop, out=full[start:stop])
+        return complete_mirror(full)
 
     def norm1(self) -> float:
         """``||A||_1``, the largest column sum of |A|: rows 0..n/2, plus rows 1..n/2 - 1
-        read at the mirrored column for the rows above n/2."""
-        a = np.abs(self.rows())
-        half = a.shape[0] - 1
-        sums = a.sum(axis=0)
-        mirrored = a[1:half].sum(axis=0)
+        read at the mirrored column for the rows above n/2.  |A| is formed one chunk of
+        rows at a time, and each sum carries in front of the next chunk, so the rows are
+        added in order, one after the other, as one sum over all of them would add them."""
+        half = self.even.shape[0] - 1
+        sums, mirrored = np.zeros(2 * half), np.zeros(2 * half)
+        for start, stop in self._chunks():
+            a = np.abs(self.rows(start, stop))
+            sums = np.vstack([sums, a]).sum(axis=0)
+            mirrored = np.vstack([mirrored, a[max(start, 1) - start:half - start]]).sum(axis=0)
         sums[0] += mirrored[0]
         sums[1:] += mirrored[:0:-1]
         return float(sums.max())
@@ -241,8 +269,8 @@ class BemBackend:
     def single_layer_solve(self, z, rhs) -> np.ndarray:
         return self._single_layer_inverse(as_complex(z)) @ rhs
 
-    def _dtn(self, z: complex):
-        """``(dtn(z), its Mirrored blocks)``, cached per ``z``."""
+    def _dtn(self, z: complex) -> Mirrored:
+        """The blocks of ``dtn(z)``, cached per ``z``."""
         key = ("dtn", z)
         if key not in self._cache:
             T = self._layers(z)[1]
@@ -251,12 +279,12 @@ class BemBackend:
             # each block is -T @ inv bit for bit, with no copy of T
             for block in inv:
                 np.negative(block, out=block)
-            blocks = T @ inv
-            self._store(key, (blocks.full(), blocks))
+            self._store(key, T @ inv)
         return self._cache[key]
 
     def dtn(self, z) -> np.ndarray:
-        return self._dtn(as_complex(z))[0]
+        """``dtn(z)``, unfolded from its cached blocks on each call."""
+        return self._dtn(as_complex(z)).full()
 
     def dtn_condition(self, z) -> float:
         """Exact 1-norm condition number of the map ``dtn(z)``, cached per ``z``; ``inf``
@@ -264,7 +292,7 @@ class BemBackend:
         z = as_complex(z)
         key = ("cond dtn", z)
         if key not in self._cache:
-            blocks = self._dtn(z)[1]
+            blocks = self._dtn(z)
             self._store(key, np.inf if z == 0 else inverse_and_condition(blocks)[1])
         return self._cache[key]
 
@@ -273,7 +301,7 @@ class BemBackend:
         Neumann data), so an inverse of its rounded blocks would be noise."""
         z = as_complex(z)
         what = f"Dirichlet-to-Neumann map at z = {z} (z is near the Neumann spectrum)"
-        blocks = self._dtn(z)[1]
+        blocks = self._dtn(z)
         inv_cond = (None, np.inf) if z == 0 else inverse_and_condition(blocks)
         return (-_gate(*inv_cond, NearSingular, what)[0]).full()
 

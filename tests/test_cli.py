@@ -161,6 +161,30 @@ def test_curve_solve_assembles_once(runner, tmp_path, monkeypatch, bc):
     assert calls == [(2 + 1j, True, True)]  # both layers, one geometry
 
 
+@pytest.mark.parametrize("kind, params", [("kite", {}), ("star", {"amplitude": 0.3, "wavenumber": 5})])
+def test_curve_dtn_request_peaks_at_its_assembly(runner, tmp_path, kind, params):
+    # the map is cached as its mirror blocks, both conditions are taken from them, and it
+    # is unfolded once, into the array written: nothing after the assembly holds more than
+    # the assembly, whose peak the Dirichlet solve on the same grid shares
+    import tracemalloc
+
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"kind": kind, "params": params}))
+    common = ["--domain", str(curve), "--nodes", "512", "--z", "2,1"]
+    requests = {"dtn": ["dtn", *common, "--out", str(tmp_path / "dtn.csv")],
+                "solve": ["solve", *common, "--bc", "dirichlet", "--out", str(tmp_path / "sol.csv")]}
+    _run(runner, requests["dtn"])  # the kernel pool and lazy imports are made outside the trace
+    peaks = {}
+    for name, args in requests.items():
+        tracemalloc.start()
+        try:
+            assert _run(runner, args).exit_code == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["dtn"] <= peaks["solve"], {name: peak / (16 * 512**2) for name, peak in peaks.items()}
+
+
 def test_mfunc_scan_off_the_full_subspace_exits_2_before_writing(runner, tmp_path):
     # a Dirichlet L fixes X = {0}; the Weyl function needs the full subspace
     spec = tmp_path / "dirichlet.json"

@@ -425,6 +425,18 @@ def test_each_extension_evaluates_its_map_at_z0_once(monkeypatch, name, referenc
     assert counts == once
 
 
+@pytest.mark.parametrize("name", ["interval", "disk"])
+def test_neumann_reference_resolvent_evaluates_ntd_once(monkeypatch, name):
+    backend = Model1D() if name == "interval" else DiskModel(radius=1.0, mode_cutoff=4)
+    ext = make_extension(ExtensionSpec("neumann", -1.0, "krein"), backend)
+    f = ((lambda x: np.cos(3 * x) + 0j) if name == "interval"
+         else {k: (lambda r: np.exp(-r) + 0j) for k in backend.modes})
+    calls, original = [], backend.ntd
+    monkeypatch.setattr(backend, "ntd", lambda z: calls.append(complex(z)) or original(z))
+    apply_resolvent(ext, 0.3 + 0.5j, f)
+    assert calls == [-0.7 + 0.5j]  # m(w) serves the bracket and the Dirichlet data
+
+
 def test_bracket_krein_on_nystrom_grid():
     bem = BemBackend(make_grid(CurveSpec.kite(), 64))
     krein = make_extension(ExtensionSpec("dirichlet", -1.0, "krein"), bem)

@@ -213,6 +213,46 @@ def test_mirror_blocks_match_the_full_matrix_route(spec, n, z):
     assert backend.dtn_condition(z) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+def _unchunked(blocks):
+    """``(rows, full, norm1)`` of a :class:`Mirrored` matrix, each formed in one pass
+    over all its rows 0..n/2: the formulas that the chunked ones reproduce bit for bit."""
+    even, odd = blocks
+    half = even.shape[0] - 1
+    rows = np.empty((half + 1, 2 * half), dtype=complex)
+    rows[:, [0, half]] = even[:, [0, half]]
+    rows[:, 1:half] = rows[:, :half:-1] = 0.5 * even[:, 1:half]
+    rows[1:half, 1:half] += 0.5 * odd
+    rows[1:half, :half:-1] -= 0.5 * odd
+    full = np.empty((2 * half, 2 * half), dtype=complex)
+    full[:half + 1] = rows
+    full[half + 1:, 0] = rows[half - 1:0:-1, 0]
+    full[half + 1:, 1:] = rows[half - 1:0:-1, :0:-1]
+    a = np.abs(rows)
+    sums, mirrored = a.sum(axis=0), a[1:half].sum(axis=0)
+    sums[0] += mirrored[0]
+    sums[1:] += mirrored[:0:-1]
+    return rows, full, float(sums.max())
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3000])  # the default, one row, uneven chunks
+@pytest.mark.parametrize("spec", _CURVES, ids=lambda spec: spec.kind)
+def test_chunked_unfolding_and_norm_are_bit_identical(monkeypatch, spec, chunk):
+    from kreinlab import weyl
+
+    if chunk is not None:
+        monkeypatch.setattr(weyl, "CHUNK_ENTRIES", chunk)
+    backend = BemBackend(make_grid(spec, 256))
+    z = 2 + 1j
+    V, T = backend._layers(z)
+    for blocks in (V, T, backend._dtn(z), V.inverse()):
+        rows, full, norm1 = _unchunked(blocks)
+        assert np.array_equal(blocks.rows(), rows)
+        assert np.array_equal(blocks.full(), full)
+        assert blocks.norm1() == norm1
+        assert np.array_equal(blocks.rows(40, 70), rows[40:70])
+    assert np.array_equal(backend.dtn(z), _unchunked(backend._dtn(z))[1])
+
+
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("spec", _CURVES, ids=lambda spec: spec.kind)
 def test_dtn_at_zero_is_exactly_singular(spec, n):
