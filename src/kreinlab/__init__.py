@@ -42,7 +42,6 @@ from .layerpot import (
     assemble_adjoint_double_layer,
     assemble_single_layer_trace,
     evaluate_potential,
-    neumann_trace_of_single_layer,
 )
 from .oracles import DiskModel, Model1D, disk_mode_dtn, interval_dtn
 from .specfun import bessel_j, hankel1, sqrt_upper

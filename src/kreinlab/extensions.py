@@ -97,22 +97,36 @@ class ExtensionSpec:
             raise SpecInvalid("an extension spec is a JSON object")
         L = data.get("L", {"special": "krein"})
         if "special" in L:
-            tag = L["special"]
-            bo = ("robin", np.asarray(L.get("theta", 0.0))) if tag == "robin" else tag
-            if tag == "robin" and np.ndim(L.get("theta", 0.0)) == 0:
-                bo = ("robin", float(L.get("theta", 0.0)))
+            bo = L["special"]
+            if bo == "robin":
+                theta = L.get("theta", 0.0)
+                bo = ("robin", float(theta) if np.ndim(theta) == 0 else np.asarray(theta))
         elif "matrix_csv" in L:
-            bo = read_complex_csv(L["matrix_csv"])
+            bo = _read_csv(L["matrix_csv"])
         else:
             shape = tuple(L["shape"])
             bo = np.asarray(L["matrix"], dtype=float).view(complex).reshape(shape)
         X = data.get("X", "full")
         if isinstance(X, dict):
             if "projector_csv" in X:
-                X = read_complex_csv(X["projector_csv"])
+                X = _read_csv(X["projector_csv"])
             else:
                 X = np.asarray(X["projector"], dtype=float).view(complex).reshape(tuple(X["shape"]))
-        return ExtensionSpec(data.get("reference", "dirichlet"), float(data.get("z0", 0.0)), bo, X)
+        z0 = data.get("z0", 0.0)
+        if _has_bool(z0) or isinstance(bo, tuple) and _has_bool(L.get("theta")):
+            raise SpecInvalid("z0 and a Robin theta are numbers, not true or false")
+        return ExtensionSpec(data.get("reference", "dirichlet"), float(z0), bo, X)
+
+
+def _has_bool(value) -> bool:
+    """Whether ``value`` is or holds a JSON boolean, which Python would read as 0 or 1."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+
+
+def _read_csv(path) -> np.ndarray:
+    if not isinstance(path, str):  # open() would read an int as a file descriptor
+        raise SpecInvalid(f"a CSV path is a string, got {path!r}")
+    return read_complex_csv(path)
 
 
 def _weighted_herm_defect(mat: np.ndarray, weights: np.ndarray) -> float:

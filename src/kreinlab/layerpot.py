@@ -212,22 +212,21 @@ def _check_wavenumber(grid: BoundaryGrid, z: complex, k: complex):
         raise RangeExceeded(f"|sqrt(z)| * diameter = {scale:.3g} exceeds {MAX_ARG}")
 
 
-def _assemble(grid: BoundaryGrid, z: complex, single: bool, adjoint: bool):
-    """Rows 0..n/2 of ``(V_z, K#_z)`` from one pairwise geometry; one not asked for is
-    None.  Each kernel ufunc is evaluated once per distinct distance above the diagonal
-    of those rows (every distance of the grid occurs there), and one (n/2 + 1, n) index
-    gathers the values into every matrix.  Its diagonal reads the first value, which
-    every matrix but one overwrites; the log coefficient of V_z writes its own
-    (J_0(0) = 1).  Left of the diagonal a row reads the index of the transposed pair,
-    which lies above it: ``r`` is symmetric bit for bit, because ``p_i - p_j =
-    -(p_j - p_i)`` exactly."""
+def _assemble(grid: BoundaryGrid, z: complex):
+    """Rows 0..n/2 of ``(V_z, K#_z)`` from one pairwise geometry.  Each kernel ufunc is
+    evaluated once per distinct distance above the diagonal of those rows (every
+    distance of the grid occurs there), and one (n/2 + 1, n) index gathers the values
+    into every matrix.  Its diagonal reads the first value, which every matrix but one
+    overwrites; the log coefficient of V_z writes its own (J_0(0) = 1).  Left of the
+    diagonal a row reads the index of the transposed pair, which lies above it: ``r`` is
+    symmetric bit for bit, because ``p_i - p_j = -(p_j - p_i)`` exactly."""
     lane = _kernels(grid, z)
     n, sp = grid.n, grid.speed
     rows = n // 2 + 1
     trap = 2.0 * np.pi / n
     R = log_quadrature_weights(n)[:rows]
     d, r, log4sin = _pairwise(grid, rows)
-    dn = np.sum(d * grid.normals[:rows, None, :], axis=-1) if adjoint else None
+    dn = np.sum(d * grid.normals[:rows, None, :], axis=-1)
     del d
     upper = np.triu(np.ones((rows, n), dtype=bool), 1)
     distinct, inverse = np.unique(r[upper], return_inverse=True)
@@ -251,31 +250,29 @@ def _assemble(grid: BoundaryGrid, z: complex, single: bool, adjoint: bool):
             np.fill_diagonal(gathered, c * diagonal)
         return gathered
 
-    V = K = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        if adjoint:  # first, and its log part freed before V_z: a lower peak resident set
-            K = part(3) * dn / r**lane.power * sp
-            k1 = part(2) * dn / r * sp if lane.parts[2] else None
-            del dn, r  # V_z needs neither
-            if k1 is not None:  # its diagonal, like K's, is set below
-                K -= k1 * log4sin
-                np.fill_diagonal(k1, 0.0)
-            np.fill_diagonal(K, -grid.curvature[:rows] * sp[:rows] / (4.0 * np.pi))
-            K *= trap
-            if k1 is not None:
-                k1 *= R
-                K += k1
-                del k1
-        if single:
-            m1 = part(0, 1.0) * sp  # J_0(0) = 1; V's own diagonal is set below
-            V = part(1) * sp
-            del index, x  # every part is gathered
-            V -= m1 * log4sin
-            np.fill_diagonal(V, lane.diagonal(sp[:rows]))
-            m1 *= R
-            V *= trap
-            V += m1
-            del m1
+        # K#_z first, and its log part freed before V_z: a lower peak resident set
+        K = part(3) * dn / r**lane.power * sp
+        k1 = part(2) * dn / r * sp if lane.parts[2] else None
+        del dn, r  # V_z needs neither
+        if k1 is not None:  # its diagonal, like K's, is set below
+            K -= k1 * log4sin
+            np.fill_diagonal(k1, 0.0)
+        np.fill_diagonal(K, -grid.curvature[:rows] * sp[:rows] / (4.0 * np.pi))
+        K *= trap
+        if k1 is not None:
+            k1 *= R
+            K += k1
+            del k1
+        m1 = part(0, 1.0) * sp  # J_0(0) = 1; V's own diagonal is set below
+        V = part(1) * sp
+        del index, x  # every part is gathered
+        V -= m1 * log4sin
+        np.fill_diagonal(V, lane.diagonal(sp[:rows]))
+        m1 *= R
+        V *= trap
+        V += m1
+        del m1
     return V, K
 
 
@@ -287,10 +284,10 @@ def assemble_single_layer_trace(grid: BoundaryGrid, z, *, with_adjoint: bool = F
     pairwise geometry.  Without ``full`` each matrix is returned as its rows 0..n/2,
     which :func:`mirror_rows` completes.
     """
-    V, K = _assemble(grid, as_complex(z), True, with_adjoint)
+    layers = _assemble(grid, as_complex(z))[:1 + with_adjoint]
     if full:
-        V, K = mirror_rows(V), K if K is None else mirror_rows(K)
-    return (V, K) if with_adjoint else V
+        layers = tuple(map(mirror_rows, layers))
+    return layers if with_adjoint else layers[0]
 
 
 def assemble_adjoint_double_layer(grid: BoundaryGrid, z) -> np.ndarray:
@@ -299,35 +296,26 @@ def assemble_adjoint_double_layer(grid: BoundaryGrid, z) -> np.ndarray:
     The kernel is continuous on smooth curves; its diagonal is the curvature
     limit -kappa |x'| / (4 pi), independent of z.
     """
-    return mirror_rows(_assemble(grid, as_complex(z), False, True)[1])
+    return mirror_rows(_assemble(grid, as_complex(z))[1])
 
 
-def neumann_trace_of_single_layer(grid: BoundaryGrid, z, ksharp=None) -> np.ndarray:
-    """Matrix sending a density g to the interior Neumann trace of S_z g; ``ksharp``
-    is K#_z when it is already assembled."""
-    ksharp = assemble_adjoint_double_layer(grid, z) if ksharp is None else ksharp
-    return 0.5 * JUMP_SIGN * np.eye(grid.n) + ksharp
-
-
-def _targets(grid: BoundaryGrid, targets, warn_close: bool):
+def _targets(grid: BoundaryGrid, targets):
     """Offsets ``x - y_j`` and distances of the targets to the nodes, shape (M, n, 2) and
     (M, n).  A target on a node is a :class:`DomainError`; targets closer than
-    ``SAFE_DISTANCE_FACTOR`` grid spacings warn :class:`TargetTooClose` unless
-    ``warn_close`` is False."""
+    ``SAFE_DISTANCE_FACTOR`` grid spacings warn :class:`TargetTooClose`."""
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
     d = pts[:, None, :] - grid.points[None, :, :]
     r = np.sqrt(np.sum(d**2, axis=-1))
-    if warn_close:
-        close = np.count_nonzero(np.min(r, axis=1) < SAFE_DISTANCE_FACTOR * grid.spacing)
-        if close:
-            warnings.warn(TargetTooClose(f"{close} target(s) closer than {SAFE_DISTANCE_FACTOR} "
-                                         "grid spacings to the boundary"))
+    close = np.count_nonzero(np.min(r, axis=1) < SAFE_DISTANCE_FACTOR * grid.spacing)
+    if close:
+        warnings.warn(TargetTooClose(f"{close} target(s) closer than {SAFE_DISTANCE_FACTOR} "
+                                     "grid spacings to the boundary"))
     if np.any(r == 0):
         raise DomainError("target coincides with a boundary node")
     return d, r
 
 
-def evaluate_potential(grid: BoundaryGrid, density, z, targets, *, warn_close: bool = True):
+def evaluate_potential(grid: BoundaryGrid, density, z, targets):
     """Single layer potential (S_z density)(x) at interior targets.
 
     Plain quadrature: spectrally accurate for targets at least
@@ -337,16 +325,16 @@ def evaluate_potential(grid: BoundaryGrid, density, z, targets, *, warn_close: b
     """
     z = as_complex(z)
     g = np.asarray(density, dtype=complex)
-    _, r = _targets(grid, targets, warn_close)
+    _, r = _targets(grid, targets)
     vals = _kernels(grid, z).potential(r) @ (grid.weighted_measure * g)
     return vals if np.asarray(targets).ndim > 1 else complex(vals[0])
 
 
-def evaluate_potential_gradient(grid: BoundaryGrid, density, z, targets, *, warn_close: bool = True):
+def evaluate_potential_gradient(grid: BoundaryGrid, density, z, targets):
     """Gradient of the single layer potential at interior targets, shape (M, 2)."""
     z = as_complex(z)
     g = np.asarray(density, dtype=complex)
-    d, r = _targets(grid, targets, warn_close)
+    d, r = _targets(grid, targets)
     radial = _kernels(grid, z).radial(r)
     kernel = radial[..., None] * d / r[..., None]
     return np.einsum("mjc,j->mc", kernel, grid.weighted_measure * g)

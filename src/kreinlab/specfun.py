@@ -2,7 +2,8 @@
 
 All evaluation is restricted to a desk-scale range (``|x| <= 60``, order
 ``<= 60``); inside it the values are accurate to well below 1e-12 relative,
-which the rest of the package relies on.  The square root of the spectral
+which the rest of the package relies on.  Each function takes a scalar, for which
+it returns a complex scalar, or an array.  The square root of the spectral
 parameter always uses the branch with nonnegative imaginary part.
 """
 
@@ -54,52 +55,40 @@ def sqrt_upper(z) -> complex:
     return complex(w)
 
 
-def bessel_j(order: int, x):
-    """Bessel function of the first kind J_order at real or complex argument.
-
-    Accepts scalars or arrays; scalar input returns a complex scalar.
-    """
-    order = _check_order(order)
-    arr = _check_arg(x)
-    out = _sp.jv(order, arr)
+def _checked(f, order: int, x, singular: str | None = None):
+    """``f(order, x)`` for a checked order and argument, which must not be 0 where
+    ``singular`` names the function; scalar input returns a complex scalar."""
+    order, arr = _check_order(order), _check_arg(x)
+    if singular and np.any(arr == 0):
+        raise DomainError(f"{singular} has a singularity at the origin")
+    out = f(order, arr)
     return complex(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def _prime(f):
+    """The derivative f'_n = (f_{n-1} - f_{n+1})/2 of a cylinder function, f_{-1} = -f_1."""
+    return lambda n, arr: 0.5 * ((-f(1, arr) if n == 0 else f(n - 1, arr)) - f(n + 1, arr))
+
+
+def bessel_j(order: int, x):
+    """Bessel function of the first kind J_order at real or complex argument."""
+    return _checked(_sp.jv, order, x)
 
 
 def bessel_j_prime(order: int, x):
-    """Derivative J'_order, via J'_n = (J_{n-1} - J_{n+1})/2 and J_{-1} = -J_1."""
-    order = _check_order(order)
-    arr = _check_arg(x)
-    lower = -_sp.jv(1, arr) if order == 0 else _sp.jv(order - 1, arr)
-    out = 0.5 * (lower - _sp.jv(order + 1, arr))
-    return complex(out) if np.isscalar(x) or arr.ndim == 0 else out
+    """Derivative J'_order."""
+    return _checked(_prime(_sp.jv), order, x)
 
 
 def bessel_y(order: int, x):
     """Bessel function of the second kind Y_order; singular at the origin."""
-    order = _check_order(order)
-    arr = _check_arg(x)
-    if np.any(arr == 0):
-        raise DomainError("Y_n has a singularity at the origin")
-    out = _sp.yv(order, arr)
-    return complex(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return _checked(_sp.yv, order, x, "Y_n")
 
 
 def bessel_y_prime(order: int, x):
-    order = _check_order(order)
-    arr = _check_arg(x)
-    if np.any(arr == 0):
-        raise DomainError("Y'_n has a singularity at the origin")
-    lower = -_sp.yv(1, arr) if order == 0 else _sp.yv(order - 1, arr)
-    out = 0.5 * (lower - _sp.yv(order + 1, arr))
-    return complex(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return _checked(_prime(_sp.yv), order, x, "Y'_n")
 
 
 def hankel1(order: int, x):
     """Hankel function of the first kind, H^(1)_order = J_order + i Y_order."""
-    order = _check_order(order)
-    arr = _check_arg(x)
-    if np.any(arr == 0):
-        raise DomainError("H^(1)_n has a singularity at the origin")
-    out = _sp.hankel1(order, arr)
-    return complex(out) if np.isscalar(x) or arr.ndim == 0 else out
-
+    return _checked(_sp.hankel1, order, x, "H^(1)_n")

@@ -25,7 +25,8 @@ the exact 1-norm condition number ``||A||_1 ||A^{-1}||_1`` of the full
 matrix, formed from the blocks; an exactly singular matrix (or block), and
 ``dtn(0)``, which sends the constants to 0, have condition ``inf``.  Every
 gated system is factored once per block, by :func:`gated_inverse`, and the
-answer is formed with the inverse that passed the gate.  The first time
+answer is formed with the inverse that passed the gate; ``ntd`` negates the
+blocks of that inverse in place before it unfolds them.  The first time
 ``V_z`` or ``T_z`` is needed, both are assembled from one pairwise geometry,
 so a request evaluates all its kernels before its first factorization.  Only
 the conditions of ``V_z`` and of the map are cached per ``z``, never an
@@ -142,9 +143,6 @@ class Mirrored(NamedTuple):
         out[1:half] += odd
         out[half + 1:] -= odd[::-1]
         return out
-
-    def __neg__(self) -> "Mirrored":
-        return Mirrored(-self.even, -self.odd)
 
 
 def _norm1(A) -> float:
@@ -286,24 +284,28 @@ class BemBackend:
         """``dtn(z)``, unfolded from its cached blocks on each call."""
         return self._dtn(as_complex(z)).full()
 
+    def _dtn_inverse(self, z: complex):
+        """``(inverse, condition)`` of the blocks of ``dtn(z)``; ``(None, inf)`` at z = 0, where
+        the map sends the constants to 0 and an inverse of its rounded blocks would be noise."""
+        blocks = self._dtn(z)
+        return (None, np.inf) if z == 0 else inverse_and_condition(blocks)
+
     def dtn_condition(self, z) -> float:
-        """Exact 1-norm condition number of the map ``dtn(z)``, cached per ``z``; ``inf``
-        at z = 0 (:meth:`ntd`)."""
+        """Exact 1-norm condition number of the map ``dtn(z)``, cached per ``z``."""
         z = as_complex(z)
         key = ("cond dtn", z)
         if key not in self._cache:
-            blocks = self._dtn(z)
-            self._store(key, np.inf if z == 0 else inverse_and_condition(blocks)[1])
+            self._store(key, self._dtn_inverse(z)[1])
         return self._cache[key]
 
     def ntd(self, z) -> np.ndarray:
-        """``-dtn(z)^{-1}``.  dtn(0) is exactly singular (constants are harmonic with zero
-        Neumann data), so an inverse of its rounded blocks would be noise."""
+        """``-dtn(z)^{-1}``, the inverse blocks negated in place and unfolded."""
         z = as_complex(z)
-        what = f"Dirichlet-to-Neumann map at z = {z} (z is near the Neumann spectrum)"
-        blocks = self._dtn(z)
-        inv_cond = (None, np.inf) if z == 0 else inverse_and_condition(blocks)
-        return (-_gate(*inv_cond, NearSingular, what)[0]).full()
+        inv = _gate(*self._dtn_inverse(z), NearSingular, f"Dirichlet-to-Neumann map at "
+                    f"z = {z} (z is near the Neumann spectrum)")[0]
+        for block in inv:
+            np.negative(block, out=block)
+        return inv.full()
 
     def harmonic_extension(self, w, g) -> LayerField:
         return LayerField(self, w, self.single_layer_solve(w, np.asarray(g, dtype=complex)))

@@ -158,7 +158,7 @@ def test_curve_solve_assembles_once(runner, tmp_path, monkeypatch, bc):
     res = _run(runner, ["solve", "--domain", str(curve), "--bc", bc, "--z", "2,1", "--nodes", "64",
                         "--out", str(tmp_path / "sol.csv")])
     assert res.exit_code == 0
-    assert calls == [(2 + 1j, True, True)]  # both layers, one geometry
+    assert calls == [(2 + 1j,)]  # both layers, one geometry
 
 
 @pytest.mark.parametrize("kind, params", [("kite", {}), ("star", {"amplitude": 0.3, "wavenumber": 5})])
@@ -470,6 +470,38 @@ def test_extension_spec_matrix_csv(tmp_path):
     )
     ext = make_extension(ExtensionSpec.from_json(text), Model1D())
     assert np.max(np.abs(ext.L - L)) == 0.0
+
+
+# run in a child: ``open`` reads an int path as a descriptor, and closes it when done
+_FD_PROBE = """
+import os, sys
+from kreinlab.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    os.fstat(0), os.fstat(1)  # EBADF if the request closed stdin or stdout
+    sys.stderr.write("stdin and stdout open")
+"""
+
+
+@pytest.mark.parametrize("command, spec", [
+    (["spectrum", "--window", "1,60"], {"L": {"matrix_csv": True}}),
+    (["spectrum", "--window", "1,60"], {"L": {"matrix_csv": 0}}),
+    (["mfunc-scan", "--path", "0.1+0.1i:0.1:1+0.1i"], {"X": {"projector_csv": True}}),
+    (["spectrum", "--window", "1,60"], {"z0": True}),
+    (["spectrum", "--window", "1,60"], {"L": {"special": "robin", "theta": True}}),
+])
+def test_spec_paths_and_numbers_must_not_be_json_literals(tmp_path, command, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kreinlab.__file__)))
+    # a valid 2 x 2 matrix on stdin, which a descriptor 0 would read as L
+    done = subprocess.run([sys.executable, "-c", _FD_PROBE, *command, "--spec", str(path),
+                           "--out", str(tmp_path / "out.csv")], input='"1,0","0,0"\n"0,0","1,0"\n',
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert json.loads(done.stdout)["error"] == "bad_extension_spec"
+    assert done.stderr == "stdin and stdout open"
 
 
 @pytest.mark.parametrize("args, error", VERIFY_BAD_INPUT + [

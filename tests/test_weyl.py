@@ -10,8 +10,7 @@ from kreinlab.extensions import ExtensionSpec, apply_resolvent, direct_solve, ma
 from kreinlab.geometry import CurveSpec, make_grid
 from kreinlab.kreinformulas import (Abstract1D, abstract_krein_check, hermitian_part, mfunc,
                                     two_extension_transfer)
-from kreinlab.layerpot import (assemble_adjoint_double_layer, assemble_single_layer_trace,
-                               neumann_trace_of_single_layer)
+from kreinlab.layerpot import JUMP_SIGN, assemble_adjoint_double_layer, assemble_single_layer_trace
 from kreinlab.oracles import Model1D, disk_mode_dtn
 from kreinlab.traces import gamma_D, gamma_N
 from kreinlab.weyl import (
@@ -186,7 +185,7 @@ def test_mirror_blocks_match_the_full_matrix_route(spec, n, z):
     # the full route inverts the full arrays of assemble_single_layer_trace
     grid = make_grid(spec, n)
     V, K = assemble_single_layer_trace(grid, z, with_adjoint=True)
-    T = neumann_trace_of_single_layer(grid, z, K)
+    T = 0.5 * JUMP_SIGN * np.eye(n) + K
     V_inv = np.linalg.inv(V)
     M = -T @ V_inv
     rng = np.random.default_rng(n)
@@ -315,6 +314,24 @@ def test_log_split_cancellation_raises_range_exceeded(circle_backend, z, growth)
     assert f"Im sqrt(z) * diameter = {growth} exceeds" in str(info.value)
 
 
+def test_curve_ntd_negates_its_inverse_in_place():
+    # beside the cached blocks an ntd call holds the inverse blocks (0.5 n^2), the array
+    # it returns (n^2) and the LAPACK work of one block; a negated copy of the inverse
+    # would add another 0.5 n^2
+    import tracemalloc
+
+    n, z = 1024, 2 + 1j
+    backend = BemBackend(make_grid(CurveSpec.kite(), n))
+    backend.dtn_condition(z)  # the blocks of V_z, T_z and the map are cached untraced
+    tracemalloc.start()
+    try:
+        backend.ntd(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 16 * n**2, peak / (16 * n**2)
+
+
 def test_ntd_dtn_identity_kite(kite_backend):
     for z in (-1.0, 2 + 1j):
         prod = ntd(kite_backend, z) @ dtn(kite_backend, z)
@@ -377,7 +394,7 @@ def test_boundary_maps_are_arrays():
         "V": assemble_single_layer_trace(grid, z),
         "V, K#": assemble_single_layer_trace(grid, z, with_adjoint=True),
         "K#": assemble_adjoint_double_layer(grid, z),
-        "T": neumann_trace_of_single_layer(grid, z),
+        "T": backend.neumann_trace(z),
         "dtn": dtn(backend, z),
         "ntd": ntd(backend, z),
         "mfunc": mfunc(krein, z),
