@@ -305,13 +305,9 @@ def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
 @click.option("--nodes", default=0, type=int,
               help="node count of the kite or disk grid; 0 keeps the default")
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--tol", default=1.0, show_default=True, type=float,
-              help="tolerance scale applied to every item")
 @click.option("--out", default="report.json", show_default=True)
-def cmd_verify(suite, backend_name, nodes, seed, tol, out):
+def cmd_verify(suite, backend_name, nodes, seed, out):
     """Run an identity suite; exit 0 iff every residual is within tolerance."""
-    if not (np.isfinite(tol) and tol > 0):
-        _fail({"error": "bad_tol", "detail": f"tol must be finite and positive, got {tol}"}, 2)
     if seed < 0:
         _fail({"error": "bad_seed", "detail": f"seed must be nonnegative, got {seed}"}, 2)
     if nodes:  # 0 keeps the backend's default
@@ -323,7 +319,7 @@ def cmd_verify(suite, backend_name, nodes, seed, tol, out):
             _fail({"error": "bad_node_count", "detail": str(exc)}, 2)
     # one witness pass feeds both the krein-suite sign items and the ledger
     witnesses = sign_witnesses()
-    items = build_suite(suite, backend_name, witnesses, nodes=nodes, seed=seed, tol=tol)
+    items = build_suite(suite, backend_name, witnesses, nodes=nodes, seed=seed)
     ledger = resolve_sign_conventions(witnesses)
     passed = all(it["pass"] for it in items)
     report = {
@@ -331,7 +327,6 @@ def cmd_verify(suite, backend_name, nodes, seed, tol, out):
         "backend": backend_name,
         "seed": seed,
         "nodes": nodes,
-        "tolerance_scale": tol,
         "results": items,
         "sign_ledger": ledger,
         "pass": passed,

@@ -74,22 +74,6 @@ class ExtensionSpec:
             raise SpecInvalid("tuple boundary operator must be ('robin', theta)")
 
     # -- JSON wire format ---------------------------------------------------
-    def to_json(self) -> str:
-        bo = self.boundary_operator
-        if isinstance(bo, str):
-            L = {"special": bo}
-        elif isinstance(bo, tuple):
-            L = {"special": "robin", "theta": np.real_if_close(bo[1]).tolist()}
-        else:
-            L = {"matrix": np.asarray(bo, dtype=complex).view(float).reshape(-1).tolist(),
-                 "shape": list(np.asarray(bo).shape)}
-        X = self.subspace if isinstance(self.subspace, str) else {
-            "projector": np.asarray(self.subspace, dtype=complex).view(float).reshape(-1).tolist(),
-            "shape": list(np.asarray(self.subspace).shape),
-        }
-        return json.dumps({"reference": self.reference, "z0": self.z0, "L": L, "X": X},
-                          sort_keys=True)
-
     @staticmethod
     def from_json(text: str) -> "ExtensionSpec":
         data = json.loads(text)
@@ -98,6 +82,8 @@ class ExtensionSpec:
         L = data.get("L", {"special": "krein"})
         if "special" in L:
             bo = L["special"]
+            if not isinstance(bo, str):
+                raise SpecInvalid(f"L.special is a string, got {bo!r}")
             if bo == "robin":
                 theta = L.get("theta", 0.0)
                 bo = ("robin", float(theta) if np.ndim(theta) == 0 else np.asarray(theta))
@@ -144,7 +130,6 @@ class Extension:
     """A realized self-adjoint extension bound to one backend, with ``m0 = m(z0)``."""
 
     def __init__(self, spec: ExtensionSpec, backend, L: np.ndarray, projector, m0):
-        self.spec = spec
         self.backend = backend
         self.L = L
         self.projector = projector  # None means full

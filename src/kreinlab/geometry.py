@@ -25,6 +25,10 @@ AXIS_TOLERANCE = 1e-12
 KITE_BEND = 0.65
 KITE_HEIGHT = 1.5
 
+#: the parameter names each curve kind takes
+CURVE_PARAMS = {"circle": ("radius",), "ellipse": ("a", "b"), "kite": (),
+                "star": ("amplitude", "wavenumber")}
+
 
 @dataclass(frozen=True)
 class CurveSpec:
@@ -32,9 +36,7 @@ class CurveSpec:
 
     Kinds: ``circle(radius)``, ``ellipse(a, b)``, ``kite`` (fixed shape),
     ``star(amplitude, wavenumber)`` with radius ``1 + amplitude cos(w t)``.
-    The domains enclosed by catalog curves are smooth, hence the
-    quasi-convexity flag in ``metadata`` is always true; it is carried as
-    metadata only and never branched on.
+    The domains enclosed by catalog curves are smooth, hence quasi-convex.
     """
 
     kind: str
@@ -46,26 +48,24 @@ class CurveSpec:
         if not (isinstance(p, dict) and all(isinstance(v, real) and not isinstance(v, bool)
                                             and np.isfinite(v) for v in p.values())):
             raise DomainError(f"curve parameters must map names to finite real numbers, got {p!r}")
+        if not (isinstance(kind, str) and kind in CURVE_PARAMS):
+            raise DomainError(f"unknown curve kind {kind!r}")
+        unknown = [name for name in p if name not in CURVE_PARAMS[kind]]
+        if unknown:
+            raise DomainError(f"a {kind} takes the parameters {list(CURVE_PARAMS[kind])}, "
+                              f"not {unknown}")
         if kind == "circle":
             if p.get("radius", 0.0) <= 0:
                 raise DomainError("circle radius must be positive")
         elif kind == "ellipse":
             if p.get("a", 0.0) <= 0 or p.get("b", 0.0) <= 0:
                 raise DomainError("ellipse semi-axes must be positive")
-        elif kind == "kite":
-            pass
         elif kind == "star":
             amp = p.get("amplitude", 0.0)
             if not 0 < amp < 1:
                 raise DomainError("star amplitude must lie in (0, 1)")
             if p.get("wavenumber", 0) < 1 or p["wavenumber"] != int(p["wavenumber"]):
                 raise DomainError("star wavenumber must be a positive integer")
-        else:
-            raise DomainError(f"unknown curve kind {kind!r}")
-
-    @property
-    def metadata(self) -> dict:
-        return {"quasi_convex": True, "analytic": True}
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -85,9 +85,6 @@ class CurveSpec:
         return CurveSpec("star", {"amplitude": float(amplitude), "wavenumber": int(wavenumber)})
 
     # -- serialization -----------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "params": self.params}, sort_keys=True)
-
     @staticmethod
     def from_json(text: str) -> "CurveSpec":
         data = json.loads(text)
@@ -182,9 +179,6 @@ class BoundaryGrid:
     def spacing(self) -> float:
         """Largest arc-length distance between adjacent nodes."""
         return float(np.max(self.speed) * 2.0 * np.pi / self.n)
-
-    def length(self) -> float:
-        return float(np.sum(self.weighted_measure))
 
 
 def check_node_count(n) -> int:

@@ -344,7 +344,7 @@ class Abstract1D:
     """Deficiency-space calculus for the minimal -d^2/dx^2 on (0, 1).
 
     The deficiency spaces ker(S^* -/+ i) are spanned by explicit
-    exponentials; the class carries their Gram matrices, an orthonormal
+    exponentials; the class carries the Gram matrix of N_+, an orthonormal
     basis of N_+, and projections onto it.
     """
 
@@ -355,7 +355,6 @@ class Abstract1D:
         self.basis_plus = [self._exp_field(lam_plus), self._exp_field(-lam_plus)]
         self.basis_minus = [self._exp_field(lam_minus), self._exp_field(-lam_minus)]
         self.gram_plus = self.backend.gram(self.basis_plus, self.basis_plus)
-        self.gram_minus = self.backend.gram(self.basis_minus, self.basis_minus)
         evals, evecs = np.linalg.eigh(self.gram_plus)
         coef = evecs @ np.diag(evals**-0.5)
         self.onb_plus = [

@@ -211,9 +211,9 @@ def _green_profile(left, right, scale, w, source, end: float, radial: bool) -> P
     and the profile returned is (u, u', -w u - f).  One pass, whose result is
     the profile's one :class:`PointStore`, gives u and u' at all of its
     targets: the rules of m targets are (m, 64) arrays, and ``uL``, ``uR`` and
-    the source are called once per half.  A sampled source is read through its
-    backend's barycentric basis (:class:`BarycentricBasis`), which is built
-    once per array of points.
+    the source are called once per half.  A sampled source (the interval's) is
+    read through its backend's barycentric basis (:class:`BarycentricBasis`),
+    which is built once per array of points.
 
     The source may be a stack of p sources: it then returns shape
     ``(p,) + x.shape`` for points x, and so does every part of the profile.
@@ -599,7 +599,6 @@ class DiskModel:
         # 64-point Gauss rule on the radius
         self.quad_nodes = 0.5 * self.radius * (_GL_NODES + 1.0)
         self.quad_weights = 0.5 * self.radius * _GL_WEIGHTS
-        self.basis = BarycentricBasis(self.quad_nodes)
         self._reference = {}  # reference -> (top, eigenvalues below top)
         if abs(disk_mode_dtn(3, 0.0, self.radius) + 3.0 / self.radius) > 1e-14:
             raise AssertionError("disk DtN self-test failed")
@@ -722,15 +721,12 @@ class DiskModel:
             scale = (2.0 / np.pi) * jpR
         uR = lambda r: uL(r) * a - bessel_y(ak, kap * r) * b
         duR = lambda r: kap * (bessel_j_prime(ak, kap * r) * a - bessel_y_prime(ak, kap * r) * b)
-        if not callable(fk) and np.ndim(fk) != 1:
-            raise DomainError("a disk mode takes one array of samples, not a stack")
-        source = fk if callable(fk) else self.basis.interpolant(fk)
-        return _green_profile((uL, duL), (uR, duR), scale, w, source, R, radial=True)
+        return _green_profile((uL, duL), (uR, duR), scale, w, fk, R, radial=True)
 
     def _resolvent(self, w, f, reference: str) -> DiskField:
         if isinstance(f, DiskField):
             data = {k: p.val for k, p in f.profiles.items()}
-        elif isinstance(f, dict):
+        elif isinstance(f, dict) and all(map(callable, f.values())):
             data = f
         else:
             raise DomainError("disk interior data must be a DiskField or {mode: callable}")

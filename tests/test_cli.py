@@ -243,9 +243,10 @@ def test_spectrum_empty_window(runner, tmp_path):
 
 
 VERIFY_BAD_INPUT = [
-    (["verify", "--tol", "nan"], "bad_tol"),
-    (["verify", "--tol", "-1"], "bad_tol"),
-    (["verify", "--tol", "inf"], "bad_tol"),
+    # verify has no tolerance option; click rejects it as an unknown option
+    (["verify", "--tol", "nan"], "bad_argument"),
+    (["verify", "--tol", "-1"], "bad_argument"),
+    (["verify", "--tol", "inf"], "bad_argument"),
     (["verify", "--backend", "interval", "--nodes", "15"], "bad_node_count"),
     (["verify", "--backend", "interval", "--nodes", "64"], "bad_node_count"),
     (["verify", "--seed", "-1"], "bad_seed"),
@@ -308,7 +309,7 @@ VERIFY_BAD_INPUT = [
     (["spectrum", "--spec", "@spec", "--window", "1,60", "--tol", "nan"], "bad_tol"),
     (["spectrum", "--spec", "@spec", "--window", "1,60", "--tol", "inf"], "bad_tol"),
     (["spectrum", "--spec", "@spec", "--window", "1,60", "--count", "-1"], "bad_count"),
-    # verify checks its tolerance scale, node count and seed before any work
+    # verify checks its arguments, node count and seed before any work
     *VERIFY_BAD_INPUT,
     # the model domains take no node count
     (["dtn", "--domain", "interval", "--nodes", "15"], "bad_node_count"),
@@ -349,6 +350,9 @@ VERIFY_BAD_INPUT = [
     (["dtn", "--domain", "disk:1e400"], "bad_domain"),
     # a disk takes at most a radius and a mode cutoff
     (["dtn", "--domain", "disk:1:2:3", "--z", "1,1"], "bad_domain"),
+    # a curve takes its kind's parameter names only: none on the kite, no misspelling
+    (["dtn", "--domain", "@kite-radius-curve"], "bad_curve_spec"),
+    (["solve", "--domain", "@misspelled-radius-curve"], "bad_curve_spec"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
@@ -393,7 +397,10 @@ def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
     for name, curve in (("string-radius", {"kind": "circle", "params": {"radius": "1"}}),
                         ("list", [1, 2]),
                         ("list-params", {"kind": "circle", "params": [1]}),
-                        ("inf-radius", {"kind": "circle", "params": {"radius": np.inf}})):
+                        ("inf-radius", {"kind": "circle", "params": {"radius": np.inf}}),
+                        ("kite-radius", {"kind": "kite", "params": {"radius": 3.0}}),
+                        ("misspelled-radius",
+                         {"kind": "circle", "params": {"radius": 1.0, "radus": 3.0}})):
         (tmp_path / f"{name}-curve.json").write_text(json.dumps(curve))
     argv = [str(tmp_path / (a[1:] if a.endswith(".csv") else a[1:] + ".json"))
             if a.startswith("@") else a for a in args]
@@ -502,6 +509,19 @@ def test_spec_paths_and_numbers_must_not_be_json_literals(tmp_path, command, spe
     assert done.returncode == 2, done.stderr
     assert json.loads(done.stdout)["error"] == "bad_extension_spec"
     assert done.stderr == "stdin and stdout open"
+
+
+@pytest.mark.parametrize("command", [["spectrum", "--window", "1,60"],
+                                     ["mfunc-scan", "--path", "0.1+0.1i:0.1:1+0.1i"]])
+@pytest.mark.parametrize("special", ["5", "true", "{}", "null", "[]"])
+def test_special_boundary_operator_must_be_a_string(runner, tmp_path, command, special):
+    # 5 and true were read as the operators 5 I and I, {} failed inside the bracket
+    path = tmp_path / "spec.json"
+    path.write_text('{"reference": "dirichlet", "z0": -1.0, "L": {"special": %s}}' % special)
+    res = _run(runner, command + ["--spec", str(path), "--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == 2
+    assert json.loads(res.output)["error"] == "bad_extension_spec"
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("args, error", VERIFY_BAD_INPUT + [
@@ -645,20 +665,79 @@ SUITE_IDENTITIES = {
 }
 
 
+#: the sign items only read these residuals
+STUB_WITNESSES = {"jump-relation": {"+1/2": 0.0}, "resolvent-difference": {"-": 0.0},
+                  "krein-formula": 0.0, "harmonic-adjoint": 0.0}
+
+
 @pytest.mark.parametrize("backend", ["interval", "disk", "kite"])
 def test_each_suite_runs_its_pinned_identities(backend):
     from kreinlab.verifysuite import build_suite
 
-    # the sign items only read these residuals
-    witnesses = {"jump-relation": {"+1/2": 0.0}, "resolvent-difference": {"-": 0.0},
-                 "krein-formula": 0.0, "harmonic-adjoint": 0.0}
     want = dict(SUITE_IDENTITIES[backend])
     want["all"] = sorted(name for names in want.values() for name in names)
     nodes = 0 if backend == "interval" else 64
-    got = {suite: [it["identity"] for it in build_suite(suite, backend, witnesses, nodes=nodes)]
+    got = {suite: [it["identity"] for it in build_suite(suite, backend, STUB_WITNESSES,
+                                                         nodes=nodes)]
            for suite in want}
     assert got == want
     assert len(want["all"]) == {"interval": 45, "disk": 29, "kite": 13}[backend]
+
+
+#: identities by tolerance, per backend; a change here loosens or tightens a check
+SUITE_TOLERANCES = {
+    "interval": {
+        1e-12: ["donoghue-at-i", "dtn-shifted-closed-form", "dtn-static-closed-form",
+                "ntd-dtn-inverse"],
+        1e-10: ["deficiency-gram", "donoghue-herglotz", "dtn-sign-nonpositive",
+                "green-defect-generic", "green-defect-harmonic", "harmonic-adjoint",
+                "herglotz-krein", "jump-relation", "kernel-of-krein", "ntd-sign-definite",
+                "tauD-factorization", "tauD-relation", "tauN-factorization"],
+        1e-9: ["domain-splitting", "herglotz-random-L", "krein-formula-matrix",
+               "krein-resolvent-vs-direct", "mfunc-neumann-ntd", "mfunc-symmetry",
+               "parametrized-ordering", "resolvent-difference", "resolvent-ordering",
+               "tauN-kernel-decomposition", "two-extension-alternative", "two-extension-identity",
+               "two-extension-symmetry"],
+        1e-8: ["classical-green", "donoghue-symmetry", "dtn-symmetry", "friedrichs-is-dirichlet",
+               "mfunc-vs-direct", "nonnegativity-krein", "smoothing-factorization",
+               "special-krein", "special-neumann", "special-robin", "tauD-kernel", "tauN-kernel",
+               "tauN-range"],
+        1e-6: ["krein-formula-deficiency"],
+        0.5: ["deficiency-indices"],
+    },
+    "disk": {
+        1e-12: ["dtn-smoothing-decay"],
+        1e-10: ["dtn-sign-nonpositive", "green-defect-harmonic", "harmonic-adjoint",
+                "herglotz-krein", "jump-relation", "ntd-sign-definite"],
+        1e-9: ["herglotz-random-L", "krein-formula-matrix", "mfunc-neumann-ntd", "mfunc-symmetry",
+               "resolvent-difference", "tauN-kernel-decomposition"],
+        1e-8: ["bem-dtn-helmholtz-modes", "bem-dtn-static-modes", "classical-green",
+               "cross-factory-krein", "dtn-symmetry", "green-defect-generic", "mfunc-vs-direct",
+               "ntd-dtn-inverse", "smoothing-factorization", "solve-neumann-consistency",
+               "special-krein", "special-neumann", "tauD-kernel", "tauN-kernel", "tauN-range"],
+        1e-7: ["krein-resolvent-vs-direct"],
+    },
+    "kite": {
+        1e-10: ["dtn-sign-nonpositive", "harmonic-adjoint", "jump-relation"],
+        1e-9: ["dtn-self-convergence", "herglotz-krein", "krein-formula-matrix",
+               "resolvent-difference"],
+        1e-8: ["dirichlet-roundtrip", "dtn-symmetry", "gamma-roundtrip", "mfunc-symmetry",
+               "ntd-dtn-inverse"],
+        1e-7: ["tauN-kernel"],
+    },
+}
+
+
+@pytest.mark.parametrize("backend", ["interval", "disk", "kite"])
+def test_each_suite_item_keeps_its_pinned_tolerance(backend):
+    # tolerances depend on neither the witnesses nor the node count
+    from kreinlab.verifysuite import build_suite
+
+    items = build_suite("all", backend, STUB_WITNESSES, nodes=0 if backend == "interval" else 64)
+    got = collections.defaultdict(list)
+    for it in items:
+        got[it["tolerance"]].append(it["identity"])
+    assert got == SUITE_TOLERANCES[backend]
 
 
 def test_suite_tasks_keep_their_random_streams():
@@ -667,7 +746,7 @@ def test_suite_tasks_keep_their_random_streams():
     witnesses = kreinformulas.sign_witnesses()
     items = {it["identity"]: it for it in build_suite("krein", "disk", witnesses, seed=3)}
     # the extension task follows the sign items, so it draws from stream [seed, 1]
-    alone = _krein(_plan("disk", 192), np.random.default_rng([3, 1]), 1.0)
+    alone = _krein(_plan("disk", 192), np.random.default_rng([3, 1]))
     want = [it for it in alone if it["identity"] == "herglotz-random-L"]
     assert items["herglotz-random-L"]["residual"] == want[0]["residual"]
 
@@ -707,7 +786,7 @@ def test_verify_runs_every_suite_task_in_the_calling_thread(runner, tmp_path, mo
     assert res.exit_code == 0
     assert threads == [threading.get_ident()] * 8
     assert set(json.loads(out.read_text())) == {
-        "suite", "backend", "seed", "nodes", "tolerance_scale", "results", "sign_ledger", "pass"}
+        "suite", "backend", "seed", "nodes", "results", "sign_ledger", "pass"}
 
 
 def test_kite_verify_assembles_each_z_once(runner, tmp_path, monkeypatch):

@@ -331,14 +331,16 @@ def test_resolvent_ordering_three_random_L(interval):
 
 
 def test_extension_spec_json_roundtrip():
-    spec = ExtensionSpec("dirichlet", -1.0, "krein", "full")
-    again = ExtensionSpec.from_json(spec.to_json())
+    again = ExtensionSpec.from_json(
+        '{"L": {"special": "krein"}, "X": "full", "reference": "dirichlet", "z0": -1.0}')
     assert again.reference == "dirichlet" and again.z0 == -1.0
     assert again.boundary_operator == "krein" and again.subspace == "full"
 
     L = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
-    spec = ExtensionSpec("dirichlet", 0.0, L, "zero")
-    again = ExtensionSpec.from_json(spec.to_json())
+    # the matrix's real and imaginary parts, interleaved row by row
+    again = ExtensionSpec.from_json(
+        '{"L": {"matrix": [1.0, 0.0, 0.0, 0.5, -0.0, -0.5, 2.0, 0.0], "shape": [2, 2]}, '
+        '"X": "zero", "reference": "dirichlet", "z0": 0.0}')
     assert np.max(np.abs(np.asarray(again.boundary_operator) - L)) < 1e-15
     assert again.subspace == "zero"
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from kreinlab.errors import DomainError, NearEigenvalue
-from kreinlab.oracles import DiskModel, Model1D, PointStore, disk_mode_dtn, interval_dtn
+from kreinlab.oracles import (BarycentricBasis, DiskModel, Model1D, PointStore, disk_mode_dtn,
+                              interval_dtn)
 
 # frozen oracle constants (40-digit series/quadrature computation)
 J0_1 = 0.7651976865579666
@@ -312,10 +313,12 @@ def _former_barycentric(nodes, values, x):
 
 @pytest.mark.parametrize("backend", [Model1D(), DiskModel(radius=1.3, mode_cutoff=2)])
 def test_barycentric_basis_is_exact_at_nodes_and_agrees_with_the_former_formula(backend):
+    # on the interval's Gauss nodes and on the disk's radial ones
     nodes = backend.quad_nodes
+    basis = BarycentricBasis(nodes)
     rng = np.random.default_rng(3)
     values = rng.standard_normal(len(nodes)) + 1j * rng.standard_normal(len(nodes))
-    interp = backend.basis.interpolant(values)
+    interp = basis.interpolant(values)
     # a batch where only some points are nodes, in a 2-D layout
     x = np.array([[nodes[5], 0.5 * (nodes[5] + nodes[6])], [0.0, nodes[-1]], [0.3, nodes[0]]])
     got = interp(x)
@@ -326,12 +329,12 @@ def test_barycentric_basis_is_exact_at_nodes_and_agrees_with_the_former_formula(
     probe = np.concatenate([x.ravel(), rng.uniform(0.0, nodes[-1] + nodes[0], 50)])
     want = _former_barycentric(nodes, values, probe)
     assert np.max(np.abs(interp(probe) - want)) <= 1e-13 * np.max(np.abs(want))
-    B = backend.basis.matrix(x)
+    B = basis.matrix(x)
     assert np.max(np.abs(B.sum(axis=-1) - 1.0)) < 1e-13
-    assert backend.basis.matrix(x) is B  # memoized per array of points
+    assert basis.matrix(x) is B  # memoized per array of points
     for _ in range(2 * PointStore.SIZE):
-        backend.basis.matrix(rng.uniform(0.0, 1.0, 3))
-    assert len(backend.basis.matrix._values) == PointStore.SIZE
+        basis.matrix(rng.uniform(0.0, 1.0, 3))
+    assert len(basis.matrix._values) == PointStore.SIZE
 
 
 def test_barycentric_basis_rejects_samples_off_the_nodes():
@@ -398,7 +401,7 @@ def test_no_green_solve_repeats_a_field_part_and_points(monkeypatch, backend, mo
     if backend is None:
         sign_witnesses()
     else:
-        build_suite("all", backend, witnesses, nodes=0, seed=0, tol=1.0)
+        build_suite("all", backend, witnesses, nodes=0, seed=0)
     assert 0 < sum(counts.values()) <= most
     assert max(counts.values()) == 1
 
@@ -429,7 +432,7 @@ def test_interval_suite_keeps_no_source_grids():
     witnesses = sign_witnesses()
     tracemalloc.start()
     try:
-        build_suite("all", "interval", witnesses, nodes=0, seed=0, tol=1.0)
+        build_suite("all", "interval", witnesses, nodes=0, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -639,7 +642,8 @@ def test_misshapen_stacks_are_rejected():
     stacked = b.resolvent_dirichlet(-1.0, np.eye(n)[:3])
     with pytest.raises(DomainError):
         b.inner(stacked, stacked)
-    # a disk field holds one source per mode
+    # a disk source is one callable per mode, not samples
     d = DiskModel(radius=1.0, mode_cutoff=1)
-    with pytest.raises(DomainError):
-        d.resolvent_dirichlet(-1.0, {0: np.ones((2, len(d.quad_nodes)))})
+    for bad in (np.ones((2, len(d.quad_nodes))), np.ones(len(d.quad_nodes))):
+        with pytest.raises(DomainError):
+            d.resolvent_dirichlet(-1.0, {0: bad})

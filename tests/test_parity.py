@@ -1,6 +1,7 @@
 """File comparison of the byte-gate tool ``tools/parity.py``."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -68,3 +69,23 @@ def test_the_matrix_names_every_output_once():
     for name, argv in commands:
         assert argv[-2:] == ["--out", f"{name}.json" if argv[0] == "verify" else f"{name}.csv"]
         assert all(arg in inputs for arg in argv if arg.endswith(".json") and arg != argv[-1])
+
+
+def test_json_keys_on_one_side_are_named(trees):
+    a, b = trees
+    report = {"pass": True, "results": [{"identity": "x", "residual": 1e-16}],
+              "tolerance_scale": 1.0}
+    (a / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1))
+    del report["tolerance_scale"]
+    (b / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1))
+    assert parity.compare(a / "report.json", b / "report.json") == \
+        "only in parent: tolerance_scale; rest identical"
+    # keys inside list items, on both sides, and a verdict on the numbers left
+    report["results"][0].update(residual=2e-16, note="new")
+    (b / "report.json").write_text(json.dumps({"seed": 0, **report}, sort_keys=True, indent=1))
+    assert parity.compare(a / "report.json", b / "report.json") == (
+        "only in parent: tolerance_scale; only in child: results[0].note, seed; "
+        "rest abs 1e-16  rel 0.5")
+    # a key set that matches is compared as text, as before
+    (b / "report.json").write_text(json.dumps({"pass": False, "results": [], "tolerance_scale": 1}))
+    assert parity.compare(a / "report.json", b / "report.json") == "structure differs"

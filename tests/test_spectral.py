@@ -209,7 +209,8 @@ def test_decreasing_count_fails_loudly(interval, monkeypatch, tmp_path):
     assert info.value.counts == (1, 0) and info.value.lam >= 3.0
     # the CLI reports it on its error path
     spec_path, out = tmp_path / "krein.json", tmp_path / "eigs.csv"
-    spec_path.write_text(spec.to_json())
+    spec_path.write_text('{"L": {"special": "krein"}, "X": "full", "reference": "dirichlet", '
+                         '"z0": -1.0}')
     res = CliRunner().invoke(main, ["spectrum", "--spec", str(spec_path), "--window", "1,5",
                                     "--out", str(out)])
     assert res.exit_code == 1

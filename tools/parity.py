@@ -15,7 +15,10 @@ output are kept beside its files, in ``<name>.stdout``.
 Per file the tool prints ``identical``, or the largest absolute and relative
 difference of the numbers in the two files, or ``structure differs`` when the text
 around the numbers, or their count, is not the same; equal numbers in other bytes
-read ``signed zeros differ`` or ``format differs``.  Gate on the absolute
+read ``signed zeros differ`` or ``format differs``.  Two JSON files whose objects
+differ in their keys first name the key paths found in one file only, as in
+``only in parent: tolerance_scale; rest identical``, and then give the verdict on
+the rest, both re-written without those keys.  Gate on the absolute
 difference: an entry near zero can move by a large relative amount in its last bit.
 The temporary directory is removed at the end.  The exit status is 0 when every file
 is identical.
@@ -100,12 +103,55 @@ def run_tree(src: str, rundir: str, inputs: dict, commands: list):
 def compare(path_a: str, path_b: str) -> str:
     """The verdict on two text files: ``identical``, ``structure differs``, the largest
     absolute and relative difference of their numbers, or, for equal numbers,
-    ``signed zeros differ`` or ``format differs``."""
+    ``signed zeros differ`` or ``format differs``; for JSON files whose keys differ,
+    the keys found in one file only, then the verdict on the rest."""
     with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
         a, b = fa.read(), fb.read()
     if a == b:
         return "identical"
     a, b = a.decode(errors="replace"), b.decode(errors="replace")
+    try:
+        only_a, only_b, rest_a, rest_b = _split_keys(json.loads(a), json.loads(b), [])
+    except ValueError:  # not JSON
+        only_a = only_b = []
+    if not (only_a or only_b):
+        return _compare_text(a, b)
+    rest = [json.dumps(v, sort_keys=True, indent=1) for v in (rest_a, rest_b)]
+    named = [f"only in {side}: {', '.join(sorted(map(_key_path, paths)))}"
+             for side, paths in (("parent", only_a), ("child", only_b)) if paths]
+    verdict = _compare_text(*rest) if rest[0] != rest[1] else "identical"
+    return "; ".join(named + [f"rest {verdict}"])
+
+
+def _split_keys(a, b, path: list) -> tuple:
+    """``(only_a, only_b, rest_a, rest_b)``: the paths of the object keys that only ``a``
+    or only ``b`` holds, and both values without those keys.  Lists of equal length
+    are searched item by item."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        only_a = [path + [k] for k in a if k not in b]
+        only_b = [path + [k] for k in b if k not in a]
+        rest_a, rest_b = {}, {}
+        for k in a:
+            if k in b:
+                sub_a, sub_b, rest_a[k], rest_b[k] = _split_keys(a[k], b[k], path + [k])
+                only_a += sub_a
+                only_b += sub_b
+        return only_a, only_b, rest_a, rest_b
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        subs = [_split_keys(x, y, path + [i]) for i, (x, y) in enumerate(zip(a, b))]
+        return ([p for s in subs for p in s[0]], [p for s in subs for p in s[1]],
+                [s[2] for s in subs], [s[3] for s in subs])
+    return [], [], a, b
+
+
+def _key_path(path: list) -> str:
+    """``results[3].sign_used`` for the path ``["results", 3, "sign_used"]``."""
+    text = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    return text[1:] if isinstance(path[0], str) else text
+
+
+def _compare_text(a: str, b: str) -> str:
+    """The verdict on two texts that are not byte-identical."""
     if NUMBER.sub("#", a) != NUMBER.sub("#", b):
         return "structure differs"
     x = np.array([float(v) for v in NUMBER.findall(a)])
