@@ -151,8 +151,12 @@ def cmd_dtn(domain, z_text, nodes, out):
             "condition_single_layer": backend.single_layer_condition(z),
             "condition_dtn": condition_dtn,
         }
-    matrix = backend.dtn(z)
-    del backend  # its cached matrices are freed before the map is written
+    # a curve's map is taken as its blocks, and unfolded once the backend, and with it
+    # the cached V_z and T_z, is freed
+    matrix = backend._dtn(z) if kind == "bem" else backend.dtn(z)
+    del backend
+    if kind == "bem":
+        matrix = matrix.full()
     meta.update({"z": [z.real, z.imag], "out": out})
     write_complex_matrix_csv(out, matrix, f"dtn matrix at z = {z}")
     with open(out + ".meta.json", "w") as fh:

@@ -27,6 +27,10 @@ out of a fixed template:
 Non-finite values, nonzero magnitudes outside ``[1e-200, 1e200]`` and
 near-ties are formatted by Python, into digit bytes of their template (which
 the next block writes anew) and kept by a row for their length.
+
+A real matrix (the maps at real z <= 0) is written as float64: only its real
+parts are formatted, and every imaginary part keeps the template's digit 0, the
+text of +0.0, so the file has the bytes of the matrix's complex copy.
 """
 
 from __future__ import annotations
@@ -164,16 +168,18 @@ def _significand(a):
 
 def _template(cells: int, cols: int) -> np.ndarray:
     """The fixed bytes of ``cells`` cells in rows of ``cols``: a ``(2 cells, WIDTH)``
-    buffer, the real and the imaginary part of each cell in turn."""
+    buffer, the real and the imaginary part of each cell in turn.  Each imaginary part
+    holds the text of +0.0, the digit 0, which a complex block writes over."""
     buf = np.empty((cells, 2, WIDTH), dtype=np.uint8)
     buf[:] = _FIXED
+    buf[:, 1, _DIGITS] = ord("0")
     buf[cols - 1::cols, 1, _SEP] = ord("\n")
     return buf.reshape(2 * cells, WIDTH)
 
 
 def _fill(x, buf):
-    """Write the digits and exponents of the float64 ``x`` (real and imaginary parts
-    in turn, ``len(x)`` rows of ``buf``) and return each number's keep-mask row."""
+    """Write the digits and exponents of the float64 ``x`` (``len(x)`` rows of ``buf``)
+    and return each number's keep-mask row for a real part."""
     a = np.abs(x)
     ok = (a >= 1e-200) & (a <= 1e200)
     D, k = _significand(np.where(ok, a, 1.0))
@@ -201,20 +207,32 @@ def _fill(x, buf):
         text = b"%.17g" % x[i]
         buf[i, _FREE[:len(text)]] = np.frombuffer(text, dtype=np.uint8)
         row[i] = 2 * _SIGN_ROWS + len(text)
-    row[1::2] += _PART_ROWS
     return row
 
 
+#: keep-mask row of an imaginary part +0.0, the text 0 (class of k = 0, one digit)
+_ZERO_PART = _PART_ROWS + _CLASS_ROW[-_KMIN] + 1
+
+
 def complex_rows(matrix: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """CSV lines of a complex C-contiguous matrix as ASCII bytes: ``"re,im"`` cells
-    joined by commas, each row ending in a newline.  ``buf`` is a template of
-    :func:`_template` with at least the matrix's cells, in rows of its width."""
+    """CSV lines of a complex or float64 C-contiguous matrix as ASCII bytes: ``"re,im"``
+    cells joined by commas, each row ending in a newline.  ``buf`` is a template of
+    :func:`_template` with at least the matrix's cells, in rows of its width.  A float64
+    matrix has the bytes of its complex copy: only its real parts are formatted, and
+    each imaginary part keeps the template's 0."""
     rows, cols = matrix.shape
     if not cols:
         return np.full(rows, ord("\n"), dtype=np.uint8)
-    x = matrix.view(np.float64).ravel()
-    buf = buf[:len(x)]
-    keep = np.take(_KEEP, _fill(x, buf), axis=0)
+    if np.iscomplexobj(matrix):
+        x = matrix.view(np.float64).ravel()
+        buf = buf[:len(x)]
+        row = _fill(x, buf)
+        row[1::2] += _PART_ROWS
+    else:
+        buf = buf[:2 * matrix.size]
+        row = np.full(len(buf), _ZERO_PART)
+        row[::2] = _fill(matrix.ravel(), buf[::2])
+    keep = np.take(_KEEP, row, axis=0)
     # a text is two to five runs of kept bytes, which a boolean index copies faster
     # than np.extract (which gathers through an index array)
     return buf[keep]
@@ -222,15 +240,17 @@ def complex_rows(matrix: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 def write_complex_matrix_csv(path: str, matrix: np.ndarray, header: str):
     """Write ``matrix`` to ``path``: a ``#`` header line, then the rows of
-    :func:`complex_rows`, ``BLOCK_CELLS`` cells at a time in one template."""
-    matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=complex)
+    :func:`complex_rows`, ``BLOCK_CELLS`` cells at a time in one template.  A real
+    matrix is written as float64, with the bytes of its complex copy."""
+    matrix = np.atleast_2d(matrix)
+    dtype = complex if np.iscomplexobj(matrix) else np.float64
     rows, cols = matrix.shape
     step = max(1, BLOCK_CELLS // max(1, cols))
     buf = _template(min(step, rows) * cols, cols) if cols else None
     with open(path, "wb") as fh:
         fh.write(f"# {header}; cells are \"re,im\"; row-major\n".encode())
         for i in range(0, rows, step):
-            fh.write(complex_rows(matrix[i:i + step], buf))
+            fh.write(complex_rows(np.ascontiguousarray(matrix[i:i + step], dtype=dtype), buf))
 
 
 def _complex_cell(cell: str, number: int) -> complex:

@@ -174,12 +174,13 @@ _Kernels = namedtuple("_Kernels", "scale parts power diagonal potential radial")
 
 
 def _kernels(grid: BoundaryGrid, z: complex) -> _Kernels:
-    """Kernel table row for z: Laplace at 0, AMOS J_m and H^(1)_m otherwise.  ``parts``
-    are four ``(c, f)`` read as ``c f(scale r)`` (``f`` may be a number): the log
-    coefficient that log-splitting takes out of Phi, Phi, and the same for the factor of
-    K#_z = factor (x - y).nu_x / r**power (None: no log part).  ``diagonal(|x'|)`` is the
-    smooth part of V_z at r = 0; ``potential`` and ``radial`` are Phi and Phi' at target
-    distances r.  Every ufunc ``f`` is evaluated through :func:`_apply`."""
+    """Kernel table row for z: Laplace at 0, cephes I_m and K_m for real z < 0 (k = i kappa,
+    every value real), AMOS J_m and H^(1)_m otherwise.  ``parts`` are four ``(c, f)`` read
+    as ``c f(scale r)`` (``f`` may be a number): the log coefficient that log-splitting
+    takes out of Phi, Phi, and the same for the factor of K#_z = factor (x - y).nu_x /
+    r**power (None: no log part).  ``diagonal(|x'|)`` is the smooth part of V_z at r = 0;
+    ``potential`` and ``radial`` are Phi and Phi' at target distances r.  Every ufunc
+    ``f`` is evaluated through :func:`_apply`."""
     c, log0 = 1.0 / (2.0 * np.pi), -1.0 / (4.0 * np.pi)
     if z == 0:
         return _Kernels(1.0, ((log0, 1.0), (-c, np.log), None, (-c, 1.0)), 2,
@@ -188,19 +189,30 @@ def _kernels(grid: BoundaryGrid, z: complex) -> _Kernels:
                         lambda r: -1.0 / (2.0 * np.pi * r))
     k = sqrt_upper(z)
     _check_wavenumber(grid, z, k)
-    parts = ((log0, partial(_sp.jv, 0)), (0.25j, partial(_sp.hankel1, 0)),
-             (k / (4.0 * np.pi), partial(_sp.jv, 1)), (-(0.25j * k), partial(_sp.hankel1, 1)))
+    if z.imag == 0 and z.real < 0:
+        # J_0(i kappa r) = I_0, (i/4) H_0(i kappa r) = K_0 / 2 pi, J_1(i kappa r) = i I_1 and
+        # H_1(i kappa r) = -(2/pi) K_1; the imaginary parts 1/4 and -1/4 of the diagonal cancel
+        scale = k.imag
+        parts = ((log0, _sp.i0), (c, _sp.k0), (-scale / (4.0 * np.pi), _sp.i1),
+                 (-scale / (2.0 * np.pi), _sp.k1))
+        constant = -EULER_GAMMA / (2.0 * np.pi)
+    else:
+        scale = k
+        parts = ((log0, partial(_sp.jv, 0)), (0.25j, partial(_sp.hankel1, 0)),
+                 (k / (4.0 * np.pi), partial(_sp.jv, 1)),
+                 (-(0.25j * k), partial(_sp.hankel1, 1)))
+        constant = 0.25j - EULER_GAMMA / (2.0 * np.pi)
     (c0, f0), (c1, f1) = parts[1], parts[3]
-    return _Kernels(k, parts, 1,
-                    lambda sp: (0.25j - EULER_GAMMA / (2.0 * np.pi)
-                                - np.log(k * sp / 2.0) / (2.0 * np.pi)) * sp,
-                    lambda r: c0 * _apply(f0, k * r), lambda r: c1 * _apply(f1, k * r))
+    return _Kernels(scale, parts, 1,
+                    lambda sp: (constant - np.log(scale * sp / 2.0) / (2.0 * np.pi)) * sp,
+                    lambda r: c0 * _apply(f0, scale * r), lambda r: c1 * _apply(f1, scale * r))
 
 
 def _check_wavenumber(grid: BoundaryGrid, z: complex, k: complex):
-    """Raise :class:`RangeExceeded` where AMOS leaves its range, or where the log split,
-    whose log part grows like e^(kappa r) and cancels down to e^(-kappa r) (kappa = Im k),
-    would lose more than 1e-8 relative: eps e^(kappa diameter) > 1e-8."""
+    """Raise :class:`RangeExceeded` where the Bessel routines leave the checked range, or
+    where the log split, whose log part grows like e^(kappa r) and cancels down to
+    e^(-kappa r) (kappa = Im k), would lose more than 1e-8 relative:
+    eps e^(kappa diameter) > 1e-8."""
     diameter = float(np.max(np.abs(grid.points)) * 2.0)
     growth = float(k.imag) * diameter
     if growth > DECAY_LIMIT:
@@ -217,9 +229,10 @@ def _assemble(grid: BoundaryGrid, z: complex):
     evaluated once per distinct distance above the diagonal of those rows (every
     distance of the grid occurs there), and one (n/2 + 1, n) index gathers the values
     into every matrix.  Its diagonal reads the first value, which every matrix but one
-    overwrites; the log coefficient of V_z writes its own (J_0(0) = 1).  Left of the
-    diagonal a row reads the index of the transposed pair, which lies above it: ``r`` is
-    symmetric bit for bit, because ``p_i - p_j = -(p_j - p_i)`` exactly."""
+    overwrites; the log coefficient of V_z writes its own (J_0(0) = I_0(0) = 1).  Left of
+    the diagonal a row reads the index of the transposed pair, which lies above it: ``r``
+    is symmetric bit for bit, because ``p_i - p_j = -(p_j - p_i)`` exactly.  At real
+    z <= 0 every kernel is real, and so are both matrices."""
     lane = _kernels(grid, z)
     n, sp = grid.n, grid.speed
     rows = n // 2 + 1
@@ -264,7 +277,7 @@ def _assemble(grid: BoundaryGrid, z: complex):
             k1 *= R
             K += k1
             del k1
-        m1 = part(0, 1.0) * sp  # J_0(0) = 1; V's own diagonal is set below
+        m1 = part(0, 1.0) * sp  # J_0(0) = I_0(0) = 1; V's own diagonal is set below
         V = part(1) * sp
         del index, x  # every part is gathered
         V -= m1 * log4sin

@@ -16,7 +16,8 @@ n/2 + 1 and an odd block of size n/2 - 1, folded from the rows 0..n/2 that
 Every product and inverse is taken block by block, and a full n x n matrix is
 unfolded on each call that asks for one, written chunk by chunk into the array
 returned.  1-norms are summed over bounded chunks of rows as well, so after the
-assembly no n x n temporary is made.
+assembly no n x n temporary is made.  At real z <= 0 the kernels are real, and every
+matrix, block and map of the lane is float64, inverted by real LAPACK.
 
 Near the Dirichlet spectrum (or on curves of logarithmic capacity one at
 z = 0) the single-layer trace degenerates; operations then fail loudly with

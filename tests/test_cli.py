@@ -161,16 +161,27 @@ def test_curve_solve_assembles_once(runner, tmp_path, monkeypatch, bc):
     assert calls == [(2 + 1j,)]  # both layers, one geometry
 
 
-@pytest.mark.parametrize("kind, params", [("kite", {}), ("star", {"amplitude": 0.3, "wavenumber": 5})])
-def test_curve_dtn_request_peaks_at_its_assembly(runner, tmp_path, kind, params):
+_STAR = {"amplitude": 0.3, "wavenumber": 5}
+
+
+@pytest.mark.parametrize("kind, params, z", [
+    pytest.param("kite", {}, "2,1", id="kite-params0"),
+    pytest.param("star", _STAR, "2,1", id="star-params1"),
+    pytest.param("circle", {"radius": 0.8}, "2,1", id="circle-params2"),
+    pytest.param("kite", {}, "-2,0", id="kite-real-z"),
+    pytest.param("star", _STAR, "-2,0", id="star-real-z"),
+    pytest.param("circle", {"radius": 0.8}, "-2,0", id="circle-real-z"),
+])
+def test_curve_dtn_request_peaks_at_its_assembly(runner, tmp_path, kind, params, z):
     # the map is cached as its mirror blocks, both conditions are taken from them, and it
-    # is unfolded once, into the array written: nothing after the assembly holds more than
-    # the assembly, whose peak the Dirichlet solve on the same grid shares
+    # is unfolded once the backend is freed, into the array written; a real map is made
+    # complex one block of the CSV at a time.  So nothing after the assembly holds more
+    # than the assembly, whose peak the Dirichlet solve on the same grid shares
     import tracemalloc
 
     curve = tmp_path / "curve.json"
     curve.write_text(json.dumps({"kind": kind, "params": params}))
-    common = ["--domain", str(curve), "--nodes", "512", "--z", "2,1"]
+    common = ["--domain", str(curve), "--nodes", "512", "--z", z]
     requests = {"dtn": ["dtn", *common, "--out", str(tmp_path / "dtn.csv")],
                 "solve": ["solve", *common, "--bc", "dirichlet", "--out", str(tmp_path / "sol.csv")]}
     _run(runner, requests["dtn"])  # the kernel pool and lazy imports are made outside the trace
@@ -183,6 +194,37 @@ def test_curve_dtn_request_peaks_at_its_assembly(runner, tmp_path, kind, params)
         finally:
             tracemalloc.stop()
     assert peaks["dtn"] <= peaks["solve"], {name: peak / (16 * 512**2) for name, peak in peaks.items()}
+
+
+def test_curve_dtn_at_real_z_writes_zero_imaginary_parts(runner, tmp_path):
+    # the real lane's map is float64 up to the writer, so no rounding noise reaches Im
+    curve = tmp_path / "kite.json"
+    curve.write_text('{"kind": "kite"}')
+    out = tmp_path / "dtn.csv"
+    res = _run(runner, ["dtn", "--domain", str(curve), "--nodes", "64", "--z", "-2,0",
+                        "--out", str(out)])
+    assert res.exit_code == 0
+    cells = [cell for line in out.read_text().splitlines()[1:]
+             for cell in line[1:-1].split('","')]
+    assert len(cells) == 64**2
+    assert {cell.split(",")[1] for cell in cells} == {"0"}
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_curve_solve_at_real_z_keeps_complex_data(runner, tmp_path, bc):
+    # real matrices act on complex data: the traces keep their imaginary parts
+    curve = tmp_path / "disk13.json"
+    curve.write_text('{"kind": "circle", "params": {"radius": 1.3}}')
+    out = tmp_path / "sol.csv"
+    res = _run(runner, ["solve", "--domain", str(curve), "--z", "-2,0", "--bc", bc,
+                        "--data", "mode:3", "--nodes", "64", "--out", str(out)])
+    assert res.exit_code == 0
+    gamma_d, gamma_n = read_complex_csv(str(out)).T
+    mode = np.exp(3j * 2 * np.pi * np.arange(64) / 64)
+    m = disk_mode_dtn(3, -2.0, 1.3)
+    want = (mode, -m * mode) if bc == "dirichlet" else (-mode / m, mode)
+    assert np.max(np.abs(gamma_d - want[0])) < 1e-8 * np.max(np.abs(want[0]))
+    assert np.max(np.abs(gamma_n - want[1])) < 1e-8 * np.max(np.abs(want[1]))
 
 
 def test_mfunc_scan_off_the_full_subspace_exits_2_before_writing(runner, tmp_path):

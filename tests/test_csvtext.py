@@ -111,6 +111,27 @@ def test_csv_writer_is_the_row_format_byte_for_byte(tmp_path):
         assert got.read_bytes() == want.read_bytes(), i
 
 
+def test_real_matrix_has_the_bytes_of_its_complex_copy(tmp_path):
+    # a float64 matrix formats its real parts only; each imaginary part is the 0 of the
+    # template, also after a block of Python texts wrote into the rows of the real parts
+    rng = np.random.default_rng(2)
+    cols = 64
+    fallback = np.resize(np.array([np.nan, np.inf, -np.inf, 5e-324, 1e-201, 2.0**-25]),
+                         BLOCK_CELLS)
+    matrices = [
+        np.concatenate([fallback, np.resize(rng.permutation(_layout_values()),
+                                            BLOCK_CELLS + 3 * cols)]).reshape(-1, cols),
+        rng.standard_normal((7, 3)).astype(np.float32),
+        np.arange(12).reshape(3, 4),
+        np.array([[-0.0, 0.0]]),
+    ]
+    for i, matrix in enumerate(matrices):
+        want, got = tmp_path / f"want{i}.csv", tmp_path / f"got{i}.csv"
+        write_complex_matrix_csv(str(want), matrix.astype(complex), "real")
+        write_complex_matrix_csv(str(got), matrix, "real")
+        assert got.read_bytes() == want.read_bytes(), i
+
+
 @pytest.mark.parametrize("z", [-1.16, 2 + 1j])
 def test_kite_dtn_csv_is_the_row_format_byte_for_byte(tmp_path, z):
     matrix = BemBackend(make_grid(CurveSpec("kite"), 256)).dtn(z)

@@ -24,7 +24,7 @@ from kreinlab.layerpot import (
     log_quadrature_weights,
 )
 from kreinlab.specfun import EULER_GAMMA, sqrt_upper
-from kreinlab.weyl import BemBackend
+from kreinlab.weyl import BemBackend, Mirrored
 
 
 def test_log_quadrature_rule_exact_on_modes():
@@ -205,7 +205,8 @@ def test_target_too_close_warning():
 
 def _full_matrix_reference(grid, z):
     """V_z and K#_z with every kernel evaluated on the full n x n distance matrix,
-    diagonal included: Laplace at z = 0, Bessel/Hankel otherwise."""
+    diagonal included: Laplace at z = 0, modified Bessel I/K at real z < 0, Bessel/Hankel
+    otherwise."""
     n = grid.n
     trap = 2.0 * np.pi / n
     R = log_quadrature_weights(n)
@@ -220,6 +221,15 @@ def _full_matrix_reference(grid, z):
             k1 = np.zeros((n, n))
             k2 = -c * np.ones((n, n)) * dn / r**2 * sp[None, :]
             diagonal = -c * np.log(sp) * sp
+        elif z.imag == 0 and z.real < 0:
+            kappa = sqrt_upper(z).imag
+            m1 = -(1.0 / (4.0 * np.pi)) * special.i0(kappa * r) * sp[None, :]
+            m2 = c * special.k0(kappa * r) * sp[None, :] - m1 * log4sin
+            k1 = (-kappa / (4.0 * np.pi)) * special.i1(kappa * r) * dn / r * sp[None, :]
+            k2 = ((-kappa / (2.0 * np.pi)) * special.k1(kappa * r) * dn / r * sp[None, :]
+                  - k1 * log4sin)
+            diagonal = (-EULER_GAMMA / (2.0 * np.pi)
+                        - np.log(kappa * sp / 2.0) / (2.0 * np.pi)) * sp
         else:
             k = sqrt_upper(z)
             m1 = -(1.0 / (4.0 * np.pi)) * special.jv(0, k * r) * sp[None, :]
@@ -261,6 +271,76 @@ def test_distinct_distance_kernels_bit_identical_to_full_matrix(spec, z, n):
     V, K = assemble_single_layer_trace(grid, z, with_adjoint=True)
     assert np.array_equal(V, V_ref)
     assert np.array_equal(K, K_ref)
+
+
+@pytest.mark.parametrize("f, order, ref", [(special.i0, 0, "besseli"), (special.k0, 0, "besselk"),
+                                           (special.i1, 1, "besseli"), (special.k1, 1, "besselk")])
+def test_real_row_parts_against_mpmath(f, order, ref):
+    # the real row evaluates exactly these four ufuncs, at kappa r up to kappa * diameter
+    import mpmath
+
+    grid = make_grid(CurveSpec.kite(), 64)
+    assert f in [part[1] for part in layerpot._kernels(grid, -1.0 + 0j).parts]
+    x = np.geomspace(1e-3, 18.0, 100)
+    with mpmath.workdps(40):
+        want = np.array([float(getattr(mpmath, ref)(order, v)) for v in x])
+    assert np.max(np.abs(f(x) - want) / want) <= 2e-15
+
+
+def _amos_route(grid, z, density, targets):
+    """V_z, K#_z, dtn(z), ntd(z), and the potential of ``density`` and its gradient at
+    ``targets``, through AMOS J_m and H^(1)_m at k = sqrt(z), every kernel on the full
+    distance matrix.  The maps are formed from the mirror blocks of V_z and T_z, as
+    :class:`BemBackend` forms them, so that the two routes differ in their kernels only:
+    inverses of the full matrices alone move the circle's ntd by up to 2e-13, its rounding
+    amplified by a condition of up to 3e3 here."""
+    k, n, sp = sqrt_upper(z), grid.n, grid.speed
+    d, r, log4sin = _pairwise(grid)
+    dn = np.sum(d * grid.normals[:, None, :], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m1 = -special.jv(0, k * r) / (4.0 * np.pi) * sp
+        m2 = 0.25j * special.hankel1(0, k * r) * sp - m1 * log4sin
+        k1 = k / (4.0 * np.pi) * special.jv(1, k * r) * dn / r * sp
+        k2 = -0.25j * k * special.hankel1(1, k * r) * dn / r * sp - k1 * log4sin
+    np.fill_diagonal(m2, (0.25j - (EULER_GAMMA + np.log(k * sp / 2.0)) / (2.0 * np.pi)) * sp)
+    np.fill_diagonal(k1, 0.0)
+    np.fill_diagonal(k2, -grid.curvature * sp / (4.0 * np.pi))
+    R, trap = log_quadrature_weights(n), 2.0 * np.pi / n
+    V, K = R * m1 + trap * m2, R * k1 + trap * k2
+    rows = n // 2 + 1
+    T = Mirrored.fold((0.5 * JUMP_SIGN * np.eye(n) + K)[:rows])
+    dtn = T @ Mirrored.fold(-V[:rows]).inverse()
+    x = targets[:, None, :] - grid.points[None, :, :]
+    rt = np.sqrt(np.sum(x**2, axis=-1))
+    g = grid.weighted_measure * density
+    radial = -0.25j * k * special.hankel1(1, k * rt)
+    return {"V": V, "K#": K, "dtn": dtn.full(), "ntd": -dtn.inverse().full(),
+            "potential": 0.25j * special.hankel1(0, k * rt) @ g,
+            "gradient": np.einsum("mj,mjc,j->mc", radial / rt, x, g)}
+
+
+# both routes apply one quadrature, so targets within 5 spacings of a 64-node grid only warn
+@pytest.mark.filterwarnings("ignore::kreinlab.errors.TargetTooClose")
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("z", [-0.25, -1.0, -4.0])
+@pytest.mark.parametrize("spec", _SPLIT_CURVES, ids=lambda spec: spec.kind)
+def test_real_row_matches_the_amos_route(spec, z, n):
+    # at real z < 0 the I/K row, real from the kernels to the maps, agrees with J/H^(1)
+    # at k = i kappa to rounding
+    grid = make_grid(spec, n)
+    rng = np.random.default_rng(n)
+    density = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    targets = 0.3 * rng.uniform(-1.0, 1.0, (20, 2))
+    want = _amos_route(grid, z, density, targets)
+    backend = BemBackend(grid)
+    V, K = assemble_single_layer_trace(grid, z, with_adjoint=True)
+    got = {"V": V, "K#": K, "dtn": backend.dtn(z), "ntd": backend.ntd(z),
+           "potential": evaluate_potential(grid, density, z, targets),
+           "gradient": evaluate_potential_gradient(grid, density, z, targets)}
+    for name, value in got.items():
+        assert value.dtype == (complex if name in ("potential", "gradient") else float), name
+        err = np.max(np.abs(value - want[name])) / np.max(np.abs(want[name]))
+        assert err <= 5e-14, (name, err)
 
 
 @pytest.mark.parametrize("spec, share", [(CurveSpec.kite(), 0.55), (CurveSpec.circle(0.8), 0.05)],

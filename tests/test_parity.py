@@ -37,16 +37,25 @@ def test_a_last_bit_change_is_measured(trees):
     (a / "dtn.csv").write_text(CSV)
     (b / "dtn.csv").write_text(CSV.replace("0.25,", "0.25000000000000006,"))
     (b / "extra.csv").write_text(CSV)
-    assert parity.compare_dirs(a, b) == [("dtn.csv", "abs 5.55e-17  rel 2.22e-16"),
+    assert parity.compare_dirs(a, b) == [("dtn.csv", "abs 5.55e-17  rel 2.22e-16  norm 7.93e-18"),
                                          ("extra.csv", "only in child")]
     # an entry near zero moves far in relative terms, little in absolute ones
     (b / "dtn.csv").write_text(CSV.replace("-2.5e-17", "-3e-17"))
-    assert parity.compare(a / "dtn.csv", b / "dtn.csv") == "abs 5e-18  rel 0.167"
+    assert parity.compare(a / "dtn.csv", b / "dtn.csv") == "abs 5e-18  rel 0.167  norm 7.14e-19"
     # equal numbers in other bytes
     (b / "dtn.csv").write_text(CSV.replace('"7,0"', '"7,-0"'))
     assert parity.compare(a / "dtn.csv", b / "dtn.csv") == "signed zeros differ"
     (b / "dtn.csv").write_text(CSV.replace('"7,0"', '"7.0,0"'))
     assert parity.compare(a / "dtn.csv", b / "dtn.csv") == "format differs"
+
+
+def test_noise_against_an_exact_zero_is_small_normwise(trees):
+    # a real map written as complex: rounding noise in the parent's imaginary parts
+    # against exact zeros reads rel 1, but the normwise difference stays at rounding
+    a, b = trees
+    (a / "dtn.csv").write_text('# dtn\n"-2.5,1.7e-16","0.5,-4e-17"\n')
+    (b / "dtn.csv").write_text('# dtn\n"-2.5,0","0.5,0"\n')
+    assert parity.compare(a / "dtn.csv", b / "dtn.csv") == "abs 1.7e-16  rel 1  norm 6.8e-17"
 
 
 def test_a_shape_change_is_a_structure_change(trees):
@@ -85,7 +94,7 @@ def test_json_keys_on_one_side_are_named(trees):
     (b / "report.json").write_text(json.dumps({"seed": 0, **report}, sort_keys=True, indent=1))
     assert parity.compare(a / "report.json", b / "report.json") == (
         "only in parent: tolerance_scale; only in child: results[0].note, seed; "
-        "rest abs 1e-16  rel 0.5")
+        "rest abs 1e-16  rel 0.5  norm 1")
     # a key set that matches is compared as text, as before
     (b / "report.json").write_text(json.dumps({"pass": False, "results": [], "tolerance_scale": 1}))
     assert parity.compare(a / "report.json", b / "report.json") == "structure differs"

@@ -383,6 +383,22 @@ def test_bem_cache_keeps_the_eight_most_recent_parameters():
     assert len([key for key in backend._cache if key[1] == zs[0]]) == 4
 
 
+@pytest.mark.parametrize("z", [-2.0, complex(-2.0, -0.0), 0.0, 2 + 1j])
+def test_real_parameters_keep_every_block_real(z):
+    # at real z <= 0 the kernels are real, and so is everything the backend caches and
+    # returns; Im z = -0.0 counts as real, as in sqrt_upper
+    backend = BemBackend(make_grid(CurveSpec.kite(), 64))
+    real = complex(z).imag == 0
+    dtype = np.float64 if real else np.complex128
+    V, T = backend._layers(complex(z))
+    for blocks in (V, T, backend._dtn(complex(z))):
+        assert blocks.even.dtype == blocks.odd.dtype == dtype
+    maps = [backend.single_layer(z), backend.neumann_trace(z), dtn(backend, z)]
+    assert all(matrix.dtype == dtype for matrix in maps + ([] if z == 0 else [ntd(backend, z)]))
+    if real and z != 0:  # the same bits as at Im z = +0.0
+        assert np.array_equal(dtn(backend, z), dtn(BemBackend(backend.grid), -2.0))
+
+
 def test_boundary_maps_are_arrays():
     # every boundary map is returned as a plain dense array, never wrapped
     grid = make_grid(CurveSpec.circle(0.8), 32)

@@ -12,14 +12,16 @@ way in both trees.  Both trees write under the same relative paths, because a
 ``.meta.json`` records its ``out`` path.  A command's exit status and standard
 output are kept beside its files, in ``<name>.stdout``.
 
-Per file the tool prints ``identical``, or the largest absolute and relative
-difference of the numbers in the two files, or ``structure differs`` when the text
-around the numbers, or their count, is not the same; equal numbers in other bytes
-read ``signed zeros differ`` or ``format differs``.  Two JSON files whose objects
+Per file the tool prints ``identical``; or the largest absolute and relative
+difference of the numbers in the two files, and the normwise one, the largest absolute
+difference over the largest magnitude in the parent's file; or ``structure differs``
+when the text around the numbers, or their count, is not the same; equal numbers in
+other bytes read ``signed zeros differ`` or ``format differs``.  Two JSON files whose objects
 differ in their keys first name the key paths found in one file only, as in
 ``only in parent: tolerance_scale; rest identical``, and then give the verdict on
-the rest, both re-written without those keys.  Gate on the absolute
-difference: an entry near zero can move by a large relative amount in its last bit.
+the rest, both re-written without those keys.  Gate on the absolute or the normwise
+difference: an entry near zero can move by a large relative amount in its last bit, and
+rounding noise against an exact zero reads ``rel 1``.
 The temporary directory is removed at the end.  The exit status is 0 when every file
 is identical.
 """
@@ -102,7 +104,8 @@ def run_tree(src: str, rundir: str, inputs: dict, commands: list):
 
 def compare(path_a: str, path_b: str) -> str:
     """The verdict on two text files: ``identical``, ``structure differs``, the largest
-    absolute and relative difference of their numbers, or, for equal numbers,
+    absolute and relative difference of their numbers and the normwise one
+    ``max|x - y| / max|x|`` (``x`` the parent's numbers), or, for equal numbers,
     ``signed zeros differ`` or ``format differs``; for JSON files whose keys differ,
     the keys found in one file only, then the verdict on the rest."""
     with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
@@ -163,7 +166,9 @@ def _compare_text(a: str, b: str) -> str:
     rel = np.where(same, 0.0, diff / np.where(scale > 0, scale, 1.0))
     if not diff.any():
         return "signed zeros differ" if np.any(np.signbit(x) != np.signbit(y)) else "format differs"
-    return f"abs {diff.max():.3g}  rel {rel.max():.3g}"
+    size = np.max(np.abs(x[np.isfinite(x)]), initial=0.0)
+    norm = diff.max() / size if size > 0 else np.inf
+    return f"abs {diff.max():.3g}  rel {rel.max():.3g}  norm {norm:.3g}"
 
 
 def compare_dirs(dir_a: str, dir_b: str) -> list:
