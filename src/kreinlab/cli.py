@@ -87,10 +87,11 @@ def _load_domain(domain: str, nodes: int | None):
 def _load_extension_spec(path: str) -> ExtensionSpec:
     if not os.path.exists(path):
         _fail({"error": "config_not_found", "path": path}, 2)
-    # JSON syntax errors are ValueErrors; OSError covers a missing matrix CSV
+    # JSON syntax errors are ValueErrors; OSError covers a missing matrix CSV, and
+    # OverflowError a JSON integer beyond the float range
     try:
         return ExtensionSpec.from_json(open(path).read())
-    except (OSError, KeyError, TypeError, ValueError, KreinlabError) as exc:
+    except (OSError, OverflowError, KeyError, TypeError, ValueError, KreinlabError) as exc:
         _fail({"error": "bad_extension_spec", "detail": str(exc)}, 2)
 
 
@@ -284,17 +285,19 @@ def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
         _fail({"error": "bad_path", "value": path_text, "detail": "step must be positive"}, 2)
     if min(start.imag, end.imag) <= 0:
         _fail({"error": "bad_path", "value": path_text, "detail": "Im z must be positive"}, 2)
+    steps = abs(end - start) / step
+    if not np.isfinite(steps):
+        _fail({"error": "bad_path", "value": path_text, "detail": "too many points"}, 2)
+    npts = max(2, int(round(steps)) + 1)
     try:
         ext = make_extension(spec, backend)
         if ext.projector is not None:  # checked before the output file is opened
             raise SpecInvalid("mfunc-scan needs the full subspace (X = \"full\"): the Weyl "
                               "function is the inverse of the bracket on the whole boundary")
-        length = abs(end - start)
-        npts = max(2, int(round(length / step)) + 1)
-        zs = [start + (end - start) * i / (npts - 1) for i in range(npts)]
         with open(out, "w") as fh:
             fh.write("# columns: Re z, Im z, eigenvalues of Im M(z) ascending\n")
-            for z in zs:
+            for i in range(npts):
+                z = start + (end - start) * i / (npts - 1)
                 eigs = imaginary_part_eigenvalues(ext, z)
                 fh.write(",".join([_fmt(z.real), _fmt(z.imag)] + [_fmt(v) for v in eigs]) + "\n")
     except SpecInvalid as exc:  # raised only by the user's spec, e.g. a matrix of the wrong size

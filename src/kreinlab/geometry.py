@@ -2,12 +2,16 @@
 
 The curve catalog is restricted to analytic curves so that the spectral
 (trapezoid + log-splitting) quadrature of :mod:`kreinlab.layerpot` converges
-superalgebraically.  Every curve is parametrized counterclockwise over
-``[0, 2 pi)``; the outward unit normal is ``(y', -x') / |x'|``.
+superalgebraically.  Each is one table ``(a, b)`` of Fourier coefficients,
+``x(t) = sum a_m cos(m t)``, ``y(t) = sum b_m sin(m t)``: symmetric about the x-axis,
+with the point and its derivatives evaluated by one rule, :meth:`CurveSpec.derivative`.
+Every curve runs counterclockwise over ``[0, 2 pi)``; the outward unit normal is
+``(y', -x') / |x'|``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -35,8 +39,8 @@ class CurveSpec:
     """Analytic closed curve selected by ``kind`` and positive parameters.
 
     Kinds: ``circle(radius)``, ``ellipse(a, b)``, ``kite`` (fixed shape),
-    ``star(amplitude, wavenumber)`` with radius ``1 + amplitude cos(w t)``.
-    The domains enclosed by catalog curves are smooth, hence quasi-convex.
+    ``star(amplitude, wavenumber)`` with radius ``1 + amplitude cos(w t)``.  Each is
+    a Fourier :attr:`table`.  The domains they enclose are smooth, hence quasi-convex.
     """
 
     kind: str
@@ -45,8 +49,12 @@ class CurveSpec:
     def __post_init__(self):
         kind, p = self.kind, self.params
         real = (int, float, np.integer, np.floating)
-        if not (isinstance(p, dict) and all(isinstance(v, real) and not isinstance(v, bool)
-                                            and np.isfinite(v) for v in p.values())):
+        try:  # float() of an int beyond the float range overflows
+            finite = isinstance(p, dict) and all(isinstance(v, real) and not isinstance(v, bool)
+                                                 and np.isfinite(float(v)) for v in p.values())
+        except OverflowError:
+            finite = False
+        if not finite:
             raise DomainError(f"curve parameters must map names to finite real numbers, got {p!r}")
         if not (isinstance(kind, str) and kind in CURVE_PARAMS):
             raise DomainError(f"unknown curve kind {kind!r}")
@@ -54,20 +62,11 @@ class CurveSpec:
         if unknown:
             raise DomainError(f"a {kind} takes the parameters {list(CURVE_PARAMS[kind])}, "
                               f"not {unknown}")
-        if kind == "circle":
-            if p.get("radius", 0.0) <= 0:
-                raise DomainError("circle radius must be positive")
-        elif kind == "ellipse":
-            if p.get("a", 0.0) <= 0 or p.get("b", 0.0) <= 0:
-                raise DomainError("ellipse semi-axes must be positive")
-        elif kind == "star":
-            amp = p.get("amplitude", 0.0)
-            if not 0 < amp < 1:
-                raise DomainError("star amplitude must lie in (0, 1)")
-            if p.get("wavenumber", 0) < 1 or p["wavenumber"] != int(p["wavenumber"]):
-                raise DomainError("star wavenumber must be a positive integer")
+        if not all(p.get(name, 0) > 0 for name in CURVE_PARAMS[kind]):
+            raise DomainError(f"a {kind} needs positive {' and '.join(CURVE_PARAMS[kind])}")
+        if kind == "star" and (p["amplitude"] >= 1 or p["wavenumber"] != int(p["wavenumber"])):
+            raise DomainError("a star needs an amplitude below 1 and an integer wavenumber")
 
-    # -- constructors ------------------------------------------------------
     @staticmethod
     def circle(radius: float) -> "CurveSpec":
         return CurveSpec("circle", {"radius": float(radius)})
@@ -84,7 +83,6 @@ class CurveSpec:
     def star(amplitude: float, wavenumber: int) -> "CurveSpec":
         return CurveSpec("star", {"amplitude": float(amplitude), "wavenumber": int(wavenumber)})
 
-    # -- serialization -----------------------------------------------------
     @staticmethod
     def from_json(text: str) -> "CurveSpec":
         data = json.loads(text)
@@ -93,69 +91,57 @@ class CurveSpec:
         return CurveSpec(data["kind"], data.get("params", {}))
 
     # -- parametrization ---------------------------------------------------
-    def point(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "circle":
-            r = self.params["radius"]
-            return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-        if self.kind == "ellipse":
-            a, b = self.params["a"], self.params["b"]
-            return np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
-        if self.kind == "kite":
-            return np.stack(
-                [np.cos(t) + KITE_BEND * np.cos(2 * t) - KITE_BEND, KITE_HEIGHT * np.sin(t)],
-                axis=-1,
-            )
-        amp, w = self.params["amplitude"], self.params["wavenumber"]
-        rho = 1.0 + amp * np.cos(w * t)
-        return np.stack([rho * np.cos(t), rho * np.sin(t)], axis=-1)
+    @property
+    def table(self) -> tuple[dict, dict]:
+        """The Fourier coefficients ``(a, b)`` of the curve, mode to coefficient."""
+        return _TABLES[self.kind](**{k: float(v) for k, v in self.params.items()})
 
-    def velocity(self, t):
+    def derivative(self, t, order: int = 0):
+        """d^order/dt^order of the point at parameters ``t``, shape ``t.shape + (2,)``:
+        each term of the table differentiated by :data:`_CYCLE`."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "circle":
-            r = self.params["radius"]
-            return np.stack([-r * np.sin(t), r * np.cos(t)], axis=-1)
-        if self.kind == "ellipse":
-            a, b = self.params["a"], self.params["b"]
-            return np.stack([-a * np.sin(t), b * np.cos(t)], axis=-1)
-        if self.kind == "kite":
-            return np.stack(
-                [-np.sin(t) - 2 * KITE_BEND * np.sin(2 * t), KITE_HEIGHT * np.cos(t)], axis=-1
-            )
-        amp, w = self.params["amplitude"], self.params["wavenumber"]
-        rho = 1.0 + amp * np.cos(w * t)
-        drho = -amp * w * np.sin(w * t)
-        return np.stack(
-            [drho * np.cos(t) - rho * np.sin(t), drho * np.sin(t) + rho * np.cos(t)], axis=-1
-        )
+        return np.stack([_series(coeffs, t, order, phase)
+                         for coeffs, phase in zip(self.table, (0, 3))], axis=-1)
 
-    def acceleration(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "circle":
-            r = self.params["radius"]
-            return np.stack([-r * np.cos(t), -r * np.sin(t)], axis=-1)
-        if self.kind == "ellipse":
-            a, b = self.params["a"], self.params["b"]
-            return np.stack([-a * np.cos(t), -b * np.sin(t)], axis=-1)
-        if self.kind == "kite":
-            return np.stack(
-                [-np.cos(t) - 4 * KITE_BEND * np.cos(2 * t), -KITE_HEIGHT * np.sin(t)], axis=-1
-            )
-        amp, w = self.params["amplitude"], self.params["wavenumber"]
-        rho = 1.0 + amp * np.cos(w * t)
-        drho = -amp * w * np.sin(w * t)
-        d2rho = -amp * w * w * np.cos(w * t)
-        cx = (d2rho - rho) * np.cos(t) - 2 * drho * np.sin(t)
-        cy = (d2rho - rho) * np.sin(t) + 2 * drho * np.cos(t)
-        return np.stack([cx, cy], axis=-1)
+
+def _star_table(amplitude, wavenumber):
+    # (1 + A cos(w t)) (cos t, sin t), with cos(w t) cos t = (cos (w-1)t + cos (w+1)t) / 2
+    # and cos(w t) sin t = (sin (w+1)t - sin (w-1)t) / 2; sin(0 t) = 0 drops out
+    w, half = int(wavenumber), amplitude / 2
+    a, b = {1: 1.0}, {1: 1.0}
+    for m, sign in ((w - 1, -1.0), (w + 1, 1.0)):
+        a[m], b[m] = a.get(m, 0.0) + half, b.get(m, 0.0) + sign * half
+    b.pop(0, None)
+    return a, b
+
+
+_TABLES = {
+    "circle": lambda radius: ({1: radius}, {1: radius}),
+    "ellipse": lambda a, b: ({1: a}, {1: b}),
+    "kite": lambda: ({0: -KITE_BEND, 1: 1.0, 2: KITE_BEND}, {1: KITE_HEIGHT}),
+    "star": _star_table,
+}
+
+#: (sign, function) of the k-th derivative of cos(m t), over m^k, at k = 0, 1, 2, 3
+_CYCLE = ((1.0, np.cos), (-1.0, np.sin), (-1.0, np.cos), (1.0, np.sin))
+
+
+def _series(coeffs: dict, t: np.ndarray, order: int, phase: int) -> np.ndarray:
+    """The ``order``-th derivative of ``sum_m coeffs[m] f(m t)``, f = cos at ``phase`` 0
+    and sin at 3: the m >= 1 terms in ascending m, the constant added last."""
+    sign, f = _CYCLE[(order + phase) % 4]
+    # the factor is a float64: m^2 of a huge wavenumber overflows to inf, not an error
+    terms = [sign * np.float64(m) ** order * coeffs[m] * f(m * t) for m in sorted(coeffs) if m]
+    total = functools.reduce(np.add, terms)
+    return total + coeffs[0] if order == 0 and 0 in coeffs else total
 
 
 @dataclass(frozen=True)
 class BoundaryGrid:
     """Equispaced-in-parameter quadrature grid on a closed curve.
 
-    ``weights`` are the plain trapezoid weights ``2 pi / N`` in parameter;
-    the surface measure carried by quadrature sums is ``weights * speed``.
+    Every node has the plain trapezoid weight ``2 pi / N`` in parameter; the
+    surface measure carried by quadrature sums is ``(2 pi / N) * speed``.
     """
 
     spec: CurveSpec
@@ -164,7 +150,6 @@ class BoundaryGrid:
     normals: np.ndarray
     speed: np.ndarray
     curvature: np.ndarray
-    weights: np.ndarray
 
     @property
     def n(self) -> int:
@@ -173,7 +158,7 @@ class BoundaryGrid:
     @property
     def weighted_measure(self) -> np.ndarray:
         """Quadrature weights against the arc-length measure."""
-        return self.weights * self.speed
+        return 2.0 * np.pi / self.n * self.speed
 
     @property
     def spacing(self) -> float:
@@ -195,21 +180,18 @@ def make_grid(spec: CurveSpec, n: int) -> BoundaryGrid:
     the signed parameter ``s_j = 2 pi m_j / n``, with ``m_j = j`` for ``j <= n/2``
     and ``j - n`` above: the same point of the 2 pi-periodic curve up to rounding.
     ``s_(n-j) = -s_j`` exactly, and cos is even and sin odd bit for bit, so on a
-    curve symmetric about the x-axis node n - j is the exact mirror image of node
-    j.  Nodes 0 and n/2 are their own images: the y-components of their points and
-    normals, zero up to rounding, are set to zero.  Every matrix of
-    :mod:`kreinlab.layerpot` rests on that mirror, so a grid that is not an exact
-    mirror image of itself raises :class:`DomainError`.  Normals, speeds and
-    curvatures are analytic, so doubling ``n`` refines the grid without moving
-    existing nodes.
+    Fourier table node n - j is the exact mirror image of node j in the x-axis.
+    Nodes 0 and n/2 are their own images: the y-components of their points and
+    normals, zero up to rounding (sin(m pi) rounds), are set to zero.  Every matrix
+    of :mod:`kreinlab.layerpot` rests on that mirror, so a grid that is not an exact
+    mirror image of itself raises :class:`DomainError`.  Doubling ``n`` refines the
+    grid without moving existing nodes.
     """
     n = check_node_count(n)
     j = np.arange(n)
     t = 2.0 * np.pi * j / n
     s = 2.0 * np.pi * np.where(j <= n // 2, j, j - n) / n
-    pts = spec.point(s)
-    vel = spec.velocity(s)
-    acc = spec.acceleration(s)
+    pts, vel, acc = (spec.derivative(s, order) for order in range(3))
     speed = np.sqrt(np.sum(vel**2, axis=1))
     normals = np.stack([vel[:, 1], -vel[:, 0]], axis=1) / speed[:, None]
     curvature = (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / speed**3
@@ -221,16 +203,8 @@ def make_grid(spec: CurveSpec, n: int) -> BoundaryGrid:
             and np.array_equal(curvature[mirror], curvature)):
         raise DomainError(f"the {n}-node grid on the {spec.kind} is not its own mirror image "
                           "in the x-axis (node n - j must mirror node j bit for bit)")
-    weights = np.full(n, 2.0 * np.pi / n)
-    return BoundaryGrid(
-        spec=spec,
-        t=t,
-        points=pts,
-        normals=normals,
-        speed=speed,
-        curvature=curvature,
-        weights=weights,
-    )
+    return BoundaryGrid(spec=spec, t=t, points=pts, normals=normals, speed=speed,
+                        curvature=curvature)
 
 
 def _put_on_axis(spec: CurveSpec, pts: np.ndarray, normals: np.ndarray, n: int):

@@ -284,6 +284,9 @@ def test_spectrum_empty_window(runner, tmp_path):
     assert lines[0].startswith("#") and len(lines) == 1
 
 
+#: a 400-digit JSON integer, beyond the float range
+HUGE = 10**400
+
 VERIFY_BAD_INPUT = [
     # verify has no tolerance option; click rejects it as an unknown option
     (["verify", "--tol", "nan"], "bad_argument"),
@@ -395,6 +398,14 @@ VERIFY_BAD_INPUT = [
     # a curve takes its kind's parameter names only: none on the kite, no misspelling
     (["dtn", "--domain", "@kite-radius-curve"], "bad_curve_spec"),
     (["solve", "--domain", "@misspelled-radius-curve"], "bad_curve_spec"),
+    # a JSON integer beyond the float range is not a finite real number
+    (["dtn", "--domain", "@huge-radius-curve"], "bad_curve_spec"),
+    (["dtn", "--domain", "@huge-wavenumber-curve"], "bad_curve_spec"),
+    (["spectrum", "--spec", "@huge-z0-spec", "--window", "1,60"], "bad_extension_spec"),
+    (["spectrum", "--spec", "@huge-robin-spec", "--window", "1,60"], "bad_extension_spec"),
+    (["spectrum", "--spec", "@huge-matrix-spec", "--window", "1,60"], "bad_extension_spec"),
+    # a scan path whose length / step overflows to inf
+    (["mfunc-scan", "--spec", "@spec", "--path", "0.1+0.1i:1e-310:1+0.1i"], "bad_path"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
@@ -434,12 +445,18 @@ def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
                                           "X": {"projector": [np.nan] + [0.0] * 7,
                                                 "shape": [2, 2]}}),
                        ("inf-z0", {"z0": np.inf}),
-                       ("list", [])):
+                       ("list", []),
+                       ("huge-z0", {"z0": HUGE}),
+                       ("huge-robin", {"L": {"special": "robin", "theta": HUGE}}),
+                       ("huge-matrix", {"L": {"matrix": [HUGE] + [0] * 7, "shape": [2, 2]}})):
         (tmp_path / f"{name}-spec.json").write_text(json.dumps(spec))
     for name, curve in (("string-radius", {"kind": "circle", "params": {"radius": "1"}}),
                         ("list", [1, 2]),
                         ("list-params", {"kind": "circle", "params": [1]}),
                         ("inf-radius", {"kind": "circle", "params": {"radius": np.inf}}),
+                        ("huge-radius", {"kind": "circle", "params": {"radius": HUGE}}),
+                        ("huge-wavenumber",
+                         {"kind": "star", "params": {"amplitude": 0.3, "wavenumber": HUGE}}),
                         ("kite-radius", {"kind": "kite", "params": {"radius": 3.0}}),
                         ("misspelled-radius",
                          {"kind": "circle", "params": {"radius": 1.0, "radus": 3.0}})):
@@ -449,6 +466,30 @@ def test_bad_input_exits_2_with_structured_error(runner, tmp_path, args, error):
     res = _run(runner, argv + ["--out", str(tmp_path / "out.csv")])
     assert res.exit_code == 2
     assert json.loads(res.output)["error"] == error
+
+
+def test_scan_path_with_too_many_points_writes_no_file(runner, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"reference": "dirichlet", "z0": 0.0, "L": {"special": "krein"}, "X": "full"}')
+    out = tmp_path / "mfunc.csv"
+    res = _run(runner, ["mfunc-scan", "--spec", str(spec), "--path", "0.1+0.1i:1e-310:1+0.1i",
+                        "--out", str(out)])
+    assert res.exit_code == 2
+    assert json.loads(res.output)["error"] == "bad_path"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("wavenumber", [2**80, 1e300, 10**300])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_star_with_a_huge_wavenumber_ends_in_a_domain_error(runner, tmp_path, wavenumber):
+    # finite, so a valid spec; its grid is not on the axis, or not a mirror image
+    domain = tmp_path / "star.json"
+    domain.write_text(json.dumps({"kind": "star",
+                                  "params": {"amplitude": 0.3, "wavenumber": wavenumber}}))
+    res = _run(runner, ["dtn", "--domain", str(domain), "--nodes", "16",
+                        "--out", str(tmp_path / "dtn.csv")])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == "DomainError"
 
 
 @pytest.mark.parametrize("args", [
