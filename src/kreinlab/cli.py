@@ -32,6 +32,9 @@ from .weyl import BemBackend, solve_neumann
 #: node count of a curve grid when ``dtn`` or ``solve`` is given no ``--nodes``
 CURVE_NODES = 256
 
+#: most points an ``mfunc-scan`` path may have: each costs one Weyl-function evaluation
+MAX_SCAN_POINTS = 100_000
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -285,9 +288,10 @@ def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
         _fail({"error": "bad_path", "value": path_text, "detail": "step must be positive"}, 2)
     if min(start.imag, end.imag) <= 0:
         _fail({"error": "bad_path", "value": path_text, "detail": "Im z must be positive"}, 2)
-    steps = abs(end - start) / step
-    if not np.isfinite(steps):
-        _fail({"error": "bad_path", "value": path_text, "detail": "too many points"}, 2)
+    steps = abs(end - start) / step  # inf where the step underflows it
+    if not np.round(steps) < MAX_SCAN_POINTS:
+        _fail({"error": "bad_path", "value": path_text,
+               "detail": f"too many points (at most {MAX_SCAN_POINTS})"}, 2)
     npts = max(2, int(round(steps)) + 1)
     try:
         ext = make_extension(spec, backend)

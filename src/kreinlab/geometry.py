@@ -184,8 +184,9 @@ def make_grid(spec: CurveSpec, n: int) -> BoundaryGrid:
     Nodes 0 and n/2 are their own images: the y-components of their points and
     normals, zero up to rounding (sin(m pi) rounds), are set to zero.  Every matrix
     of :mod:`kreinlab.layerpot` rests on that mirror, so a grid that is not an exact
-    mirror image of itself raises :class:`DomainError`.  Doubling ``n`` refines the
-    grid without moving existing nodes.
+    mirror image of itself raises :class:`DomainError`, and so does a table with a mode
+    of n/2 or above, which n nodes alias.  Doubling ``n`` refines the grid without
+    moving existing nodes.
     """
     n = check_node_count(n)
     j = np.arange(n)
@@ -203,6 +204,10 @@ def make_grid(spec: CurveSpec, n: int) -> BoundaryGrid:
             and np.array_equal(curvature[mirror], curvature)):
         raise DomainError(f"the {n}-node grid on the {spec.kind} is not its own mirror image "
                           "in the x-axis (node n - j must mirror node j bit for bit)")
+    top = max(max(coeffs) for coeffs in spec.table)
+    if top >= n // 2:
+        raise DomainError(f"the {spec.kind} has Fourier mode {top}, which {n} nodes alias: a "
+                          f"grid resolves modes below n/2 = {n // 2}")
     return BoundaryGrid(spec=spec, t=t, points=pts, normals=normals, speed=speed,
                         curvature=curvature)
 

@@ -18,6 +18,15 @@ are their mirror images (:func:`mirror_rows`).  The four kernels depend on the
 node distance r alone, and every distance occurs in those rows, so each kernel
 is evaluated once per distinct distance and gathered into its rows.
 
+Three rows of kernels serve the three kinds of z (:func:`_kernels`): Laplace at z = 0,
+cephes I_m and K_m at real z < 0, and J_m and H^(1)_m at k = sqrt(z) otherwise.  In the
+last row every argument of one assembly lies on the ray k r, r in [0, r_max], so from
+``TABLE_MIN`` distinct distances on the four functions are read from one Taylor table
+on that ray (:func:`_ray_table`): AMOS at ``TABLE_ANCHORS`` equispaced anchors gives the
+coefficients up to degree ``TABLE_DEGREE``, and Horner's rule in r - r_a gives each
+distance.  H_0 and H_1 within ``TABLE_NEAR`` anchor spacings of r = 0, where their
+series converge slowly, and smaller assemblies call AMOS at every distance.
+
 The interior Neumann trace of the single layer is ``JUMP_SIGN/2 I + K#_z``.
 The sign is not assumed: it is forced by the uniform-density disk identity
 (see :func:`kreinlab.kreinformulas.resolve_sign_conventions`, ledger row
@@ -61,6 +70,25 @@ SAFE_DISTANCE_FACTOR = 5.0
 #:   nothing.  At 32,768 (a 384-node kite splits, and a 512-node one, with 65,485
 #:   distinct distances) neither benchmark workload gained over this value.
 SPLIT_MIN = 65_536
+
+#: the ray table of the complex row: equispaced anchors r_a = a r_max / (TABLE_ANCHORS - 1)
+#: and the degree of the Taylor series around each.  |k| r_max <= 60 (``MAX_ARG``) keeps
+#: |k (r - r_a)| <= 0.118, so the remainder, below 0.118^13 / 13! ~ 1e-22 of the ray's
+#: largest value, is far under rounding
+TABLE_ANCHORS = 256
+TABLE_DEGREE = 12
+
+#: H_0 and H_1, singular at r = 0, are read from the table from this anchor on only, where
+#: their series converge like (1/80)^m; nearer distances call AMOS
+TABLE_NEAR = 40
+
+#: assemblies with fewer distinct distances call AMOS at each.  On a 2-vCPU VM the table
+#: (its 2 x 14 AMOS orders at 256 anchors, 3-7 ms) and its Horner sums cost as much as AMOS
+#: at 3,000-4,500 distances, by z; from 6,144 on the table was faster at every z tried
+TABLE_MIN = 6_144
+
+#: distances per Horner block of the table, which bounds its work arrays
+TABLE_CHUNK = 8192
 
 _pool = None  # runs the kernel slices past the caller's own; made on the first split
 _pool_lock = threading.Lock()
@@ -128,15 +156,16 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _apply(f, x: np.ndarray) -> np.ndarray:
-    """``f(x)`` for a kernel ufunc ``f`` of :func:`_kernels` (it maps the dtype of ``x``
-    to itself).  From ``SPLIT_MIN`` points on, with more than one core, ``x`` is cut
-    into one interleaved slice per core, ``x[i::cores]``: the distances come sorted,
-    and the kernels cost more at large arguments, so contiguous slices would leave the
-    last one the slowest.  The calling thread evaluates the first slice and a module
-    pool the others, each writing with ``out=`` into its slice of one result and
-    running in a copy of the caller's context, so ``np.errstate`` holds in every slice.
-    The evaluation is elementwise, so the result has the bits of ``f(x)``."""
+def _apply(f, x: np.ndarray, dtype=None) -> np.ndarray:
+    """``f(x)`` for a kernel ufunc ``f`` of :func:`_kernels` or :func:`_ray_table`, whose
+    values have the type ``dtype`` (by default that of ``x``).  From ``SPLIT_MIN`` points
+    on, with more than one core, ``x`` is cut into one interleaved slice per core,
+    ``x[i::cores]``: the distances come sorted, and the kernels cost more at large
+    arguments, so contiguous slices would leave the last one the slowest.  The calling
+    thread evaluates the first slice and a module pool the others, each writing with
+    ``out=`` into its slice of one result and running in a copy of the caller's context,
+    so ``np.errstate`` holds in every slice.  The evaluation is elementwise, so the
+    result has the bits of ``f(x)``."""
     cores = _cores()
     if cores < 2 or x.size < SPLIT_MIN:
         return f(x)
@@ -145,7 +174,7 @@ def _apply(f, x: np.ndarray) -> np.ndarray:
         if _pool is None:
             _pool = ThreadPoolExecutor(cores - 1, thread_name_prefix="kreinlab-kernel")
         pool = _pool
-    out = np.empty(x.shape, dtype=x.dtype)
+    out = np.empty(x.shape, dtype=dtype or x.dtype)
     xs, outs = np.ravel(x), out.reshape(-1)
     jobs = [pool.submit(contextvars.copy_context().run, f, xs[i::cores], out=outs[i::cores])
             for i in range(1, cores)]
@@ -170,7 +199,7 @@ def _pairwise(grid: BoundaryGrid, rows: int | None = None):
     return d, r, _circulant(log4sin)[:rows]
 
 
-_Kernels = namedtuple("_Kernels", "scale parts power diagonal potential radial")
+_Kernels = namedtuple("_Kernels", "scale parts power diagonal potential radial ray")
 
 
 def _kernels(grid: BoundaryGrid, z: complex) -> _Kernels:
@@ -180,13 +209,15 @@ def _kernels(grid: BoundaryGrid, z: complex) -> _Kernels:
     takes out of Phi, Phi, and the same for the factor of K#_z = factor (x - y).nu_x /
     r**power (None: no log part).  ``diagonal(|x'|)`` is the smooth part of V_z at r = 0;
     ``potential`` and ``radial`` are Phi and Phi' at target distances r.  Every ufunc
-    ``f`` is evaluated through :func:`_apply`."""
+    ``f`` is evaluated through :func:`_apply`.  ``ray`` is k in the J/H^(1) row, whose
+    four ``f`` an assembly may read from :func:`_ray_table` instead, and None in the
+    others; the target potentials always call ``f``."""
     c, log0 = 1.0 / (2.0 * np.pi), -1.0 / (4.0 * np.pi)
     if z == 0:
         return _Kernels(1.0, ((log0, 1.0), (-c, np.log), None, (-c, 1.0)), 2,
                         lambda sp: -c * np.log(sp) * sp,
                         lambda r: -_apply(np.log, r) / (2.0 * np.pi),
-                        lambda r: -1.0 / (2.0 * np.pi * r))
+                        lambda r: -1.0 / (2.0 * np.pi * r), None)
     k = sqrt_upper(z)
     _check_wavenumber(grid, z, k)
     if z.imag == 0 and z.real < 0:
@@ -195,9 +226,9 @@ def _kernels(grid: BoundaryGrid, z: complex) -> _Kernels:
         scale = k.imag
         parts = ((log0, _sp.i0), (c, _sp.k0), (-scale / (4.0 * np.pi), _sp.i1),
                  (-scale / (2.0 * np.pi), _sp.k1))
-        constant = -EULER_GAMMA / (2.0 * np.pi)
+        constant, ray = -EULER_GAMMA / (2.0 * np.pi), None
     else:
-        scale = k
+        scale = ray = k
         parts = ((log0, partial(_sp.jv, 0)), (0.25j, partial(_sp.hankel1, 0)),
                  (k / (4.0 * np.pi), partial(_sp.jv, 1)),
                  (-(0.25j * k), partial(_sp.hankel1, 1)))
@@ -205,7 +236,62 @@ def _kernels(grid: BoundaryGrid, z: complex) -> _Kernels:
     (c0, f0), (c1, f1) = parts[1], parts[3]
     return _Kernels(scale, parts, 1,
                     lambda sp: (constant - np.log(scale * sp / 2.0) / (2.0 * np.pi)) * sp,
-                    lambda r: c0 * _apply(f0, scale * r), lambda r: c1 * _apply(f1, scale * r))
+                    lambda r: c0 * _apply(f0, scale * r), lambda r: c1 * _apply(f1, scale * r),
+                    ray)
+
+
+def _ray_table(k: complex, distances: np.ndarray):
+    """J_0, H_0, J_1 and H_1 at k r as four elementwise functions ``f(r, out=None)`` of the
+    distances r in [0, r_max], r_max = ``distances.max()``, or None where AMOS is called
+    at every distance: fewer than ``TABLE_MIN`` distances, or a table that is not finite
+    (H^(1) overflows at its nearest anchor for |k| r_max below about 1e-22).
+
+    At the anchors r_a = a r_max / (TABLE_ANCHORS - 1) AMOS gives C_0 .. C_(M+1), M =
+    ``TABLE_DEGREE``, in one call per kind.  The derivatives follow from C_n' = (C_(n-1) -
+    C_(n+1)) / 2 with C_(-n) = (-1)^n C_n, and the Taylor coefficients are k^m C_nu^(m)(k
+    r_a) / m!.  A distance r is read at its nearest anchor, a = rint(r / spacing), by
+    Horner's rule in h = r - r_a, |h| <= spacing / 2.  H_0 and H_1 at a < ``TABLE_NEAR``
+    call AMOS.  Every step acts on one distance alone, so any slice of ``distances``
+    gives the bits of the whole."""
+    if distances.size < TABLE_MIN:
+        return None
+    spacing = float(np.max(distances)) / (TABLE_ANCHORS - 1)
+    anchors = spacing * np.arange(TABLE_ANCHORS)
+    orders = np.arange(TABLE_DEGREE + 2)[:, None]
+    x = k * anchors
+    signs = (-1.0) ** orders[:0:-1]
+    tables = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for values in (_sp.jv(orders, x), _sp.hankel1(orders, x[TABLE_NEAR:])):
+            d, rows, power = np.concatenate([signs * values[:0:-1], values]), [], 1.0
+            for m in range(TABLE_DEGREE + 1):  # d holds D^m C_n for |n| <= M + 1 - m
+                center = TABLE_DEGREE + 1 - m
+                rows.append(power * d[center:center + 2])
+                d, power = (d[:-2] - d[2:]) / 2.0, power * k / (m + 1)
+            tables.append(np.stack(rows, axis=1))  # (order 0 and 1, degree, anchor)
+    if not all(np.isfinite(t).all() for t in tables):
+        return None
+
+    def evaluate(kind, order, r, out=None):  # kind 0: J, 1: H^(1), from anchor TABLE_NEAR
+        coeffs, first = tables[kind][order], kind * TABLE_NEAR
+        out = np.empty(r.shape, dtype=complex) if out is None else out
+        flat, r = out.reshape(-1), r.reshape(-1)  # views: a ufunc's own array is returned
+        for start in range(0, r.size, TABLE_CHUNK):
+            block = r[start:start + TABLE_CHUNK]
+            a = np.rint(block / spacing).astype(np.intp)
+            h = block - anchors[a]
+            a -= first
+            value = coeffs[TABLE_DEGREE].take(a, mode="clip")
+            for m in range(TABLE_DEGREE - 1, -1, -1):
+                value *= h
+                value += coeffs[m].take(a, mode="clip")
+            close = a < 0
+            if close.any():
+                value[close] = _sp.hankel1(order, k * block[close])
+            flat[start:start + TABLE_CHUNK] = value
+        return out
+
+    return tuple(partial(evaluate, kind, order) for order in (0, 1) for kind in (0, 1))
 
 
 def _check_wavenumber(grid: BoundaryGrid, z: complex, k: complex):
@@ -228,11 +314,12 @@ def _assemble(grid: BoundaryGrid, z: complex):
     """Rows 0..n/2 of ``(V_z, K#_z)`` from one pairwise geometry.  Each kernel ufunc is
     evaluated once per distinct distance above the diagonal of those rows (every
     distance of the grid occurs there), and one (n/2 + 1, n) index gathers the values
-    into every matrix.  Its diagonal reads the first value, which every matrix but one
-    overwrites; the log coefficient of V_z writes its own (J_0(0) = I_0(0) = 1).  Left of
-    the diagonal a row reads the index of the transposed pair, which lies above it: ``r``
-    is symmetric bit for bit, because ``p_i - p_j = -(p_j - p_i)`` exactly.  At real
-    z <= 0 every kernel is real, and so are both matrices."""
+    into every matrix; in the J/H^(1) row a :func:`_ray_table` of those distances, where
+    the rule gives one, evaluates them.  Its diagonal reads the first value, which every
+    matrix but one overwrites; the log coefficient of V_z writes its own (J_0(0) = I_0(0)
+    = 1).  Left of the diagonal a row reads the index of the transposed pair, which lies
+    above it: ``r`` is symmetric bit for bit, because ``p_i - p_j = -(p_j - p_i)`` exactly.
+    At real z <= 0 every kernel is real, and so are both matrices."""
     lane = _kernels(grid, z)
     n, sp = grid.n, grid.speed
     rows = n // 2 + 1
@@ -243,7 +330,8 @@ def _assemble(grid: BoundaryGrid, z: complex):
     del d
     upper = np.triu(np.ones((rows, n), dtype=bool), 1)
     distinct, inverse = np.unique(r[upper], return_inverse=True)
-    x = lane.scale * distinct
+    table = None if lane.ray is None else _ray_table(lane.ray, distinct)
+    x = distinct if table else lane.scale * distinct
     index = np.zeros((rows, n), dtype=np.intp)
     index[upper] = inverse
     square = index[:, :rows]
@@ -257,7 +345,10 @@ def _assemble(grid: BoundaryGrid, z: complex):
         # of a complex product decides its last bit.  A diagonal that is kept is written
         # as ``c * diagonal``, which for a diagonal of 1 is exact in either order
         c, f = lane.parts[i]
-        values = _apply(f, x) if callable(f) else np.full(x.size, f)
+        if table:
+            values = _apply(table[i], x, complex)
+        else:
+            values = _apply(f, x) if callable(f) else np.full(x.size, f)
         gathered = c * values.take(index)
         if diagonal is not None:
             np.fill_diagonal(gathered, c * diagonal)
@@ -279,7 +370,7 @@ def _assemble(grid: BoundaryGrid, z: complex):
             del k1
         m1 = part(0, 1.0) * sp  # J_0(0) = I_0(0) = 1; V's own diagonal is set below
         V = part(1) * sp
-        del index, x  # every part is gathered
+        del index, x, table  # every part is gathered
         V -= m1 * log4sin
         np.fill_diagonal(V, lane.diagonal(sp[:rows]))
         m1 *= R

@@ -479,6 +479,36 @@ def test_scan_path_with_too_many_points_writes_no_file(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("step", ["1e-300", "9e-6"])
+def test_scan_path_with_a_finite_count_above_the_most_writes_no_file(runner, tmp_path, step):
+    # 9e299 points, which would run until killed, and MAX_SCAN_POINTS + 1 (0.9 / 9e-6 steps)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"reference": "dirichlet", "z0": 0.0, "L": {"special": "krein"}, "X": "full"}')
+    out = tmp_path / "mfunc.csv"
+    res = _run(runner, ["mfunc-scan", "--spec", str(spec), "--path", f"0.1+0.1i:{step}:1+0.1i",
+                        "--out", str(out)])
+    assert res.exit_code == 2
+    assert json.loads(res.output)["error"] == "bad_path"
+    assert "too many points" in json.loads(res.output)["detail"]
+    assert not out.exists()
+
+
+def test_scan_path_of_the_most_points_is_accepted(runner, tmp_path, monkeypatch):
+    # MAX_SCAN_POINTS points exactly pass the check; the scan itself is cut short here
+    from kreinlab import cli
+
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"reference": "dirichlet", "z0": 0.0, "L": {"special": "krein"}, "X": "full"}')
+    calls = []
+    monkeypatch.setattr(cli, "imaginary_part_eigenvalues",
+                        lambda ext, z: calls.append(z) or np.zeros(0))
+    out = tmp_path / "mfunc.csv"
+    res = _run(runner, ["mfunc-scan", "--spec", str(spec), "--path", "0.1+0.1i:0.1:10000+0.1i",
+                        "--out", str(out)])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["points"] == len(calls) == cli.MAX_SCAN_POINTS
+
+
 @pytest.mark.parametrize("wavenumber", [2**80, 1e300, 10**300])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_star_with_a_huge_wavenumber_ends_in_a_domain_error(runner, tmp_path, wavenumber):

@@ -163,6 +163,15 @@ def test_star_with_a_huge_wavenumber_has_no_grid(wavenumber):
         make_grid(spec, 16)
 
 
+@pytest.mark.parametrize("spec, n", [(CurveSpec.star(0.3, 9), 16), (CurveSpec.star(0.3, 40), 64),
+                                     (CurveSpec.star(0.3, 7), 16), (CurveSpec.star(0.3, 200), 256)])
+def test_grid_that_aliases_its_curve_raises(spec, n):
+    # the star's top mode w + 1 reaches n/2; one more node pair resolves it
+    with pytest.raises(DomainError, match="alias"):
+        make_grid(spec, n)
+    make_grid(spec, 2 * spec.params["wavenumber"] + 4)  # n/2 = w + 2
+
+
 TABLE_SPECS = [
     CurveSpec.circle(0.8), CurveSpec.ellipse(1.5, 1.0), CurveSpec.kite(), CurveSpec.star(0.3, 5),
     CurveSpec.star(0.25, 1), CurveSpec.star(0.2, 2),

@@ -5,6 +5,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -206,7 +207,8 @@ def test_target_too_close_warning():
 def _full_matrix_reference(grid, z):
     """V_z and K#_z with every kernel evaluated on the full n x n distance matrix,
     diagonal included: Laplace at z = 0, modified Bessel I/K at real z < 0, Bessel/Hankel
-    otherwise."""
+    otherwise, from the ray table of the grid's distinct distances where the rule gives
+    one."""
     n = grid.n
     trap = 2.0 * np.pi / n
     R = log_quadrature_weights(n)
@@ -232,10 +234,15 @@ def _full_matrix_reference(grid, z):
                         - np.log(kappa * sp / 2.0) / (2.0 * np.pi)) * sp
         else:
             k = sqrt_upper(z)
-            m1 = -(1.0 / (4.0 * np.pi)) * special.jv(0, k * r) * sp[None, :]
-            m2 = 0.25j * special.hankel1(0, k * r) * sp[None, :] - m1 * log4sin
-            k1 = (k / (4.0 * np.pi)) * special.jv(1, k * r) * dn / r * sp[None, :]
-            k2 = -(0.25j * k) * special.hankel1(1, k * r) * dn / r * sp[None, :] - k1 * log4sin
+            # each kernel's fresh array meets its coefficient within one expression, as
+            # in the assembly, so that numpy orders the operands of the product alike
+            table = layerpot._ray_table(k, np.unique(r[~np.eye(n, dtype=bool)]))
+            amos = [partial(f, m) for m in (0, 1) for f in (special.jv, special.hankel1)]
+            j0, h0, j1, h1 = table or [lambda r, f=f: f(k * r) for f in amos]
+            m1 = -(1.0 / (4.0 * np.pi)) * j0(r) * sp[None, :]
+            m2 = 0.25j * h0(r) * sp[None, :] - m1 * log4sin
+            k1 = (k / (4.0 * np.pi)) * j1(r) * dn / r * sp[None, :]
+            k2 = -(0.25j * k) * h1(r) * dn / r * sp[None, :] - k1 * log4sin
             diagonal = (0.25j - EULER_GAMMA / (2.0 * np.pi) - np.log(k * sp / 2.0) * c) * sp
     np.fill_diagonal(m2, diagonal)
     np.fill_diagonal(k1, 0.0)
@@ -285,6 +292,48 @@ def test_real_row_parts_against_mpmath(f, order, ref):
     with mpmath.workdps(40):
         want = np.array([float(getattr(mpmath, ref)(order, v)) for v in x])
     assert np.max(np.abs(f(x) - want) / want) <= 2e-15
+
+
+@pytest.mark.parametrize("z", [2 + 1j, 2 - 1j, -3 + 0.5j, -0.5 + 1j, 5.1 + 1.03j, 6 + 0.3j,
+                               100.3 + 1j])
+def test_ray_table_against_mpmath(z):
+    # J_0, H_0, J_1 and H_1 from the table of a ray over the kite's distances [0, 3], at
+    # random distances, the first and the last, a midpoint between anchors, and both sides
+    # of the anchor TABLE_NEAR, where H_0 and H_1 leave AMOS for the table
+    import mpmath
+
+    k = sqrt_upper(z)
+    table = layerpot._ray_table(k, np.linspace(0.0, 3.0, layerpot.TABLE_MIN))
+    spacing = 3.0 / (layerpot.TABLE_ANCHORS - 1)
+    r = np.concatenate([np.random.default_rng(7).uniform(0.0, 3.0, 48),
+                        [1e-3, 3.0, 0.5 * spacing, (layerpot.TABLE_NEAR - 0.6) * spacing,
+                         (layerpot.TABLE_NEAR - 0.4) * spacing]])
+    references = [(special.jv, mpmath.besselj), (special.hankel1, mpmath.hankel1)]
+    for part, (order, (amos, ref)) in zip(table, [(m, f) for m in (0, 1) for f in references]):
+        with mpmath.workdps(40):
+            want = np.array([complex(ref(order, mpmath.mpc(k) * mpmath.mpf(v))) for v in r])
+        got = part(r)
+        assert np.max(np.abs(got - want)) <= 1.5e-15 * np.max(np.abs(want)), (z, order, amos)
+        rel, rel_amos = (np.max(np.abs(v - want) / np.abs(want)) for v in (got, amos(order, k * r)))
+        assert rel <= 2.0 * rel_amos, (z, order, amos, rel, rel_amos)
+
+
+@pytest.mark.parametrize("n", [192, 256, 1024])
+@pytest.mark.parametrize("spec", _SPLIT_CURVES, ids=lambda spec: spec.kind)
+def test_ray_table_route_of_each_catalog_curve(monkeypatch, spec, n):
+    # the kite, the star and the ellipse have at least 7,181 distinct distances at these n
+    # and read the table; the circle has at most 5,239 and calls AMOS at each
+    routes = []
+    ray_table = layerpot._ray_table
+
+    def recorded(k, distances):
+        table = ray_table(k, distances)
+        routes.append(table is not None)
+        return table
+
+    monkeypatch.setattr(layerpot, "_ray_table", recorded)
+    assemble_single_layer_trace(make_grid(spec, n), 2 + 1j, with_adjoint=True, full=False)
+    assert routes == [spec.kind != "circle"]
 
 
 def _amos_route(grid, z, density, targets):
@@ -348,7 +397,8 @@ def test_real_row_matches_the_amos_route(spec, z, n):
 def test_each_distinct_distance_reaches_the_kernels_once(monkeypatch, spec, share):
     points = []
     apply = layerpot._apply
-    monkeypatch.setattr(layerpot, "_apply", lambda f, x: points.append(x.size) or apply(f, x))
+    monkeypatch.setattr(layerpot, "_apply",
+                        lambda f, x, *dtype: points.append(x.size) or apply(f, x, *dtype))
     grid = make_grid(spec, 192)
     assemble_single_layer_trace(grid, 2 + 1j, with_adjoint=True)
     pairs = 192 * 191 // 2  # 18,336: what an evaluation on the upper triangle sends
@@ -391,9 +441,10 @@ def test_split_kernels_equal_inline(cores, monkeypatch, spec, z):
     rng = np.random.default_rng(5)
     density = rng.standard_normal(544) + 1j * rng.standard_normal(544)
     targets = 0.3 * rng.uniform(-1.0, 1.0, (160, 2))  # 160 x 544 points: split too
-    points = []  # the size of each kernel argument
+    points = []  # the size of each kernel argument, and whether the ray table reads it
     apply = layerpot._apply
-    monkeypatch.setattr(layerpot, "_apply", lambda f, x: points.append(x.size) or apply(f, x))
+    monkeypatch.setattr(layerpot, "_apply", lambda f, x, *dtype: points.append(
+        (x.size, bool(dtype))) or apply(f, x, *dtype))
 
     def evaluate():
         # T = I/2 + K#: off the diagonal, which no kernel reaches, T and K# have equal bits
@@ -403,7 +454,12 @@ def test_split_kernels_equal_inline(cores, monkeypatch, spec, z):
         # distances (about 74,000), so they are evaluated in slices; the ellipse's
         # (59,065) and the circle's fewer.  With nodes 0 and n/2 on the axis a 512-node
         # kite has 65,485, below SPLIT_MIN
-        assert (max(points) >= SPLIT_MIN) == (spec.kind in ("kite", "star"))
+        assert (max(points)[0] >= SPLIT_MIN) == (spec.kind in ("kite", "star"))
+        # at z = 2 + i the ray table reads the distances of every curve but the circle,
+        # whose 2,919 lie below TABLE_MIN
+        table = [size for size, read in points if read]
+        assert len(table) == (4 if z == 2 + 1j and spec.kind != "circle" else 0)
+        assert set(table) <= {max(points)[0]}
         out += [evaluate_potential(grid, density, z, targets),
                 evaluate_potential_gradient(grid, density, z, targets)]
         return out + [backend.ntd(z)] if z != 0 else out  # 0 is a Neumann eigenvalue
