@@ -289,7 +289,7 @@ def cmd_mfunc_scan(spec_path, backend_name, path_text, out):
     if min(start.imag, end.imag) <= 0:
         _fail({"error": "bad_path", "value": path_text, "detail": "Im z must be positive"}, 2)
     steps = abs(end - start) / step  # inf where the step underflows it
-    if not np.round(steps) < MAX_SCAN_POINTS:
+    if not np.round(steps) + 1 <= MAX_SCAN_POINTS:  # npts below; an infinite count fails too
         _fail({"error": "bad_path", "value": path_text,
                "detail": f"too many points (at most {MAX_SCAN_POINTS})"}, 2)
     npts = max(2, int(round(steps)) + 1)
