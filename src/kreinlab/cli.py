@@ -35,6 +35,10 @@ CURVE_NODES = 256
 #: most points an ``mfunc-scan`` path may have: each costs one Weyl-function evaluation
 MAX_SCAN_POINTS = 100_000
 
+#: most reference eigenvalues below a ``spectrum`` window's top, about sqrt(top) / pi on
+#: the interval (Weyl's law): the backend forms them all before the count starts
+MAX_REFERENCE_EIGENVALUES = 100_000
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -249,6 +253,9 @@ def cmd_spectrum(spec_path, backend_name, window, count, tol, out):
         _fail({"error": "bad_window", "value": window}, 2)
     if not np.isfinite([a, b]).all():
         _fail({"error": "bad_window", "value": window, "detail": "bounds must be finite"}, 2)
+    if np.sqrt(max(b, 0.0)) / np.pi > MAX_REFERENCE_EIGENVALUES:
+        _fail({"error": "bad_window", "value": window, "detail": "top too high: more than "
+               f"MAX_REFERENCE_EIGENVALUES = {MAX_REFERENCE_EIGENVALUES} reference eigenvalues"}, 2)
     if not np.isfinite(tol):
         _fail({"error": "bad_tol", "detail": f"tol must be finite, got {tol}"}, 2)
     if count is not None and count < 0:

@@ -21,6 +21,9 @@ from .errors import BadNodeCount, DomainError
 
 MIN_NODES = 16
 
+#: largest node count: a curve request peaks at about 2.7 n^2 complex numbers, 0.7 GiB here
+MAX_NODES = 4096
+
 #: largest y-component of a point (relative to the curve's size) or unit normal at
 #: nodes 0 and n/2 that counts as zero; sin at 2 pi m / n rounds in proportion to m
 AXIS_TOLERANCE = 1e-12
@@ -167,9 +170,11 @@ class BoundaryGrid:
 
 
 def check_node_count(n) -> int:
-    """``n`` as an int; raises :class:`BadNodeCount` unless it is even and at least 16."""
-    if n != int(n) or n < MIN_NODES or n % 2 != 0:
-        raise BadNodeCount(f"node count must be an even integer >= {MIN_NODES}, got {n}")
+    """``n`` as an int; raises :class:`BadNodeCount` unless it is even and in
+    [``MIN_NODES``, ``MAX_NODES``]."""
+    if n != int(n) or not MIN_NODES <= n <= MAX_NODES or n % 2 != 0:
+        raise BadNodeCount(f"node count must be an even integer in [{MIN_NODES}, "
+                           f"MAX_NODES = {MAX_NODES}], got {n}")
     return int(n)
 
 

@@ -35,12 +35,8 @@ The sign is not assumed: it is forced by the uniform-density disk identity
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 import warnings
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 
 import numpy as np
@@ -58,18 +54,6 @@ DECAY_LIMIT = float(np.log(1e-8 / np.finfo(float).eps))
 
 #: evaluation points closer than this many grid spacings trigger a warning
 SAFE_DISTANCE_FACTOR = 5.0
-
-#: kernel arguments with fewer points are evaluated in the calling thread.  Two facts,
-#: measured on a 2-vCPU VM, bound a split from below:
-#: - a ufunc call on more than 8,192 points (numpy's buffer size) runs its loop without
-#:   the GIL; two threads ran 8,193-point ``hankel1`` calls at 1.7-1.9x of serial, and
-#:   8,192-point ones at 1.3-1.5x, so each slice must exceed 8,192 points;
-#: - an OpenBLAS worker spins for about 125 ms of CPU after each threaded call (complex
-#:   ``A @ v`` and ``A @ B`` from n = 64, ``inv`` from n = 128, ``eigh`` already at
-#:   n = 32) and holds a core, so a split of a few milliseconds that follows one gains
-#:   nothing.  At 32,768 (a 384-node kite splits, and a 512-node one, with 65,485
-#:   distinct distances) neither benchmark workload gained over this value.
-SPLIT_MIN = 65_536
 
 #: the ray table of the complex row: equispaced anchors r_a = a r_max / (TABLE_ANCHORS - 1)
 #: and the degree of the Taylor series around each.  |k| r_max <= 60 (``MAX_ARG``) keeps
@@ -89,18 +73,6 @@ TABLE_MIN = 6_144
 
 #: distances per Horner block of the table, which bounds its work arrays
 TABLE_CHUNK = 8192
-
-_pool = None  # runs the kernel slices past the caller's own; made on the first split
-_pool_lock = threading.Lock()
-
-
-def _drop_pool():  # a forked child inherits the pool and the lock but none of the threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def log_quadrature_weights(n_nodes: int) -> np.ndarray:
@@ -149,44 +121,6 @@ def complete_mirror(full: np.ndarray) -> np.ndarray:
     return full
 
 
-def _cores() -> int:
-    """CPUs this process may run on (every CPU where the OS has no affinity call)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _apply(f, x: np.ndarray, dtype=None) -> np.ndarray:
-    """``f(x)`` for a kernel ufunc ``f`` of :func:`_kernels` or :func:`_ray_table`, whose
-    values have the type ``dtype`` (by default that of ``x``).  From ``SPLIT_MIN`` points
-    on, with more than one core, ``x`` is cut into one interleaved slice per core,
-    ``x[i::cores]``: the distances come sorted, and the kernels cost more at large
-    arguments, so contiguous slices would leave the last one the slowest.  The calling
-    thread evaluates the first slice and a module pool the others, each writing with
-    ``out=`` into its slice of one result and running in a copy of the caller's context,
-    so ``np.errstate`` holds in every slice.  The evaluation is elementwise, so the
-    result has the bits of ``f(x)``."""
-    cores = _cores()
-    if cores < 2 or x.size < SPLIT_MIN:
-        return f(x)
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(cores - 1, thread_name_prefix="kreinlab-kernel")
-        pool = _pool
-    out = np.empty(x.shape, dtype=dtype or x.dtype)
-    xs, outs = np.ravel(x), out.reshape(-1)
-    jobs = [pool.submit(contextvars.copy_context().run, f, xs[i::cores], out=outs[i::cores])
-            for i in range(1, cores)]
-    try:
-        f(xs[::cores], out=outs[::cores])
-    finally:
-        wait(jobs)  # no slice outlives the call, whatever raised
-    for job in jobs:
-        job.result()  # a worker's error is raised here
-    return out
-
-
 def _pairwise(grid: BoundaryGrid, rows: int | None = None):
     """Offsets ``p_i - p_j``, distances and ``ln(4 sin^2((t_i - t_j)/2))`` for the first
     ``rows`` rows (all by default).  The log factor depends on the index difference
@@ -208,15 +142,14 @@ def _kernels(grid: BoundaryGrid, z: complex) -> _Kernels:
     as ``c f(scale r)`` (``f`` may be a number): the log coefficient that log-splitting
     takes out of Phi, Phi, and the same for the factor of K#_z = factor (x - y).nu_x /
     r**power (None: no log part).  ``diagonal(|x'|)`` is the smooth part of V_z at r = 0;
-    ``potential`` and ``radial`` are Phi and Phi' at target distances r.  Every ufunc
-    ``f`` is evaluated through :func:`_apply`.  ``ray`` is k in the J/H^(1) row, whose
-    four ``f`` an assembly may read from :func:`_ray_table` instead, and None in the
-    others; the target potentials always call ``f``."""
+    ``potential`` and ``radial`` are Phi and Phi' at target distances r.  ``ray`` is k in
+    the J/H^(1) row, whose four ``f`` an assembly may read from :func:`_ray_table`
+    instead, and None in the others; the target potentials always call ``f``."""
     c, log0 = 1.0 / (2.0 * np.pi), -1.0 / (4.0 * np.pi)
     if z == 0:
         return _Kernels(1.0, ((log0, 1.0), (-c, np.log), None, (-c, 1.0)), 2,
                         lambda sp: -c * np.log(sp) * sp,
-                        lambda r: -_apply(np.log, r) / (2.0 * np.pi),
+                        lambda r: -np.log(r) / (2.0 * np.pi),
                         lambda r: -1.0 / (2.0 * np.pi * r), None)
     k = sqrt_upper(z)
     _check_wavenumber(grid, z, k)
@@ -236,23 +169,21 @@ def _kernels(grid: BoundaryGrid, z: complex) -> _Kernels:
     (c0, f0), (c1, f1) = parts[1], parts[3]
     return _Kernels(scale, parts, 1,
                     lambda sp: (constant - np.log(scale * sp / 2.0) / (2.0 * np.pi)) * sp,
-                    lambda r: c0 * _apply(f0, scale * r), lambda r: c1 * _apply(f1, scale * r),
-                    ray)
+                    lambda r: c0 * f0(scale * r), lambda r: c1 * f1(scale * r), ray)
 
 
 def _ray_table(k: complex, distances: np.ndarray):
-    """J_0, H_0, J_1 and H_1 at k r as four elementwise functions ``f(r, out=None)`` of the
-    distances r in [0, r_max], r_max = ``distances.max()``, or None where AMOS is called
-    at every distance: fewer than ``TABLE_MIN`` distances, or a table that is not finite
-    (H^(1) overflows at its nearest anchor for |k| r_max below about 1e-22).
+    """J_0, H_0, J_1 and H_1 at k r as four elementwise functions ``f(r)`` of distances r in
+    [0, r_max], r_max = ``distances.max()``, or None where AMOS is called at every
+    distance: fewer than ``TABLE_MIN`` distances, or a table that is not finite (H^(1)
+    overflows at its nearest anchor for |k| r_max below about 1e-22).
 
     At the anchors r_a = a r_max / (TABLE_ANCHORS - 1) AMOS gives C_0 .. C_(M+1), M =
     ``TABLE_DEGREE``, in one call per kind.  The derivatives follow from C_n' = (C_(n-1) -
     C_(n+1)) / 2 with C_(-n) = (-1)^n C_n, and the Taylor coefficients are k^m C_nu^(m)(k
     r_a) / m!.  A distance r is read at its nearest anchor, a = rint(r / spacing), by
     Horner's rule in h = r - r_a, |h| <= spacing / 2.  H_0 and H_1 at a < ``TABLE_NEAR``
-    call AMOS.  Every step acts on one distance alone, so any slice of ``distances``
-    gives the bits of the whole."""
+    call AMOS."""
     if distances.size < TABLE_MIN:
         return None
     spacing = float(np.max(distances)) / (TABLE_ANCHORS - 1)
@@ -272,10 +203,10 @@ def _ray_table(k: complex, distances: np.ndarray):
     if not all(np.isfinite(t).all() for t in tables):
         return None
 
-    def evaluate(kind, order, r, out=None):  # kind 0: J, 1: H^(1), from anchor TABLE_NEAR
+    def evaluate(kind, order, r):  # kind 0: J, 1: H^(1), from anchor TABLE_NEAR
         coeffs, first = tables[kind][order], kind * TABLE_NEAR
-        out = np.empty(r.shape, dtype=complex) if out is None else out
-        flat, r = out.reshape(-1), r.reshape(-1)  # views: a ufunc's own array is returned
+        out = np.empty(r.shape, dtype=complex)
+        flat, r = out.reshape(-1), r.reshape(-1)  # views: the result owns its array
         for start in range(0, r.size, TABLE_CHUNK):
             block = r[start:start + TABLE_CHUNK]
             a = np.rint(block / spacing).astype(np.intp)
@@ -346,9 +277,9 @@ def _assemble(grid: BoundaryGrid, z: complex):
         # as ``c * diagonal``, which for a diagonal of 1 is exact in either order
         c, f = lane.parts[i]
         if table:
-            values = _apply(table[i], x, complex)
+            values = table[i](x)
         else:
-            values = _apply(f, x) if callable(f) else np.full(x.size, f)
+            values = f(x) if callable(f) else np.full(x.size, f)
         gathered = c * values.take(index)
         if diagonal is not None:
             np.fill_diagonal(gathered, c * diagonal)

@@ -28,6 +28,7 @@ from scipy import special
 
 from .errors import DomainError, NearEigenvalue
 from .specfun import (
+    MAX_ORDER,
     _check_arg,
     _check_order,
     as_complex,
@@ -588,8 +589,9 @@ class DiskModel:
     def __init__(self, radius: float = 1.0, mode_cutoff: int = 8):
         if not (np.isfinite(radius) and radius > 0):
             raise DomainError(f"disk radius must be positive and finite, got {radius}")
-        if mode_cutoff < 0:
-            raise DomainError("disk mode cutoff must be nonnegative")
+        if not 0 <= mode_cutoff <= MAX_ORDER:  # disk_mode_dtn raises past that order
+            raise DomainError("disk mode cutoff must lie in [0, specfun.MAX_ORDER = "
+                              f"{MAX_ORDER}], got {mode_cutoff}")
         self.radius = float(radius)
         self.mode_cutoff = int(mode_cutoff)
         self.modes = list(range(-self.mode_cutoff, self.mode_cutoff + 1))

@@ -15,8 +15,15 @@ from click.testing import CliRunner
 
 import kreinlab
 from kreinlab import kreinformulas
-from kreinlab.cli import main, read_complex_csv, write_complex_matrix_csv
+from kreinlab.cli import (
+    MAX_REFERENCE_EIGENVALUES,
+    main,
+    read_complex_csv,
+    write_complex_matrix_csv,
+)
+from kreinlab.geometry import MAX_NODES
 from kreinlab.oracles import DiskModel, Model1D, disk_mode_dtn, interval_dtn
+from kreinlab.specfun import MAX_ORDER
 
 
 @pytest.fixture()
@@ -509,6 +516,28 @@ def test_scan_path_of_the_most_points_is_accepted(runner, tmp_path, monkeypatch)
     assert json.loads(res.output)["points"] == len(calls) == cli.MAX_SCAN_POINTS
 
 
+@pytest.mark.parametrize("args, error, cap", [
+    (["dtn", "--domain", "@kite", "--nodes", "65536"], "bad_node_count",
+     f"MAX_NODES = {MAX_NODES}"),
+    (["dtn", "--domain", "disk:1:1000000000"], "bad_domain", f"specfun.MAX_ORDER = {MAX_ORDER}"),
+    (["spectrum", "--spec", "@spec", "--backend", "interval", "--window", "1,1e30"], "bad_window",
+     f"MAX_REFERENCE_EIGENVALUES = {MAX_REFERENCE_EIGENVALUES}"),
+], ids=["nodes", "disk-modes", "window-top"])
+def test_input_past_a_cap_exits_2_naming_it(runner, tmp_path, args, error, cap):
+    # each would end in a MemoryError: 8 GiB of pairwise distances, 2e9 + 1 disk modes, and
+    # 3e14 interval eigenvalues below the top
+    (tmp_path / "kite.json").write_text('{"kind": "kite"}')
+    (tmp_path / "spec.json").write_text(
+        '{"reference": "dirichlet", "z0": 0.0, "L": {"special": "krein"}, "X": "full"}')
+    argv = [str(tmp_path / a[1:]) + ".json" if a.startswith("@") else a for a in args]
+    out = tmp_path / "out.csv"
+    res = _run(runner, argv + ["--out", str(out)])
+    assert res.exit_code == 2
+    payload = json.loads(res.output)
+    assert payload["error"] == error and cap in payload["detail"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("wavenumber", [2**80, 1e300, 10**300])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_star_with_a_huge_wavenumber_ends_in_a_domain_error(runner, tmp_path, wavenumber):
@@ -902,6 +931,18 @@ def test_verify_runs_every_suite_task_in_the_calling_thread(runner, tmp_path, mo
         "suite", "backend", "seed", "nodes", "results", "sign_ledger", "pass"}
 
 
+def test_kite_dtn_starts_no_thread(runner, tmp_path):
+    # a 544-node kite has about 74,000 distinct distances: its kernels, like every other,
+    # are evaluated in the calling thread
+    curve = tmp_path / "kite.json"
+    curve.write_text('{"kind": "kite"}')
+    before = threading.enumerate()
+    res = _run(runner, ["dtn", "--domain", str(curve), "--z", "2,1", "--nodes", "544",
+                        "--out", str(tmp_path / "dtn.csv")])
+    assert res.exit_code == 0
+    assert threading.enumerate() == before
+
+
 def test_kite_verify_assembles_each_z_once(runner, tmp_path, monkeypatch):
     from kreinlab import layerpot
 
@@ -971,7 +1012,7 @@ def test_no_library_module_imports_the_cli():
 
 
 def test_import_starts_no_thread_and_package_reads_no_environment():
-    # the kernel pool starts on the first split evaluation, not on import
+    # kreinlab starts no thread of its own
     code = "import threading, kreinlab.cli; print(threading.active_count())"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kreinlab.__file__)))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

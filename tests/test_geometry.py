@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from kreinlab.errors import BadNodeCount, DomainError
-from kreinlab.geometry import CurveSpec, make_grid
+from kreinlab.geometry import MAX_NODES, CurveSpec, check_node_count, make_grid
 
 # adaptive-quadrature oracle: perimeter of ellipse(2, 1)
 ELLIPSE_PERIMETER = 9.688448220547676
@@ -101,9 +101,10 @@ def test_curvature_on_circle():
 
 
 def test_bad_node_counts():
-    for n in (15, 8, 33):
+    for n in (15, 8, 33, MAX_NODES + 2):
         with pytest.raises(BadNodeCount):
             make_grid(CurveSpec.circle(1.0), n)
+    assert check_node_count(MAX_NODES) == MAX_NODES
 
 
 def test_invalid_specs():

@@ -1,10 +1,6 @@
 """Layer-operator assembly checks against closed forms on circles."""
 
-import os
-import sys
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -16,7 +12,6 @@ from kreinlab.errors import TargetTooClose
 from kreinlab.geometry import CurveSpec, make_grid
 from kreinlab.layerpot import (
     JUMP_SIGN,
-    SPLIT_MIN,
     _pairwise,
     assemble_adjoint_double_layer,
     assemble_single_layer_trace,
@@ -392,19 +387,31 @@ def test_real_row_matches_the_amos_route(spec, z, n):
         assert err <= 5e-14, (name, err)
 
 
-@pytest.mark.parametrize("spec, share", [(CurveSpec.kite(), 0.55), (CurveSpec.circle(0.8), 0.05)],
+@pytest.mark.parametrize("spec, share, table", [(CurveSpec.kite(), 0.55, True),
+                                               (CurveSpec.circle(0.8), 0.05, False)],
                          ids=["kite", "circle"])
-def test_each_distinct_distance_reaches_the_kernels_once(monkeypatch, spec, share):
-    points = []
-    apply = layerpot._apply
-    monkeypatch.setattr(layerpot, "_apply",
-                        lambda f, x, *dtype: points.append(x.size) or apply(f, x, *dtype))
+def test_each_distinct_distance_reaches_the_kernels_once(monkeypatch, spec, share, table):
+    points = []  # the size of each kernel argument, and whether the ray table reads it
+
+    def counted(f, read):
+        return lambda x: points.append((x.size, read)) or f(x)
+
+    def kernels(grid, z, kernels=layerpot._kernels):
+        lane = kernels(grid, z)
+        return lane._replace(parts=tuple((c, counted(f, False)) for c, f in lane.parts))
+
+    def ray_table(k, distances, ray_table=layerpot._ray_table):
+        parts = ray_table(k, distances)
+        return parts and tuple(counted(f, True) for f in parts)
+
+    monkeypatch.setattr(layerpot, "_kernels", kernels)
+    monkeypatch.setattr(layerpot, "_ray_table", ray_table)
     grid = make_grid(spec, 192)
     assemble_single_layer_trace(grid, 2 + 1j, with_adjoint=True)
     pairs = 192 * 191 // 2  # 18,336: what an evaluation on the upper triangle sends
     r = _pairwise(grid)[1]
     distinct = np.unique(r[np.triu_indices(192, 1)]).size
-    assert points == [distinct] * 4  # one per kernel part
+    assert points == [(distinct, table)] * 4  # one per kernel part, from the table or AMOS
     assert distinct <= share * pairs
 
 
@@ -424,112 +431,10 @@ def test_log_weights_are_a_read_only_circulant_view(n):
     assert not R.flags.writeable
 
 
-@pytest.fixture()
-def cores(monkeypatch):
-    """``cores(c)``: from then on kernel evaluations are cut into ``c`` slices (1:
-    inline), with the slices past the caller's on a fresh one-thread pool."""
-    pool = ThreadPoolExecutor(1)
-    monkeypatch.setattr(layerpot, "_pool", pool)
-    yield lambda c: monkeypatch.setattr(layerpot, "_cores", lambda: c)
-    pool.shutdown()
-
-
-@pytest.mark.parametrize("z", [2 + 1j, -2.3, 0.0])
-@pytest.mark.parametrize("spec", _SPLIT_CURVES, ids=lambda spec: spec.kind)
-def test_split_kernels_equal_inline(cores, monkeypatch, spec, z):
-    grid = make_grid(spec, 544)
-    rng = np.random.default_rng(5)
-    density = rng.standard_normal(544) + 1j * rng.standard_normal(544)
-    targets = 0.3 * rng.uniform(-1.0, 1.0, (160, 2))  # 160 x 544 points: split too
-    points = []  # the size of each kernel argument, and whether the ray table reads it
-    apply = layerpot._apply
-    monkeypatch.setattr(layerpot, "_apply", lambda f, x, *dtype: points.append(
-        (x.size, bool(dtype))) or apply(f, x, *dtype))
-
-    def evaluate():
-        # T = I/2 + K#: off the diagonal, which no kernel reaches, T and K# have equal bits
-        backend = BemBackend(grid)
-        out = [backend.dtn(z), backend.single_layer(z), backend.neumann_trace(z)]
-        # the kite's and the star's 544-node matrices have more than SPLIT_MIN distinct
-        # distances (about 74,000), so they are evaluated in slices; the ellipse's
-        # (59,065) and the circle's fewer.  With nodes 0 and n/2 on the axis a 512-node
-        # kite has 65,485, below SPLIT_MIN
-        assert (max(points)[0] >= SPLIT_MIN) == (spec.kind in ("kite", "star"))
-        # at z = 2 + i the ray table reads the distances of every curve but the circle,
-        # whose 2,919 lie below TABLE_MIN
-        table = [size for size, read in points if read]
-        assert len(table) == (4 if z == 2 + 1j and spec.kind != "circle" else 0)
-        assert set(table) <= {max(points)[0]}
-        out += [evaluate_potential(grid, density, z, targets),
-                evaluate_potential_gradient(grid, density, z, targets)]
-        return out + [backend.ntd(z)] if z != 0 else out  # 0 is a Neumann eigenvalue
-
-    cores(1)
-    inline = evaluate()
-    points.clear()
-    cores(3)
-    for got, want in zip(evaluate(), inline):
-        assert (got == want).all()
-
-
-def test_kernels_are_cut_into_one_slice_per_core(monkeypatch, cores):
-    calls = []
-
-    def log(x, out=None):
-        calls.append(x.size)
-        return np.log(x, out=out)
-
-    x = np.linspace(1.0, 2.0, SPLIT_MIN)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one core: inline
-    assert np.array_equal(layerpot._apply(log, x), np.log(x)) and calls == [SPLIT_MIN]
-    cores(3)
-    calls.clear()
-    assert np.array_equal(layerpot._apply(log, x), np.log(x))
-    assert sorted(calls) == [SPLIT_MIN // 3, SPLIT_MIN // 3, SPLIT_MIN - 2 * (SPLIT_MIN // 3)]
-    calls.clear()
-    layerpot._apply(log, x[:-1])  # below SPLIT_MIN: inline
-    assert calls == [SPLIT_MIN - 1]
-
-
-def test_split_evaluation_under_warnings_as_errors(cores):
-    cores(2)
-    x = np.ones(2 * SPLIT_MIN)
-    x[-1] = 0.0  # log(0) divides by zero in the pool's slice only
+def test_split_evaluation_under_warnings_as_errors():
+    # the log-split assembly of every kernel row keeps its own errstate: no warning escapes
     grid = make_grid(CurveSpec.kite(), 512)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assemble_single_layer_trace(grid, 2 + 1j, with_adjoint=True)
-        with np.errstate(divide="ignore"):  # the caller's errstate holds in the pool
-            assert layerpot._apply(np.log, x)[-1] == -np.inf
-        with pytest.raises(RuntimeWarning, match="divide by zero"):
-            layerpot._apply(np.log, x)
-
-
-def test_concurrent_callers_share_one_pool(monkeypatch):
-    monkeypatch.setattr(layerpot, "_pool", None)
-    monkeypatch.setattr(layerpot, "_cores", lambda: 3)
-    pools = []
-    monkeypatch.setattr(layerpot, "ThreadPoolExecutor",
-                        lambda *a, **k: pools.append(ThreadPoolExecutor(*a, **k)) or pools[-1])
-    inputs = [np.linspace(1.0 + i, 2.0 + i, SPLIT_MIN + i) for i in range(8)]
-    results = [None] * 8
-
-    def call(i):
-        results[i] = layerpot._apply(np.log, inputs[i])
-
-    threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-        for pool in pools:
-            pool.shutdown()
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(pools) == 1
-    for x, got in zip(inputs, results):
-        assert np.array_equal(got, np.log(x))
+        for z in (2 + 1j, -2.3, 0.0):
+            assemble_single_layer_trace(grid, z, with_adjoint=True)
